@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -38,8 +39,8 @@ struct Workbench {
   MlTraffic traffic;
   Seconds horizon{8.0};
   NodeId edge;
-  AggregateLoadTrace agg;
-  PipelineLoadTrace pipes;
+  LoadTrace agg;    ///< whole-switch load (1 channel)
+  LoadTrace pipes;  ///< per-pipeline load (4 channels)
 
   Workbench() {
     MlTrafficConfig cfg;
@@ -56,8 +57,8 @@ struct Workbench {
     for (const auto& flow : traffic.flows) sim.submit(flow);
     engine.run();
     engine.run_until(horizon);
-    agg = recorder.aggregate_trace(edge, horizon);
-    pipes = recorder.pipeline_trace(edge, 4, horizon);
+    agg = recorder.load_trace(edge, 1, horizon);
+    pipes = recorder.load_trace(edge, 4, horizon);
   }
 };
 
@@ -79,12 +80,17 @@ void print_ablation() {
   pk.switch_capacity = Gbps{400.0};  // 4 ports x 100 G at this edge switch
   pk.wake_latency = Seconds::from_milliseconds(1.0);
 
+  const auto rate_adapt = [&](const RateAdaptConfig& config,
+                              RateAdaptMode mode) {
+    RateAdaptPolicy policy{config, mode};
+    return run_mechanism(wb.pipes, policy);
+  };
+
   using Row = std::vector<std::string>;
   const std::vector<std::function<Row()>> row_evals = {
       // Today: everything on, no adaptation.
       [&] {
-        const auto none =
-            simulate_rate_adaptation(wb.pipes, ra, RateAdaptMode::kNone);
+        const auto none = rate_adapt(ra, RateAdaptMode::kNone);
         return Row{"none (today)", fmt(none.average_power.value(), 1), "0.0%",
                    "none", "10% proportional envelope"};
       },
@@ -101,40 +107,38 @@ void print_ablation() {
       },
       // §4.3 rate adaptation.
       [&] {
-        const auto global =
-            simulate_rate_adaptation(wb.pipes, ra, RateAdaptMode::kGlobalAsic);
+        const auto global = rate_adapt(ra, RateAdaptMode::kGlobalAsic);
         return Row{"rate adapt, global clock (4.3)",
                    fmt(global.average_power.value(), 1),
-                   fmt_percent(global.savings_vs_none), "none",
-                   std::to_string(global.frequency_transitions) +
+                   fmt_percent(global.savings), "none",
+                   std::to_string(global.level_transitions) +
                        " clock changes"};
       },
       [&] {
-        const auto per_pipe =
-            simulate_rate_adaptation(wb.pipes, ra, RateAdaptMode::kPerPipeline);
+        const auto per_pipe = rate_adapt(ra, RateAdaptMode::kPerPipeline);
         return Row{"rate adapt, per-pipeline (4.3)",
                    fmt(per_pipe.average_power.value(), 1),
-                   fmt_percent(per_pipe.savings_vs_none), "none",
+                   fmt_percent(per_pipe.savings), "none",
                    "independent clock trees"};
       },
       [&] {
         RateAdaptConfig ra_lanes = ra;
         ra_lanes.lane_steps = {0.25, 0.5, 1.0};
-        const auto lanes = simulate_rate_adaptation(wb.pipes, ra_lanes,
-                                                    RateAdaptMode::kPerPipeline);
+        const auto lanes = rate_adapt(ra_lanes, RateAdaptMode::kPerPipeline);
         return Row{"  + SerDes down-rating (4.3)",
                    fmt(lanes.average_power.value(), 1),
-                   fmt_percent(lanes.savings_vs_none), "none",
+                   fmt_percent(lanes.savings), "none",
                    "lane steps 1/4, 1/2, 1"};
       },
       // §4.4 parking.
       [&] {
-        const auto reactive = simulate_parking_reactive(wb.agg, pk);
+        ReactiveParkingPolicy policy{pk};
+        const auto reactive = run_mechanism(wb.agg, policy);
         return Row{"pipeline parking, reactive (4.4)",
                    fmt(reactive.average_power.value(), 1),
-                   fmt_percent(reactive.savings_vs_all_on),
+                   fmt_percent(reactive.savings),
                    to_string(reactive.max_added_delay) + " buf",
-                   fmt(reactive.mean_active_pipelines, 2) + " pipelines avg"};
+                   fmt(reactive.mean_on_components, 2) + " pipelines avg"};
       },
       [&] {
         std::vector<LoadForecast> forecast;
@@ -142,11 +146,11 @@ void print_ablation() {
           forecast.push_back(LoadForecast{w.compute_begin, 0.0});
           forecast.push_back(LoadForecast{w.comm_begin, 1.0});
         }
-        const auto predictive =
-            simulate_parking_predictive(wb.agg, forecast, pk);
+        PredictiveParkingPolicy policy{pk, std::move(forecast)};
+        const auto predictive = run_mechanism(wb.agg, policy);
         return Row{"pipeline parking, predictive (4.4)",
                    fmt(predictive.average_power.value(), 1),
-                   fmt_percent(predictive.savings_vs_all_on),
+                   fmt_percent(predictive.savings),
                    to_string(predictive.max_added_delay) + " buf",
                    "pre-woken from the job schedule"};
       },
@@ -193,7 +197,8 @@ void BM_AblationPipeline(benchmark::State& state) {
   RateAdaptConfig ra;
   ra.model = model;
   for (auto _ : state) {
-    auto r = simulate_rate_adaptation(wb.pipes, ra, RateAdaptMode::kPerPipeline);
+    RateAdaptPolicy policy{ra, RateAdaptMode::kPerPipeline};
+    auto r = run_mechanism(wb.pipes, policy);
     benchmark::DoNotOptimize(r);
   }
 }

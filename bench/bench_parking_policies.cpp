@@ -20,14 +20,14 @@ using namespace netpp::literals;
 /// ML-phase trace: mostly idle with a communication burst each iteration.
 /// Burst intensity cycles through 0.3 / 0.6 / 0.9 so threshold choices
 /// actually matter (real collectives vary in size across iterations).
-AggregateLoadTrace ml_trace(int iterations) {
-  AggregateLoadTrace trace;
+LoadTrace ml_trace(int iterations) {
+  LoadTrace trace;
   const double bursts[] = {0.3, 0.6, 0.9};
   for (int k = 0; k < iterations; ++k) {
     trace.times.push_back(Seconds{k * 1.0});
-    trace.loads.push_back(0.0);
+    trace.loads.push_back({0.0});
     trace.times.push_back(Seconds{k * 1.0 + 0.9});
-    trace.loads.push_back(bursts[k % 3]);
+    trace.loads.push_back({bursts[k % 3]});
   }
   trace.end = Seconds{static_cast<double>(iterations)};
   return trace;
@@ -43,6 +43,19 @@ std::vector<LoadForecast> ml_forecast(int iterations) {
   return forecast;
 }
 
+MechanismReport run_reactive(const LoadTrace& trace,
+                             const ParkingConfig& cfg) {
+  ReactiveParkingPolicy policy{cfg};
+  return run_mechanism(trace, policy);
+}
+
+MechanismReport run_predictive(const LoadTrace& trace,
+                               const std::vector<LoadForecast>& forecast,
+                               const ParkingConfig& cfg) {
+  PredictiveParkingPolicy policy{cfg, forecast};
+  return run_mechanism(trace, policy);
+}
+
 void print_sweep() {
   netpp::bench::print_banner(
       "Sec. 4.4: parking policy sweep - ML phase trace (90% idle)");
@@ -55,8 +68,8 @@ void print_sweep() {
   // worker finishes first.
   const std::vector<double> wake_ms_values = {0.0, 0.1, 1.0, 10.0, 50.0};
   struct PolicyPair {
-    ParkingResult reactive;
-    ParkingResult predictive;
+    MechanismReport reactive;
+    MechanismReport predictive;
   };
   SweepRunner runner;
   const auto scenarios = runner.map<PolicyPair>(
@@ -64,9 +77,8 @@ void print_sweep() {
         ParkingConfig cfg;
         cfg.model = SwitchPowerModel{};
         cfg.wake_latency = Seconds::from_milliseconds(wake_ms_values[index]);
-        return PolicyPair{
-            simulate_parking_reactive(trace, cfg),
-            simulate_parking_predictive(trace, forecast, cfg)};
+        return PolicyPair{run_reactive(trace, cfg),
+                          run_predictive(trace, forecast, cfg)};
       });
 
   Table table{{"Policy", "Wake latency", "Savings", "Max buffered",
@@ -75,14 +87,14 @@ void print_sweep() {
     const double wake_ms = wake_ms_values[i];
     const auto& reactive = scenarios[i].reactive;
     table.add_row({"reactive", fmt(wake_ms, 1) + " ms",
-                   fmt_percent(reactive.savings_vs_all_on),
+                   fmt_percent(reactive.savings),
                    fmt(reactive.max_buffered.value() / 8e6, 2) + " MB",
                    to_string(reactive.max_added_delay),
                    fmt(reactive.dropped.value() / 8e6, 2) + " MB"});
 
     const auto& predictive = scenarios[i].predictive;
     table.add_row({"predictive", fmt(wake_ms, 1) + " ms",
-                   fmt_percent(predictive.savings_vs_all_on),
+                   fmt_percent(predictive.savings),
                    fmt(predictive.max_buffered.value() / 8e6, 2) + " MB",
                    to_string(predictive.max_added_delay),
                    fmt(predictive.dropped.value() / 8e6, 2) + " MB"});
@@ -99,14 +111,14 @@ void print_sweep() {
   };
   const std::vector<Band> bands = {
       {0.95, 0.80}, {0.85, 0.60}, {0.70, 0.40}, {0.50, 0.20}};
-  const auto band_results = runner.map<ParkingResult>(
+  const auto band_results = runner.map<MechanismReport>(
       bands.size(), [&](std::size_t index, Rng&) {
         ParkingConfig cfg;
         cfg.model = SwitchPowerModel{};
         cfg.wake_latency = Seconds::from_milliseconds(1.0);
         cfg.hi_threshold = bands[index].hi;
         cfg.lo_threshold = bands[index].lo;
-        return simulate_parking_reactive(trace, cfg);
+        return run_reactive(trace, cfg);
       });
 
   Table thresh{{"hi/lo thresholds", "Savings", "Wakes", "Parks",
@@ -114,10 +126,10 @@ void print_sweep() {
   for (std::size_t i = 0; i < bands.size(); ++i) {
     const auto& result = band_results[i];
     thresh.add_row({fmt(bands[i].hi, 2) + "/" + fmt(bands[i].lo, 2),
-                    fmt_percent(result.savings_vs_all_on),
+                    fmt_percent(result.savings),
                     std::to_string(result.wake_transitions),
                     std::to_string(result.park_transitions),
-                    fmt(result.mean_active_pipelines, 2)});
+                    fmt(result.mean_on_components, 2)});
   }
   std::printf("%s", thresh.to_ascii().c_str());
 }
@@ -127,7 +139,7 @@ void BM_ReactiveParking(benchmark::State& state) {
   ParkingConfig cfg;
   cfg.model = SwitchPowerModel{};
   for (auto _ : state) {
-    auto result = simulate_parking_reactive(trace, cfg);
+    auto result = run_reactive(trace, cfg);
     benchmark::DoNotOptimize(result);
   }
 }
@@ -139,7 +151,7 @@ void BM_PredictiveParking(benchmark::State& state) {
   ParkingConfig cfg;
   cfg.model = SwitchPowerModel{};
   for (auto _ : state) {
-    auto result = simulate_parking_predictive(trace, forecast, cfg);
+    auto result = run_predictive(trace, forecast, cfg);
     benchmark::DoNotOptimize(result);
   }
 }

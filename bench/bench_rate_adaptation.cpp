@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -17,19 +18,26 @@ namespace {
 
 using namespace netpp;
 
-PipelineLoadTrace skewed_trace(double mean_load, double skew, int pipes) {
+LoadTrace skewed_trace(double mean_load, double skew, int pipes) {
   // Pipeline 0 carries mean*(1+3*skew); others share the rest evenly; a
   // skew of 0 is uniform, 1 concentrates everything on pipeline 0.
-  PipelineLoadTrace trace;
+  LoadTrace trace;
   trace.times = {Seconds{0.0}};
   std::vector<double> loads(pipes, 0.0);
   const double hot = std::min(1.0, mean_load * (1.0 + 3.0 * skew));
   loads[0] = hot;
   const double rest = (mean_load * pipes - hot) / (pipes - 1);
   for (int p = 1; p < pipes; ++p) loads[p] = std::max(0.0, rest);
-  trace.pipeline_loads = {loads};
+  trace.loads = {loads};
   trace.end = Seconds{10.0};
   return trace;
+}
+
+MechanismReport run_rate_adapt(const LoadTrace& trace,
+                               const RateAdaptConfig& cfg,
+                               RateAdaptMode mode) {
+  RateAdaptPolicy policy{cfg, mode};
+  return run_mechanism(trace, policy);
 }
 
 void print_sweep() {
@@ -54,7 +62,7 @@ void print_sweep() {
     }
   }
   struct GridResult {
-    RateAdaptResult global, per_pipe, lanes;
+    MechanismReport global, per_pipe, lanes;
   };
   SweepRunner runner;
   const auto cells = runner.map<GridResult>(
@@ -62,19 +70,18 @@ void print_sweep() {
         const auto trace = skewed_trace(grid[index].load, grid[index].skew,
                                         model.config().num_pipelines);
         return GridResult{
-            simulate_rate_adaptation(trace, cfg, RateAdaptMode::kGlobalAsic),
-            simulate_rate_adaptation(trace, cfg, RateAdaptMode::kPerPipeline),
-            simulate_rate_adaptation(trace, cfg_lanes,
-                                     RateAdaptMode::kPerPipeline)};
+            run_rate_adapt(trace, cfg, RateAdaptMode::kGlobalAsic),
+            run_rate_adapt(trace, cfg, RateAdaptMode::kPerPipeline),
+            run_rate_adapt(trace, cfg_lanes, RateAdaptMode::kPerPipeline)};
       });
 
   Table table{{"Mean load", "Skew", "Global clock", "Per-pipeline",
                "Per-pipeline + lanes"}};
   for (std::size_t i = 0; i < grid.size(); ++i) {
     table.add_row({fmt_percent(grid[i].load, 0), fmt(grid[i].skew, 1),
-                   fmt_percent(cells[i].global.savings_vs_none),
-                   fmt_percent(cells[i].per_pipe.savings_vs_none),
-                   fmt_percent(cells[i].lanes.savings_vs_none)});
+                   fmt_percent(cells[i].global.savings),
+                   fmt_percent(cells[i].per_pipe.savings),
+                   fmt_percent(cells[i].lanes.savings)});
   }
   std::printf("%s", table.to_ascii().c_str());
   std::printf(
@@ -89,36 +96,41 @@ void print_downrating() {
 
   // Compressed diurnal utilization of one link: samples every "10 minutes",
   // sinusoid between 8% (night) and 55% (evening peak).
-  AggregateLoadTrace trace;
+  LoadTrace trace;
   const double day = 86400.0;
   for (double t = 0.0; t < day; t += 600.0) {
     const double hour = t / 3600.0;
     const double load =
         0.315 + 0.235 * std::cos((hour - 20.0) / 24.0 * 2.0 * 3.14159265);
     trace.times.push_back(Seconds{t});
-    trace.loads.push_back(load);
+    trace.loads.push_back({load});
   }
   trace.end = Seconds{day};
 
   const std::vector<double> effs = {1.0, 0.5, 0.2, 0.0};
+  struct DownrateRun {
+    MechanismReport report;
+    Seconds violation_time;
+  };
   SweepRunner runner;
-  const auto results = runner.map<DownrateResult>(
+  const auto results = runner.map<DownrateRun>(
       effs.size(), [&](std::size_t index, Rng&) {
         DownrateConfig cfg;
         cfg.gating_effectiveness = effs[index];
         cfg.down_dwell = Seconds{1800.0};
-        return simulate_downrating(trace, cfg);
+        DownratePolicy policy{cfg};
+        MechanismReport report = run_mechanism(trace, policy);
+        return DownrateRun{std::move(report), policy.violation_time()};
       });
 
   Table table{{"Gating effectiveness", "Savings", "Mean speed",
                "Transitions", "Violations"}};
   for (std::size_t i = 0; i < effs.size(); ++i) {
-    const auto& result = results[i];
-    table.add_row({fmt_percent(effs[i], 0),
-                   fmt_percent(result.savings_fraction),
-                   fmt(result.mean_speed.value(), 0) + "G",
-                   std::to_string(result.transitions),
-                   fmt(result.violation_time.value(), 1) + " s"});
+    const auto& report = results[i].report;
+    table.add_row({fmt_percent(effs[i], 0), fmt_percent(report.savings),
+                   fmt(report.mean_level, 0) + "G",
+                   std::to_string(report.level_transitions),
+                   fmt(results[i].violation_time.value(), 1) + " s"});
   }
   std::printf("%s", table.to_ascii().c_str());
   std::printf(
@@ -133,7 +145,7 @@ void BM_GlobalAdaptation(benchmark::State& state) {
   cfg.model = model;
   const auto trace = skewed_trace(0.25, 0.5, model.config().num_pipelines);
   for (auto _ : state) {
-    auto r = simulate_rate_adaptation(trace, cfg, RateAdaptMode::kGlobalAsic);
+    auto r = run_rate_adapt(trace, cfg, RateAdaptMode::kGlobalAsic);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -145,8 +157,7 @@ void BM_PerPipelineAdaptation(benchmark::State& state) {
   cfg.model = model;
   const auto trace = skewed_trace(0.25, 0.5, model.config().num_pipelines);
   for (auto _ : state) {
-    auto r =
-        simulate_rate_adaptation(trace, cfg, RateAdaptMode::kPerPipeline);
+    auto r = run_rate_adapt(trace, cfg, RateAdaptMode::kPerPipeline);
     benchmark::DoNotOptimize(r);
   }
 }

@@ -56,13 +56,11 @@ int main() {
   NodeId busiest = topo.switches.front();
   double best = -1.0;
   for (NodeId pop : topo.switches) {
-    const auto trace = recorder.aggregate_trace(pop, horizon);
+    const LoadTrace trace = recorder.load_trace(pop, 1, horizon);
     double integral = 0.0;
-    for (std::size_t i = 0; i < trace.times.size(); ++i) {
-      const double seg_end = (i + 1 < trace.times.size())
-                                 ? trace.times[i + 1].value()
-                                 : trace.end.value();
-      integral += trace.loads[i] * (seg_end - trace.times[i].value());
+    for (std::size_t i = 0; i < trace.num_segments(); ++i) {
+      const double seg_end = trace.segment_end(i).value();
+      integral += trace.loads[i][0] * (seg_end - trace.times[i].value());
     }
     if (integral > best) {
       best = integral;
@@ -78,16 +76,18 @@ int main() {
 
   RateAdaptConfig ra;
   ra.model = model;
-  const auto pipe_trace =
-      recorder.pipeline_trace(busiest, model.config().num_pipelines, horizon);
-  const auto global =
-      simulate_rate_adaptation(pipe_trace, ra, RateAdaptMode::kGlobalAsic);
-  const auto per_pipe =
-      simulate_rate_adaptation(pipe_trace, ra, RateAdaptMode::kPerPipeline);
+  const LoadTrace pipe_trace =
+      recorder.load_trace(busiest, model.config().num_pipelines, horizon);
+  const auto rate_adapt = [&](const RateAdaptConfig& config,
+                              RateAdaptMode mode) {
+    RateAdaptPolicy policy{config, mode};
+    return run_mechanism(pipe_trace, policy);
+  };
+  const auto global = rate_adapt(ra, RateAdaptMode::kGlobalAsic);
+  const auto per_pipe = rate_adapt(ra, RateAdaptMode::kPerPipeline);
   RateAdaptConfig ra_lanes = ra;
   ra_lanes.lane_steps = {0.25, 0.5, 1.0};
-  const auto lanes = simulate_rate_adaptation(pipe_trace, ra_lanes,
-                                              RateAdaptMode::kPerPipeline);
+  const auto lanes = rate_adapt(ra_lanes, RateAdaptMode::kPerPipeline);
 
   ParkingConfig pk;
   pk.model = model;
@@ -95,20 +95,20 @@ int main() {
   pk.switch_capacity =
       Gbps{static_cast<double>(topo.graph.degree(busiest)) * 2.0 * 400.0};
   pk.wake_latency = Seconds::from_milliseconds(1.0);
-  const auto agg_trace = recorder.aggregate_trace(busiest, horizon);
-  const auto parked = simulate_parking_reactive(agg_trace, pk);
+  ReactiveParkingPolicy parking{pk};
+  const auto parked =
+      run_mechanism(recorder.load_trace(busiest, 1, horizon), parking);
 
   std::printf("Mechanism savings on the busiest PoP router (vs always-on):\n");
   std::printf("  rate adaptation, global clock:   %5.1f%%\n",
-              100.0 * global.savings_vs_none);
+              100.0 * global.savings);
   std::printf("  rate adaptation, per-pipeline:   %5.1f%%\n",
-              100.0 * per_pipe.savings_vs_none);
+              100.0 * per_pipe.savings);
   std::printf("  + SerDes down-rating:            %5.1f%%\n",
-              100.0 * lanes.savings_vs_none);
+              100.0 * lanes.savings);
   std::printf("  pipeline parking (reactive):     %5.1f%%  "
               "(%.2f pipelines active on average, %.2f MB peak buffer)\n",
-              100.0 * parked.savings_vs_all_on,
-              parked.mean_active_pipelines,
+              100.0 * parked.savings, parked.mean_on_components,
               parked.max_buffered.value() / 8e6);
   std::printf(
       "\nUnlike the ML cluster, the backbone never fully idles - diurnal\n"

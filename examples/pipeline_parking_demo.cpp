@@ -40,12 +40,12 @@ int main() {
               traffic_cfg.iterations, traffic.flows.size(),
               sim.completed().size());
 
-  const auto trace = recorder.aggregate_trace(edge, horizon);
+  const LoadTrace trace = recorder.load_trace(edge, 1, horizon);
   std::printf("Edge switch %s load trace (%zu segments):\n",
-              topo.graph.node(edge).name.c_str(), trace.loads.size());
-  for (std::size_t i = 0; i < trace.times.size() && i < 8; ++i) {
+              topo.graph.node(edge).name.c_str(), trace.num_segments());
+  for (std::size_t i = 0; i < trace.num_segments() && i < 8; ++i) {
     std::printf("  t=%.3fs  load=%.1f%%\n", trace.times[i].value(),
-                100.0 * trace.loads[i]);
+                100.0 * trace.loads[i][0]);
   }
   std::printf("  ...\n\n");
 
@@ -62,11 +62,12 @@ int main() {
               "predictive", "react. buffer", "react. drop");
   for (double wake_ms : {0.1, 1.0, 10.0}) {
     cfg.wake_latency = Seconds::from_milliseconds(wake_ms);
-    const auto reactive = simulate_parking_reactive(trace, cfg);
-    const auto predictive = simulate_parking_predictive(trace, forecast, cfg);
+    ReactiveParkingPolicy reactive_policy{cfg};
+    const auto reactive = run_mechanism(trace, reactive_policy);
+    PredictiveParkingPolicy predictive_policy{cfg, forecast};
+    const auto predictive = run_mechanism(trace, predictive_policy);
     std::printf("%8.1f ms  %8.1f%%  %8.1f%%  %11.2f MB  %9.2f MB\n", wake_ms,
-                100.0 * reactive.savings_vs_all_on,
-                100.0 * predictive.savings_vs_all_on,
+                100.0 * reactive.savings, 100.0 * predictive.savings,
                 reactive.max_buffered.value() / 8e6,
                 reactive.dropped.value() / 8e6);
   }

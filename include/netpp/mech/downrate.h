@@ -47,24 +47,14 @@ struct DownrateConfig {
   Seconds transition_outage{Seconds::from_milliseconds(50.0)};
 };
 
-struct DownrateResult {
-  Joules energy{};
-  Joules nominal_energy{};  ///< always at nominal speed
-  double savings_fraction = 0.0;
-  std::size_t transitions = 0;
-  /// Total time the configured speed was below the offered load (traffic
-  /// would have been queued/dropped) — headroom/dwell tuning errors.
-  Seconds violation_time{};
-  /// Total renegotiation outage time.
-  Seconds outage_time{};
-  /// Time-weighted mean configured speed.
-  Gbps mean_speed{};
-};
-
 /// Link down-rating as a MechanismPolicy: one component whose level is the
 /// configured speed in Gbps, stepped along the ladder through the
 /// timeline's min-dwell rule (downward steps only after the lower step has
-/// been sufficient for `down_dwell`; upward steps immediate).
+/// been sufficient for `down_dwell`; upward steps immediate). The trace is
+/// single-channel: the link's utilization as a fraction of `nominal`. The
+/// report's level_transitions counts speed changes, mean_level is the
+/// time-weighted mean speed in Gbps, and baseline_energy is the nominal
+/// draw; violation and outage time are read off the policy.
 class DownratePolicy : public MechanismPolicy {
  public:
   explicit DownratePolicy(DownrateConfig config);
@@ -81,9 +71,12 @@ class DownratePolicy : public MechanismPolicy {
   [[nodiscard]] const DownrateConfig& config() const { return config_; }
   /// Both-end power draw at the nominal speed (the do-nothing baseline).
   [[nodiscard]] double nominal_power_w() const { return nominal_power_w_; }
+  /// Total time the configured speed was below the offered load (traffic
+  /// would have been queued/dropped) — headroom/dwell tuning errors.
   [[nodiscard]] Seconds violation_time() const {
     return Seconds{violation_time_};
   }
+  /// Total renegotiation outage time.
   [[nodiscard]] Seconds outage_time() const { return Seconds{outage_time_}; }
 
  private:
@@ -92,10 +85,5 @@ class DownratePolicy : public MechanismPolicy {
   double violation_time_ = 0.0;
   double outage_time_ = 0.0;
 };
-
-/// Simulates the down-rating policy over the trace (loads are fractions of
-/// `config.nominal`).
-[[nodiscard]] DownrateResult simulate_downrating(
-    const AggregateLoadTrace& trace, const DownrateConfig& config);
 
 }  // namespace netpp

@@ -1,35 +1,18 @@
-// Unified piecewise-constant load traces for the §4 mechanism layer.
+// Piecewise-constant load traces for the §4 mechanism layer.
 //
-// Every mechanism simulator consumes the same timing convention: `times[i]`
-// starts segment i, which holds its loads until `times[i+1]` (or `end` for
-// the final segment); `times[0]` is the trace start. Historically the
-// aggregate (whole-switch) and per-pipeline variants were separate structs
-// with hand-rolled, subtly different validation; they now share one
-// `LoadTrace` representation (N channels; 1 channel == aggregate) plus the
-// `validate_segment_timing` / `validate_load_fraction` helpers, so any
-// FlowSimulator-derived load can feed any mechanism.
+// Every mechanism consumes the same timing convention: `times[i]` starts
+// segment i, which holds its loads until `times[i+1]` (or `end` for the
+// final segment); `times[0]` is the trace start. One `LoadTrace` type
+// carries N channels (1 channel == whole-device aggregate, one channel per
+// pipeline == an ASIC's pipelines), so any FlowSimulator-derived load can
+// feed any mechanism.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "netpp/units.h"
 
 namespace netpp {
-
-namespace detail {
-
-/// Shared timing-convention checks ("TypeName: constraint" error style):
-/// non-empty times matching `num_segments`, finite and strictly increasing,
-/// finite end strictly after the last segment start.
-void validate_segment_timing(const char* type_name,
-                             const std::vector<Seconds>& times,
-                             std::size_t num_segments, Seconds end);
-
-/// Rejects NaN/out-of-range load fractions (must be finite, in [0, 1]).
-void validate_load_fraction(const char* type_name, double load);
-
-}  // namespace detail
 
 /// Piecewise-constant multi-channel load trace: `loads[i][c]` is channel
 /// c's offered load (fraction of its nominal capacity, in [0, 1]) during
@@ -50,7 +33,9 @@ struct LoadTrace {
     return i + 1 < times.size() ? times[i + 1] : end;
   }
 
-  /// Shared timing checks plus per-channel arity and load-range checks.
+  /// Timing checks ("LoadTrace: constraint" errors): non-empty times
+  /// matching the segments, finite and strictly increasing, a finite end
+  /// after the last segment start; plus per-channel arity and load range.
   void validate() const;
 
   /// Piecewise-constant resampling onto a fixed step: segment boundaries at
@@ -64,35 +49,6 @@ struct LoadTrace {
   /// Across-channel mean load at time `t` — the whole-device fraction when
   /// channels have equal capacity.
   [[nodiscard]] double aggregate_at(Seconds t) const;
-};
-
-/// Piecewise-constant aggregate offered load, as a fraction of the whole
-/// device's nominal capacity (the single-channel view).
-struct AggregateLoadTrace {
-  std::vector<Seconds> times;
-  std::vector<double> loads;
-  Seconds end{};
-
-  void validate() const;
-  [[nodiscard]] Seconds duration() const { return end - times.front(); }
-
-  [[nodiscard]] LoadTrace to_load_trace() const;
-  static AggregateLoadTrace from_load_trace(const LoadTrace& trace);
-};
-
-/// Piecewise-constant per-pipeline offered load. `pipeline_loads[i]` holds
-/// one entry per pipeline, each in [0, 1] of that pipeline's nominal
-/// capacity.
-struct PipelineLoadTrace {
-  std::vector<Seconds> times;
-  std::vector<std::vector<double>> pipeline_loads;
-  Seconds end{};
-
-  void validate(int num_pipelines) const;
-  [[nodiscard]] Seconds duration() const;
-
-  [[nodiscard]] LoadTrace to_load_trace() const;
-  static PipelineLoadTrace from_load_trace(const LoadTrace& trace);
 };
 
 }  // namespace netpp

@@ -6,8 +6,8 @@
 // the rest powered off entirely — killing their leakage, which rate
 // adaptation cannot (§4.3 keeps most components powered).
 //
-// The simulator consumes an aggregate offered-load trace (fraction of the
-// whole switch's capacity) and a policy:
+// The policies consume a single-channel aggregate offered-load trace
+// (fraction of the whole switch's capacity):
 //
 //   - Reactive: keep enough pipelines on so that the load fits under a
 //     target utilization; hysteresis thresholds avoid flapping. Waking a
@@ -18,12 +18,15 @@
 //     workloads"): a known schedule of (time, required pipelines) is
 //     followed, pre-waking `wake_latency` early so capacity is ready when
 //     the burst starts.
+//   - Resilient: reactive, plus fault-driven emergency recalls that force
+//     every pipeline awake while rerouted traffic passes through.
 //
 // Energy accounts the powered pipelines (at their served load), the chassis
 // and ports (always on), and the circuit switch's own overhead — the
 // "is the addition worth it?" question of §4.4.
 #pragma once
 
+#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -69,32 +72,30 @@ struct EmergencyRecall {
   double extra_load = 0.0;
 };
 
-struct ParkingResult {
-  Joules energy{};
-  Watts average_power{};
-  /// 1 - energy / energy(all pipelines always on) over the same trace.
-  double savings_vs_all_on = 0.0;
-  double mean_active_pipelines = 0.0;
-  std::size_t wake_transitions = 0;
-  std::size_t park_transitions = 0;
-  /// Buffering at the circuit switch while capacity was short.
-  Bits max_buffered{};
-  Bits dropped{};
-  /// Worst-case extra delay a buffered bit experienced (buffer/capacity).
-  Seconds max_added_delay{};
-  /// Pipelines force-woken by emergency recall windows (resilient variant).
-  std::size_t emergency_wakes = 0;
-};
-
 namespace detail {
 
-/// Reactive hysteresis step shared by the parking policies and the
-/// composite stack: wake when the load exceeds `hi_threshold` of the
-/// provisioned capacity; park when it would fit under `lo_threshold` of one
-/// fewer pipeline.
-[[nodiscard]] int reactive_parking_target(const ParkingConfig& config,
-                                          int pipes, double offered,
-                                          int provisioned);
+/// Checks the reactive-parking knobs every parking tier shares, with
+/// "<type_name>: constraint" errors: 0 <= lo_threshold < hi_threshold <= 1,
+/// min_active in [1, count], and a non-negative wake latency.
+void validate_parking(const char* type_name, double hi_threshold,
+                      double lo_threshold, int min_active, int count,
+                      Seconds wake_latency);
+
+/// Reactive hysteresis step shared by every parking tier (pipelines, the
+/// composite stack, core switches): wake when the load exceeds
+/// `hi_threshold` of the provisioned capacity; park when it would fit under
+/// `lo_threshold` of one fewer of the `count` units.
+[[nodiscard]] int reactive_parking_target(double hi_threshold,
+                                          double lo_threshold, int count,
+                                          double offered, int provisioned);
+
+/// Steers `timeline` to a fixed point of `desired(provisioned)`, clamped
+/// into [min_active, count]: wakes the shortfall, or cancels pending wakes
+/// before parking powered units (never below `min_active` on). Iterates so
+/// that policies moving one unit per decision (hysteresis) converge within
+/// a single decision point.
+void settle_parking(PowerStateTimeline& timeline, int count, int min_active,
+                    const std::function<int(int provisioned)>& desired);
 
 }  // namespace detail
 
@@ -102,7 +103,8 @@ namespace detail {
 /// desired pipeline count per decision point; the base emits wake/park
 /// transitions onto the timeline (canceling pending wakes before parking),
 /// prices powered/waking/parked pipelines plus the circuit switch, and
-/// opts in to the driver's capacity-shortfall buffering.
+/// opts in to the driver's capacity-shortfall buffering. The trace must be
+/// single-channel (whole-switch aggregate load).
 class ParkingPolicy : public MechanismPolicy {
  public:
   explicit ParkingPolicy(ParkingConfig config);
@@ -152,7 +154,8 @@ class ReactiveParkingPolicy : public ParkingPolicy {
 
 /// Predictive policy: follows a (sorted) load forecast, pre-waking
 /// `wake_latency` before each capacity increase. Forecast command times are
-/// the policy's breakpoints.
+/// the policy's breakpoints; the trace supplies the actual offered load
+/// (forecast errors show up as buffering/loss).
 class PredictiveParkingPolicy : public ParkingPolicy {
  public:
   PredictiveParkingPolicy(ParkingConfig config,
@@ -177,23 +180,33 @@ class PredictiveParkingPolicy : public ParkingPolicy {
   std::vector<Command> commands_;
 };
 
-/// Reactive threshold policy over the trace.
-[[nodiscard]] ParkingResult simulate_parking_reactive(
-    const AggregateLoadTrace& trace, const ParkingConfig& config);
-
-/// Predictive policy: follows `forecast` (sorted by time), pre-waking
-/// `wake_latency` before each capacity increase. The trace supplies the
-/// actual offered load (forecast errors show up as buffering/loss).
-[[nodiscard]] ParkingResult simulate_parking_predictive(
-    const AggregateLoadTrace& trace, const std::vector<LoadForecast>& forecast,
-    const ParkingConfig& config);
-
 /// Reactive policy with fault-driven emergency recalls: inside each recall
-/// window all pipelines are forced awake and the rerouted `extra_load` is
-/// added to the offered trace; outside the windows behaves exactly like
-/// `simulate_parking_reactive` (an empty `recalls` is bit-identical to it).
-[[nodiscard]] ParkingResult simulate_parking_reactive_resilient(
-    const AggregateLoadTrace& trace,
-    const std::vector<EmergencyRecall>& recalls, const ParkingConfig& config);
+/// window every pipeline is forced awake. Run it over `splice(trace)`, which
+/// also adds each window's rerouted `extra_load` to the offered load;
+/// outside the windows it behaves exactly like ReactiveParkingPolicy (no
+/// recalls is bit-identical to it).
+class ResilientParkingPolicy : public ReactiveParkingPolicy {
+ public:
+  ResilientParkingPolicy(ParkingConfig config,
+                         std::vector<EmergencyRecall> recalls);
+  [[nodiscard]] std::string_view name() const override {
+    return "parking-reactive-resilient";
+  }
+
+  /// `trace` with extra segment boundaries at the recall-window edges and
+  /// each window's `extra_load` added inside it (clamped to 1).
+  [[nodiscard]] LoadTrace splice(const LoadTrace& trace) const;
+
+  /// Pipelines force-woken by recall windows so far.
+  [[nodiscard]] std::size_t emergency_wakes() const { return emergency_; }
+
+ protected:
+  [[nodiscard]] int desired_count(double t, double offered,
+                                  int provisioned) override;
+
+ private:
+  std::vector<EmergencyRecall> recalls_;
+  std::size_t emergency_ = 0;
+};
 
 }  // namespace netpp

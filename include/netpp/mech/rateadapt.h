@@ -12,8 +12,9 @@
 // Optionally, SerDes down-rating (§4.3: "set a 100G-capable interface at
 // 10G") scales port lane power to the smallest allowed step that covers the
 // load. Policies apply headroom (run slightly faster than the load) and
-// hysteresis with a minimum dwell time to avoid clock-flapping; the result
-// reports how many frequency transitions the policy incurred.
+// hysteresis to avoid clock-flapping; the MechanismReport's
+// level_transitions counts the frequency changes and mean_level is the
+// time-weighted mean frequency.
 #pragma once
 
 #include <string_view>
@@ -46,16 +47,6 @@ struct RateAdaptConfig {
   std::vector<double> lane_steps;  ///< e.g. {0.25, 0.5, 1.0}
 };
 
-struct RateAdaptResult {
-  Joules energy{};
-  Watts average_power{};
-  /// 1 - energy / energy(kNone) over the same trace.
-  double savings_vs_none = 0.0;
-  std::size_t frequency_transitions = 0;
-  /// Time-weighted mean frequency across pipelines.
-  double mean_frequency = 1.0;
-};
-
 namespace detail {
 
 /// Smallest allowed lane step >= `load` (steps are fractions of full
@@ -63,12 +54,22 @@ namespace detail {
 [[nodiscard]] double pick_lane_step(const std::vector<double>& steps,
                                     double load);
 
+/// Clock target for `load`: `headroom` above it, floored at
+/// `min_frequency`, capped at nominal.
+[[nodiscard]] double target_frequency(const RateAdaptConfig& config,
+                                      double load);
+
+/// Checks the clocking knobs ("<type_name>: constraint" errors):
+/// min_frequency in (0, 1] and a non-negative headroom.
+void validate_rate_adapt(const char* type_name, const RateAdaptConfig& config);
+
 }  // namespace detail
 
 /// Rate adaptation as a MechanismPolicy (§4.3): per segment, requests a
 /// target clock level per pipeline (headroom above the load, floored at
 /// min_frequency) through the timeline's hysteresis rules, and optionally
-/// down-rates SerDes lanes to the switch-wide mean load step.
+/// down-rates SerDes lanes to the switch-wide mean load step. The trace
+/// needs one channel per pipeline.
 class RateAdaptPolicy : public MechanismPolicy {
  public:
   RateAdaptPolicy(RateAdaptConfig config, RateAdaptMode mode);
@@ -88,10 +89,5 @@ class RateAdaptPolicy : public MechanismPolicy {
   std::vector<PortState> ports_;      ///< nominal (full-lane) ports
   std::vector<PortState> seg_ports_;  ///< current segment, possibly down-rated
 };
-
-/// Simulates one switch over the trace in the given mode.
-[[nodiscard]] RateAdaptResult simulate_rate_adaptation(
-    const PipelineLoadTrace& trace, const RateAdaptConfig& config,
-    RateAdaptMode mode);
 
 }  // namespace netpp

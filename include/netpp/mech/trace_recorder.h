@@ -1,17 +1,15 @@
-// Records per-switch load traces from a running FlowSimulator and converts
-// them into the trace formats the §4 mechanism simulators consume:
-// AggregateLoadTrace (whole-switch load, for pipeline parking) and
-// PipelineLoadTrace (per-pipeline load, for rate adaptation), with the
-// switch's ports assigned to pipelines round-robin — the fixed port->
-// pipeline mapping of a conventional ASIC (§4.4).
+// Records per-switch load traces from a running FlowSimulator and exports
+// them as the LoadTrace every §4 MechanismPolicy consumes through
+// run_mechanism: one channel for the whole-switch aggregate (pipeline
+// parking, link down-rating), or one channel per pipeline (rate
+// adaptation), with the switch's ports assigned to pipelines round-robin —
+// the fixed port->pipeline mapping of a conventional ASIC (§4.4).
 #pragma once
 
 #include <map>
 #include <vector>
 
 #include "netpp/mech/load_trace.h"
-#include "netpp/mech/parking.h"
-#include "netpp/mech/rateadapt.h"
 #include "netpp/netsim/flowsim.h"
 #include "netpp/topo/graph.h"
 
@@ -30,27 +28,19 @@ class NodeLoadRecorder {
   /// Convenience adapter for FlowSimulator::set_load_listener.
   [[nodiscard]] FlowSimulator::LoadListener listener();
 
-  /// Unified adapter: the node's recorded samples as a `num_channels`-wide
-  /// LoadTrace (1 channel == whole-node aggregate; one channel per pipeline
-  /// == the round-robin port->pipeline mapping). Each sample opens a
-  /// segment; consecutive identical segments are collapsed. The final
-  /// segment runs from the last (distinct) sample to `end`, which must lie
-  /// strictly after the last recorded sample — there is no silent
+  /// The node's recorded samples as a `num_channels`-wide LoadTrace. One
+  /// channel is the whole-node aggregate: carried bits over incident
+  /// capacity, in [0, 1]. With n channels the node's incident directed
+  /// links are assigned to channels round-robin (the port->pipeline
+  /// mapping), and a channel's load is its links' carried rate over their
+  /// capacity. Each sample opens a segment; consecutive identical segments
+  /// are collapsed. The final segment runs from the last (distinct) sample
+  /// to `end`, which must not precede the last recorded sample (a sample
+  /// exactly at `end` has no width and is dropped) — there is no silent
   /// truncation or extrapolation. Throws std::logic_error when no samples
   /// were recorded.
   [[nodiscard]] LoadTrace load_trace(NodeId node, int num_channels,
                                      Seconds end) const;
-
-  /// Whole-node load trace: carried bits over incident capacity, in [0, 1].
-  [[nodiscard]] AggregateLoadTrace aggregate_trace(NodeId node,
-                                                   Seconds end) const;
-
-  /// Per-pipeline trace: the node's incident directed links are assigned to
-  /// `num_pipelines` pipelines round-robin; a pipeline's load is its links'
-  /// carried rate over their capacity.
-  [[nodiscard]] PipelineLoadTrace pipeline_trace(NodeId node,
-                                                 int num_pipelines,
-                                                 Seconds end) const;
 
   [[nodiscard]] const std::vector<NodeId>& nodes() const { return nodes_; }
   [[nodiscard]] std::size_t num_samples() const { return times_.size(); }

@@ -25,25 +25,13 @@ StackedSwitchPolicy::StackedSwitchPolicy(ParkingConfig parking,
       ports_(static_cast<std::size_t>(parking_.model.config().num_ports),
              PortState{}),
       channel_loads_(static_cast<std::size_t>(pipes_), 0.0) {
-  if (parking_.min_active < 1 || parking_.min_active > pipes_) {
-    throw std::invalid_argument("min_active must be in [1, num_pipelines]");
+  if (stages_.park) {
+    detail::validate_parking("StackedSwitchPolicy", parking_.hi_threshold,
+                             parking_.lo_threshold, parking_.min_active,
+                             pipes_, parking_.wake_latency);
   }
-  if (parking_.wake_latency.value() < 0.0) {
-    throw std::invalid_argument("wake latency must be non-negative");
-  }
-  if (stages_.park && (parking_.hi_threshold <= 0.0 ||
-                       parking_.hi_threshold > 1.0 ||
-                       parking_.lo_threshold < 0.0 ||
-                       parking_.lo_threshold >= parking_.hi_threshold)) {
-    throw std::invalid_argument(
-        "ParkingConfig: need 0 <= lo_threshold < hi_threshold <= 1");
-  }
-  if (stages_.rate_adapt &&
-      (rate_.min_frequency <= 0.0 || rate_.min_frequency > 1.0)) {
-    throw std::invalid_argument("min_frequency must be in (0, 1]");
-  }
-  if (stages_.rate_adapt && rate_.headroom < 0.0) {
-    throw std::invalid_argument("headroom must be non-negative");
+  if (stages_.rate_adapt) {
+    detail::validate_rate_adapt("StackedSwitchPolicy", rate_);
   }
   if (rate_.model.config().num_pipelines != pipes_) {
     throw std::invalid_argument(
@@ -120,35 +108,18 @@ void StackedSwitchPolicy::observe(const LoadSegment& seg,
   // Stage 1 — parking decides the powered set from the aggregate load
   // (same reactive fixed-point as ReactiveParkingPolicy).
   if (stages_.park) {
-    for (int guard = 0; guard <= pipes_; ++guard) {
-      const int provisioned = timeline.provisioned();
-      const int target = std::clamp(
-          detail::reactive_parking_target(parking_, pipes_, offered_,
-                                          provisioned),
-          parking_.min_active, pipes_);
-      if (target == provisioned) break;
-      if (target > provisioned) {
-        for (int k = provisioned; k < target; ++k) timeline.wake_one();
-      } else {
-        int excess = provisioned - target;
-        while (excess > 0 && timeline.cancel_last_wake()) --excess;
-        while (excess > 0 &&
-               timeline.count(PowerState::kOn) > parking_.min_active) {
-          timeline.park_one();
-          --excess;
-        }
-      }
-    }
+    detail::settle_parking(
+        timeline, pipes_, parking_.min_active, [this](int provisioned) {
+          return detail::reactive_parking_target(
+              parking_.hi_threshold, parking_.lo_threshold, pipes_, offered_,
+              provisioned);
+        });
   }
 
   // Stage 2 — load placement and rate adaptation on the powered set. With
   // parking, the circuit switch concentrates the whole offered load onto
   // the active pipelines; without it, every pipeline carries its own
   // channel.
-  const auto target_frequency = [this](double load) {
-    return std::clamp(load * (1.0 + rate_.headroom), rate_.min_frequency,
-                      1.0);
-  };
   if (stages_.park) {
     const int active = timeline.count(PowerState::kOn);
     const double capacity_frac = static_cast<double>(active) / pipes_;
@@ -159,7 +130,8 @@ void StackedSwitchPolicy::observe(const LoadSegment& seg,
       if (timeline.track(p).state == PowerState::kOn) {
         timeline.set_load(p, concentrated);
         if (stages_.rate_adapt) {
-          timeline.request_level(p, target_frequency(concentrated));
+          timeline.request_level(
+              p, detail::target_frequency(rate_, concentrated));
         }
       } else {
         timeline.set_load(p, 0.0);
@@ -170,7 +142,7 @@ void StackedSwitchPolicy::observe(const LoadSegment& seg,
       const double load = channel_loads_[static_cast<std::size_t>(p)];
       timeline.set_load(p, load);
       if (stages_.rate_adapt) {
-        timeline.request_level(p, target_frequency(load));
+        timeline.request_level(p, detail::target_frequency(rate_, load));
       }
     }
   }

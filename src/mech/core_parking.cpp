@@ -15,20 +15,9 @@ CoreParkingPolicy::CoreParkingPolicy(CoreParkingConfig config,
     throw std::invalid_argument(
         "CoreParkingPolicy: need at least one core switch");
   }
-  if (config_.min_active < 1 || config_.min_active > switches_) {
-    throw std::invalid_argument(
-        "CoreParkingPolicy: min_active must be in [1, num_switches]");
-  }
-  if (config_.hi_threshold <= 0.0 || config_.hi_threshold > 1.0 ||
-      config_.lo_threshold < 0.0 ||
-      config_.lo_threshold >= config_.hi_threshold) {
-    throw std::invalid_argument(
-        "CoreParkingPolicy: need 0 <= lo_threshold < hi_threshold <= 1");
-  }
-  if (config_.wake_latency.value() < 0.0) {
-    throw std::invalid_argument(
-        "CoreParkingPolicy: wake latency must be non-negative");
-  }
+  detail::validate_parking("CoreParkingPolicy", config_.hi_threshold,
+                           config_.lo_threshold, config_.min_active, switches_,
+                           config_.wake_latency);
   if (!(std::isfinite(load_scale_) && load_scale_ > 0.0)) {
     throw std::invalid_argument(
         "CoreParkingPolicy: load_scale must be finite and positive");
@@ -75,30 +64,13 @@ void CoreParkingPolicy::observe(const LoadSegment& seg,
   const double offered =
       std::min(1.0, seg.loads.front() * load_scale_);
 
-  // The same reactive fixed-point as the pipeline policies, over switches:
-  // detail::reactive_parking_target only reads the thresholds, so a shim
-  // ParkingConfig keeps one hysteresis implementation for both tiers.
-  ParkingConfig shim;
-  shim.hi_threshold = config_.hi_threshold;
-  shim.lo_threshold = config_.lo_threshold;
-  for (int guard = 0; guard <= switches_; ++guard) {
-    const int provisioned = timeline.provisioned();
-    const int target = std::clamp(
-        detail::reactive_parking_target(shim, switches_, offered, provisioned),
-        config_.min_active, switches_);
-    if (target == provisioned) break;
-    if (target > provisioned) {
-      for (int k = provisioned; k < target; ++k) timeline.wake_one();
-    } else {
-      int excess = provisioned - target;
-      while (excess > 0 && timeline.cancel_last_wake()) --excess;
-      while (excess > 0 &&
-             timeline.count(PowerState::kOn) > config_.min_active) {
-        timeline.park_one();
-        --excess;
-      }
-    }
-  }
+  // The same reactive fixed point as the pipeline policies, over switches.
+  detail::settle_parking(
+      timeline, switches_, config_.min_active, [&](int provisioned) {
+        return detail::reactive_parking_target(config_.hi_threshold,
+                                               config_.lo_threshold, switches_,
+                                               offered, provisioned);
+      });
 
   // Load bookkeeping: the powered set carries the offered core load spread
   // evenly (ECMP), concentrated onto fewer switches as others park.

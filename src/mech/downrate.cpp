@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "netpp/validation.h"
+
 namespace netpp {
 namespace {
 
@@ -45,6 +47,8 @@ DownratePolicy::DownratePolicy(DownrateConfig config)
 }
 
 PowerStateTimeline DownratePolicy::make_timeline(const LoadTrace& trace) {
+  validation::require(trace.channels() == 1, "DownratePolicy",
+                      "trace must be single-channel link utilization");
   PowerStateTimeline timeline{
       1, TransitionRules{Seconds{0.0}, config_.down_dwell, 0.0},
       trace.times.front()};
@@ -94,23 +98,6 @@ void DownratePolicy::finish(const LoadTrace& trace,
       report.baseline_energy.value() > 0.0
           ? 1.0 - report.energy.value() / report.baseline_energy.value()
           : 0.0;
-}
-
-DownrateResult simulate_downrating(const AggregateLoadTrace& trace,
-                                   const DownrateConfig& config) {
-  trace.validate();
-  DownratePolicy policy{config};
-  const MechanismReport report = run_mechanism(trace.to_load_trace(), policy);
-
-  DownrateResult result;
-  result.energy = report.energy;
-  result.nominal_energy = report.baseline_energy;
-  result.savings_fraction = report.savings;
-  result.transitions = report.level_transitions;
-  result.violation_time = policy.violation_time();
-  result.outage_time = policy.outage_time();
-  result.mean_speed = Gbps{report.mean_level};
-  return result;
 }
 
 }  // namespace netpp

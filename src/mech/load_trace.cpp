@@ -7,44 +7,26 @@
 
 namespace netpp {
 
-namespace detail {
-
-void validate_segment_timing(const char* type_name,
-                             const std::vector<Seconds>& times,
-                             std::size_t num_segments, Seconds end) {
-  validation::require(!times.empty() && times.size() == num_segments,
-                      type_name, "needs matching, non-empty times and loads");
+void LoadTrace::validate() const {
+  validation::require(!times.empty() && times.size() == loads.size(),
+                      "LoadTrace", "needs matching, non-empty times and loads");
   for (std::size_t i = 0; i < times.size(); ++i) {
-    validation::require_finite(times[i].value(), type_name,
+    validation::require_finite(times[i].value(), "LoadTrace",
                                "times must be finite");
-    validation::require(i == 0 || times[i] > times[i - 1], type_name,
+    validation::require(i == 0 || times[i] > times[i - 1], "LoadTrace",
                         "times must be strictly increasing");
   }
   validation::require(std::isfinite(end.value()) && end > times.back(),
-                      type_name,
+                      "LoadTrace",
                       "end must be finite and after the last segment");
-}
-
-void validate_load_fraction(const char* type_name, double load) {
-  validation::require_fraction(load, type_name,
-                               "loads must be finite and in [0, 1]");
-}
-
-}  // namespace detail
-
-void LoadTrace::validate() const {
-  detail::validate_segment_timing("LoadTrace", times, loads.size(), end);
   const std::size_t arity = loads.front().size();
-  if (arity == 0) {
-    throw std::invalid_argument("LoadTrace: needs at least one channel");
-  }
+  validation::require(arity > 0, "LoadTrace", "needs at least one channel");
   for (const auto& segment : loads) {
-    if (segment.size() != arity) {
-      throw std::invalid_argument(
-          "LoadTrace: every segment needs the same channel count");
-    }
+    validation::require(segment.size() == arity, "LoadTrace",
+                        "every segment needs the same channel count");
     for (double load : segment) {
-      detail::validate_load_fraction("LoadTrace", load);
+      validation::require_fraction(load, "LoadTrace",
+                                   "loads must be finite and in [0, 1]");
     }
   }
 }
@@ -79,71 +61,6 @@ double LoadTrace::aggregate_at(Seconds t) const {
   double sum = 0.0;
   for (double load : loads[seg]) sum += load;
   return sum / static_cast<double>(loads[seg].size());
-}
-
-void AggregateLoadTrace::validate() const {
-  detail::validate_segment_timing("AggregateLoadTrace", times, loads.size(),
-                                  end);
-  for (double load : loads) {
-    detail::validate_load_fraction("AggregateLoadTrace", load);
-  }
-}
-
-LoadTrace AggregateLoadTrace::to_load_trace() const {
-  LoadTrace trace;
-  trace.times = times;
-  trace.end = end;
-  trace.loads.reserve(loads.size());
-  for (double load : loads) trace.loads.push_back({load});
-  return trace;
-}
-
-AggregateLoadTrace AggregateLoadTrace::from_load_trace(
-    const LoadTrace& trace) {
-  trace.validate();
-  AggregateLoadTrace out;
-  out.times = trace.times;
-  out.end = trace.end;
-  out.loads.reserve(trace.loads.size());
-  for (const auto& segment : trace.loads) {
-    double sum = 0.0;
-    for (double load : segment) sum += load;
-    out.loads.push_back(sum / static_cast<double>(segment.size()));
-  }
-  return out;
-}
-
-void PipelineLoadTrace::validate(int num_pipelines) const {
-  detail::validate_segment_timing("PipelineLoadTrace", times,
-                                  pipeline_loads.size(), end);
-  for (const auto& segment : pipeline_loads) {
-    if (segment.size() != static_cast<std::size_t>(num_pipelines)) {
-      throw std::invalid_argument(
-          "PipelineLoadTrace: segment arity != pipeline count");
-    }
-    for (double load : segment) {
-      detail::validate_load_fraction("PipelineLoadTrace", load);
-    }
-  }
-}
-
-Seconds PipelineLoadTrace::duration() const { return end - times.front(); }
-
-LoadTrace PipelineLoadTrace::to_load_trace() const {
-  LoadTrace trace;
-  trace.times = times;
-  trace.loads = pipeline_loads;
-  trace.end = end;
-  return trace;
-}
-
-PipelineLoadTrace PipelineLoadTrace::from_load_trace(const LoadTrace& trace) {
-  trace.validate();
-  PipelineLoadTrace out;
-  out.times = trace.times;
-  out.pipeline_loads = trace.loads;
-  out.end = trace.end;
-  return out;
 }
 
 }  // namespace netpp

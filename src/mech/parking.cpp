@@ -3,105 +3,77 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <utility>
 #include <vector>
+
+#include "netpp/validation.h"
 
 namespace netpp {
 
 namespace detail {
 
-int reactive_parking_target(const ParkingConfig& config, int pipes,
-                            double offered, int provisioned) {
-  const double provisioned_frac = static_cast<double>(provisioned) / pipes;
-  if (offered > config.hi_threshold * provisioned_frac) {
+void validate_parking(const char* type_name, double hi_threshold,
+                      double lo_threshold, int min_active, int count,
+                      Seconds wake_latency) {
+  validation::require(hi_threshold > 0.0 && hi_threshold <= 1.0 &&
+                          lo_threshold >= 0.0 && lo_threshold < hi_threshold,
+                      type_name,
+                      "need 0 <= lo_threshold < hi_threshold <= 1");
+  validation::require(min_active >= 1 && min_active <= count, type_name,
+                      "min_active must be in [1, parkable unit count]");
+  validation::require(wake_latency.value() >= 0.0, type_name,
+                      "wake latency must be non-negative");
+}
+
+int reactive_parking_target(double hi_threshold, double lo_threshold,
+                            int count, double offered, int provisioned) {
+  const double provisioned_frac = static_cast<double>(provisioned) / count;
+  if (offered > hi_threshold * provisioned_frac) {
     // Provision enough to bring utilization under hi.
-    return static_cast<int>(std::ceil(offered * pipes / config.hi_threshold));
+    return static_cast<int>(std::ceil(offered * count / hi_threshold));
   }
-  const double smaller_frac = static_cast<double>(provisioned - 1) / pipes;
-  if (provisioned > 1 && offered < config.lo_threshold * smaller_frac) {
+  const double smaller_frac = static_cast<double>(provisioned - 1) / count;
+  if (provisioned > 1 && offered < lo_threshold * smaller_frac) {
     return provisioned - 1;
   }
   return provisioned;
 }
 
-}  // namespace detail
-
-namespace {
-
-void validate_thresholds(const ParkingConfig& config) {
-  if (config.hi_threshold <= 0.0 || config.hi_threshold > 1.0 ||
-      config.lo_threshold < 0.0 || config.lo_threshold >= config.hi_threshold) {
-    throw std::invalid_argument(
-        "ParkingConfig: need 0 <= lo_threshold < hi_threshold <= 1");
-  }
-}
-
-ParkingResult to_parking_result(const MechanismReport& report) {
-  ParkingResult result;
-  result.energy = report.energy;
-  result.average_power = report.average_power;
-  result.savings_vs_all_on = report.savings;
-  result.mean_active_pipelines = report.mean_on_components;
-  result.wake_transitions = report.wake_transitions;
-  result.park_transitions = report.park_transitions;
-  result.max_buffered = report.max_buffered;
-  result.dropped = report.dropped;
-  result.max_added_delay = report.max_added_delay;
-  return result;
-}
-
-/// Reactive policy that force-recalls every pipeline inside fault windows
-/// (the rerouted extra load is spliced into the trace by the caller).
-class ResilientParkingPolicy : public ReactiveParkingPolicy {
- public:
-  ResilientParkingPolicy(ParkingConfig config,
-                         std::vector<EmergencyRecall> recalls)
-      : ReactiveParkingPolicy(std::move(config)),
-        recalls_(std::move(recalls)) {}
-
-  [[nodiscard]] std::string_view name() const override {
-    return "parking-reactive-resilient";
-  }
-  [[nodiscard]] std::size_t emergency_wakes() const { return emergency_; }
-
- protected:
-  [[nodiscard]] int desired_count(double t, double offered,
-                                  int provisioned) override {
-    for (const auto& r : recalls_) {
-      if (t >= r.at.value() - 1e-15 && t < r.until.value() - 1e-15) {
-        // Fault mode: every pipeline is recalled for the window so parked
-        // capacity cannot amplify the failure.
-        if (provisioned < pipes_) {
-          emergency_ += static_cast<std::size_t>(pipes_ - provisioned);
-        }
-        return pipes_;
+void settle_parking(PowerStateTimeline& timeline, int count, int min_active,
+                    const std::function<int(int provisioned)>& desired) {
+  for (int guard = 0; guard <= count; ++guard) {
+    const int provisioned = timeline.provisioned();
+    const int target = std::clamp(desired(provisioned), min_active, count);
+    if (target == provisioned) break;
+    if (target > provisioned) {
+      for (int k = provisioned; k < target; ++k) timeline.wake_one();
+    } else {
+      // Cancel pending wakes first, then park active units (instant).
+      int excess = provisioned - target;
+      while (excess > 0 && timeline.cancel_last_wake()) --excess;
+      while (excess > 0 && timeline.count(PowerState::kOn) > min_active) {
+        timeline.park_one();
+        --excess;
       }
     }
-    return ReactiveParkingPolicy::desired_count(t, offered, provisioned);
   }
+}
 
- private:
-  std::vector<EmergencyRecall> recalls_;
-  std::size_t emergency_ = 0;
-};
-
-}  // namespace
+}  // namespace detail
 
 ParkingPolicy::ParkingPolicy(ParkingConfig config)
     : config_(std::move(config)),
       pipes_(config_.model.config().num_pipelines),
       ports_(static_cast<std::size_t>(config_.model.config().num_ports),
              PortState{}) {
-  if (config_.min_active < 1 || config_.min_active > pipes_) {
-    throw std::invalid_argument("min_active must be in [1, num_pipelines]");
-  }
-  if (config_.wake_latency.value() < 0.0) {
-    throw std::invalid_argument("wake latency must be non-negative");
-  }
+  detail::validate_parking("ParkingPolicy", config_.hi_threshold,
+                           config_.lo_threshold, config_.min_active, pipes_,
+                           config_.wake_latency);
 }
 
 PowerStateTimeline ParkingPolicy::make_timeline(const LoadTrace& trace) {
+  validation::require(trace.channels() == 1, "ParkingPolicy",
+                      "trace must be single-channel aggregate switch load");
   PowerStateTimeline timeline{
       pipes_, TransitionRules{config_.wake_latency, Seconds{0.0}, 0.0},
       trace.times.front()};
@@ -147,29 +119,11 @@ PowerStateTimeline ParkingPolicy::make_timeline(const LoadTrace& trace) {
 void ParkingPolicy::observe(const LoadSegment& seg,
                             PowerStateTimeline& timeline) {
   offered_ = seg.loads[0];
-
-  // Let the policy steer, iterating to a fixed point so that policies that
-  // adjust one pipeline per decision (hysteresis-style) converge within a
-  // single breakpoint.
-  for (int guard = 0; guard <= pipes_; ++guard) {
-    const int provisioned = timeline.provisioned();
-    const int target =
-        std::clamp(desired_count(seg.at.value(), offered_, provisioned),
-                   config_.min_active, pipes_);
-    if (target == provisioned) break;
-    if (target > provisioned) {
-      for (int k = provisioned; k < target; ++k) timeline.wake_one();
-    } else {
-      // Cancel pending wakes first, then park active pipelines (instant).
-      int excess = provisioned - target;
-      while (excess > 0 && timeline.cancel_last_wake()) --excess;
-      while (excess > 0 &&
-             timeline.count(PowerState::kOn) > config_.min_active) {
-        timeline.park_one();
-        --excess;
-      }
-    }
-  }
+  detail::settle_parking(timeline, pipes_, config_.min_active,
+                         [&](int provisioned) {
+                           return desired_count(seg.at.value(), offered_,
+                                                provisioned);
+                         });
 }
 
 double ParkingPolicy::capacity_fraction(
@@ -179,22 +133,24 @@ double ParkingPolicy::capacity_fraction(
 
 int ReactiveParkingPolicy::desired_count(double /*t*/, double offered,
                                          int provisioned) {
-  return detail::reactive_parking_target(config_, pipes_, offered,
-                                         provisioned);
+  return detail::reactive_parking_target(config_.hi_threshold,
+                                         config_.lo_threshold, pipes_,
+                                         offered, provisioned);
 }
 
 PredictiveParkingPolicy::PredictiveParkingPolicy(
     ParkingConfig config, std::vector<LoadForecast> forecast)
     : ParkingPolicy(std::move(config)), forecast_(std::move(forecast)) {
   for (std::size_t i = 1; i < forecast_.size(); ++i) {
-    if (forecast_[i].at <= forecast_[i - 1].at) {
-      throw std::invalid_argument("forecast must be sorted by time");
-    }
+    validation::require(forecast_[i].at > forecast_[i - 1].at,
+                        "PredictiveParkingPolicy",
+                        "forecast must be sorted by time");
   }
 }
 
 PowerStateTimeline PredictiveParkingPolicy::make_timeline(
     const LoadTrace& trace) {
+  PowerStateTimeline timeline = ParkingPolicy::make_timeline(trace);
   // Convert the forecast into a step function of desired counts, shifting
   // capacity *increases* earlier by the wake latency.
   const double wake = config_.wake_latency.value();
@@ -215,7 +171,7 @@ PowerStateTimeline PredictiveParkingPolicy::make_timeline(
   }
   std::sort(commands_.begin(), commands_.end(),
             [](const Command& a, const Command& b) { return a.at < b.at; });
-  return ParkingPolicy::make_timeline(trace);
+  return timeline;
 }
 
 double PredictiveParkingPolicy::next_breakpoint(double t) const {
@@ -238,41 +194,32 @@ int PredictiveParkingPolicy::desired_count(double t, double /*offered*/,
   return want;
 }
 
-ParkingResult simulate_parking_reactive(const AggregateLoadTrace& trace,
-                                        const ParkingConfig& config) {
-  validate_thresholds(config);
-  trace.validate();
-  ReactiveParkingPolicy policy{config};
-  return to_parking_result(run_mechanism(trace.to_load_trace(), policy));
+ResilientParkingPolicy::ResilientParkingPolicy(
+    ParkingConfig config, std::vector<EmergencyRecall> recalls)
+    : ReactiveParkingPolicy(std::move(config)), recalls_(std::move(recalls)) {
+  for (const auto& r : recalls_) {
+    validation::require(std::isfinite(r.at.value()) &&
+                            std::isfinite(r.until.value()) && r.until > r.at,
+                        "EmergencyRecall", "window needs finite until > at");
+    validation::require_finite_non_negative(
+        r.extra_load, "EmergencyRecall", "extra_load must be finite and >= 0");
+  }
 }
 
-ParkingResult simulate_parking_reactive_resilient(
-    const AggregateLoadTrace& trace,
-    const std::vector<EmergencyRecall>& recalls,
-    const ParkingConfig& config) {
-  validate_thresholds(config);
+LoadTrace ResilientParkingPolicy::splice(const LoadTrace& trace) const {
   trace.validate();
-  for (const auto& r : recalls) {
-    if (!std::isfinite(r.at.value()) || !std::isfinite(r.until.value()) ||
-        r.until <= r.at) {
-      throw std::invalid_argument(
-          "EmergencyRecall: window needs finite until > at");
-    }
-    if (!std::isfinite(r.extra_load) || r.extra_load < 0.0) {
-      throw std::invalid_argument(
-          "EmergencyRecall: extra_load must be finite and >= 0");
-    }
-  }
-  if (recalls.empty()) return simulate_parking_reactive(trace, config);
+  validation::require(trace.channels() == 1, "ResilientParkingPolicy",
+                      "trace must be single-channel aggregate switch load");
+  if (recalls_.empty()) return trace;
 
-  // Splice the recall windows into the trace: extra segment boundaries at
-  // window edges, and the rerouted load added (clamped to 1) inside them.
+  // Extra segment boundaries at window edges, and the rerouted load added
+  // (clamped to 1) inside them.
   const double t0 = trace.times.front().value();
   const double t_end = trace.end.value();
   std::vector<double> cuts;
-  cuts.reserve(trace.times.size() + recalls.size() * 2);
+  cuts.reserve(trace.times.size() + recalls_.size() * 2);
   for (const auto& tt : trace.times) cuts.push_back(tt.value());
-  for (const auto& r : recalls) {
+  for (const auto& r : recalls_) {
     for (double b : {r.at.value(), r.until.value()}) {
       if (b > t0 && b < t_end) cuts.push_back(b);
     }
@@ -280,46 +227,39 @@ ParkingResult simulate_parking_reactive_resilient(
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
-  const auto base_load = [&trace](double at) {
-    std::size_t seg = 0;
+  LoadTrace spliced;
+  spliced.end = trace.end;
+  std::size_t seg = 0;
+  for (double c : cuts) {
     while (seg + 1 < trace.times.size() &&
-           trace.times[seg + 1].value() <= at + 1e-15) {
+           trace.times[seg + 1].value() <= c + 1e-15) {
       ++seg;
     }
-    return trace.loads[seg];
-  };
-
-  AggregateLoadTrace spliced;
-  spliced.end = trace.end;
-  for (double c : cuts) {
-    double load = base_load(c);
-    for (const auto& r : recalls) {
+    double load = trace.loads[seg][0];
+    for (const auto& r : recalls_) {
       if (c >= r.at.value() - 1e-15 && c < r.until.value() - 1e-15) {
         load += r.extra_load;
       }
     }
     spliced.times.push_back(Seconds{c});
-    spliced.loads.push_back(std::min(1.0, load));
+    spliced.loads.push_back({std::min(1.0, load)});
   }
-
-  ResilientParkingPolicy policy{config, recalls};
-  ParkingResult result =
-      to_parking_result(run_mechanism(spliced.to_load_trace(), policy));
-  result.emergency_wakes = policy.emergency_wakes();
-  return result;
+  return spliced;
 }
 
-ParkingResult simulate_parking_predictive(
-    const AggregateLoadTrace& trace, const std::vector<LoadForecast>& forecast,
-    const ParkingConfig& config) {
-  for (std::size_t i = 1; i < forecast.size(); ++i) {
-    if (forecast[i].at <= forecast[i - 1].at) {
-      throw std::invalid_argument("forecast must be sorted by time");
+int ResilientParkingPolicy::desired_count(double t, double offered,
+                                          int provisioned) {
+  for (const auto& r : recalls_) {
+    if (t >= r.at.value() - 1e-15 && t < r.until.value() - 1e-15) {
+      // Fault mode: every pipeline is recalled for the window so parked
+      // capacity cannot amplify the failure.
+      if (provisioned < pipes_) {
+        emergency_ += static_cast<std::size_t>(pipes_ - provisioned);
+      }
+      return pipes_;
     }
   }
-  trace.validate();
-  PredictiveParkingPolicy policy{config, forecast};
-  return to_parking_result(run_mechanism(trace.to_load_trace(), policy));
+  return ReactiveParkingPolicy::desired_count(t, offered, provisioned);
 }
 
 }  // namespace netpp

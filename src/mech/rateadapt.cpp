@@ -1,8 +1,9 @@
 #include "netpp/mech/rateadapt.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
+
+#include "netpp/validation.h"
 
 namespace netpp {
 
@@ -21,6 +22,19 @@ double pick_lane_step(const std::vector<double>& steps, double load) {
   return found ? best : 1.0;
 }
 
+double target_frequency(const RateAdaptConfig& config, double load) {
+  return std::clamp(load * (1.0 + config.headroom), config.min_frequency,
+                    1.0);
+}
+
+void validate_rate_adapt(const char* type_name,
+                         const RateAdaptConfig& config) {
+  validation::require(config.min_frequency > 0.0 && config.min_frequency <= 1.0,
+                      type_name, "min_frequency must be in (0, 1]");
+  validation::require(config.headroom >= 0.0, type_name,
+                      "headroom must be non-negative");
+}
+
 }  // namespace detail
 
 RateAdaptPolicy::RateAdaptPolicy(RateAdaptConfig config, RateAdaptMode mode)
@@ -30,12 +44,7 @@ RateAdaptPolicy::RateAdaptPolicy(RateAdaptConfig config, RateAdaptMode mode)
       ports_(static_cast<std::size_t>(config_.model.config().num_ports),
              PortState{}),
       seg_ports_(ports_) {
-  if (config_.min_frequency <= 0.0 || config_.min_frequency > 1.0) {
-    throw std::invalid_argument("min_frequency must be in (0, 1]");
-  }
-  if (config_.headroom < 0.0) {
-    throw std::invalid_argument("headroom must be non-negative");
-  }
+  detail::validate_rate_adapt("RateAdaptPolicy", config_);
 }
 
 std::string_view RateAdaptPolicy::name() const {
@@ -51,6 +60,8 @@ std::string_view RateAdaptPolicy::name() const {
 }
 
 PowerStateTimeline RateAdaptPolicy::make_timeline(const LoadTrace& trace) {
+  validation::require(trace.channels() == pipes_, "RateAdaptPolicy",
+                      "trace needs one channel per pipeline");
   PowerStateTimeline timeline{
       pipes_, TransitionRules{Seconds{0.0}, Seconds{0.0}, config_.hysteresis},
       trace.times.front()};
@@ -85,11 +96,6 @@ void RateAdaptPolicy::observe(const LoadSegment& seg,
     timeline.set_load(p, loads[static_cast<std::size_t>(p)]);
   }
 
-  const auto target_frequency = [this](double load) {
-    return std::clamp(load * (1.0 + config_.headroom), config_.min_frequency,
-                      1.0);
-  };
-
   // Decide frequencies for this segment; the timeline applies hysteresis
   // (upward moves always honored: load must be served).
   switch (mode_) {
@@ -97,14 +103,15 @@ void RateAdaptPolicy::observe(const LoadSegment& seg,
       break;
     case RateAdaptMode::kGlobalAsic: {
       const double max_load = *std::max_element(loads.begin(), loads.end());
-      const double want = target_frequency(max_load);
+      const double want = detail::target_frequency(config_, max_load);
       for (int p = 0; p < pipes_; ++p) timeline.request_level(p, want);
       break;
     }
     case RateAdaptMode::kPerPipeline:
       for (int p = 0; p < pipes_; ++p) {
         timeline.request_level(
-            p, target_frequency(loads[static_cast<std::size_t>(p)]));
+            p, detail::target_frequency(config_,
+                                        loads[static_cast<std::size_t>(p)]));
       }
       break;
   }
@@ -119,23 +126,6 @@ void RateAdaptPolicy::observe(const LoadSegment& seg,
     const double lane = detail::pick_lane_step(config_.lane_steps, mean_load);
     for (auto& port : seg_ports_) port.lane_fraction = lane;
   }
-}
-
-RateAdaptResult simulate_rate_adaptation(const PipelineLoadTrace& trace,
-                                         const RateAdaptConfig& config,
-                                         RateAdaptMode mode) {
-  trace.validate(config.model.config().num_pipelines);
-  RateAdaptPolicy policy{config, mode};
-  const MechanismReport report =
-      run_mechanism(trace.to_load_trace(), policy);
-
-  RateAdaptResult result;
-  result.energy = report.energy;
-  result.average_power = report.average_power;
-  result.savings_vs_none = report.savings;
-  result.frequency_transitions = report.level_transitions;
-  result.mean_frequency = report.mean_level;
-  return result;
 }
 
 }  // namespace netpp

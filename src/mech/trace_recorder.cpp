@@ -112,16 +112,4 @@ LoadTrace NodeLoadRecorder::load_trace(NodeId node, int num_channels,
   return trace;
 }
 
-AggregateLoadTrace NodeLoadRecorder::aggregate_trace(NodeId node,
-                                                     Seconds end) const {
-  return AggregateLoadTrace::from_load_trace(load_trace(node, 1, end));
-}
-
-PipelineLoadTrace NodeLoadRecorder::pipeline_trace(NodeId node,
-                                                   int num_pipelines,
-                                                   Seconds end) const {
-  return PipelineLoadTrace::from_load_trace(
-      load_trace(node, num_pipelines, end));
-}
-
 }  // namespace netpp

@@ -2,8 +2,8 @@
 // ready-to-paste C++ (hexfloat doubles, exact integers). Recorded once
 // against the pre-backend-seam drivers; run again only after a deliberate
 // behavior change — the suite's whole point is that the backend refactor
-// does NOT change these values. Not registered with CMake; compile by hand
-// against the tree under test.
+// does NOT change these values. Built as the plain `backend_golden_record`
+// executable (not a test): ./build/tests/backend_golden_record
 #include <cstdio>
 
 #include "backend_golden_inputs.h"

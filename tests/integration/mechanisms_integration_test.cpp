@@ -64,13 +64,12 @@ TEST_F(MlClusterIntegration, NetworkIdlesMostOfTheTime) {
   // The paper's premise: with a 10%-ish communication ratio the network is
   // idle ~90% of the time.
   const NodeId edge = topo_->graph.nodes_at_tier(1).front();
-  const auto trace = recorder_->aggregate_trace(edge, horizon_);
+  const LoadTrace trace = recorder_->load_trace(edge, 1, horizon_);
   double busy = 0.0;
-  for (std::size_t i = 0; i < trace.times.size(); ++i) {
-    const double seg_end = (i + 1 < trace.times.size())
-                               ? trace.times[i + 1].value()
-                               : trace.end.value();
-    if (trace.loads[i] > 0.0) busy += seg_end - trace.times[i].value();
+  for (std::size_t i = 0; i < trace.num_segments(); ++i) {
+    if (trace.loads[i][0] > 0.0) {
+      busy += (trace.segment_end(i) - trace.times[i]).value();
+    }
   }
   EXPECT_LT(busy / horizon_.value(), 0.35);
   EXPECT_GT(busy, 0.0);
@@ -80,24 +79,25 @@ TEST_F(MlClusterIntegration, EveryMechanismSavesEnergyOnMlTraffic) {
   const NodeId edge = topo_->graph.nodes_at_tier(1).front();
   const SwitchPowerModel model;
 
-  const auto pipe_trace =
-      recorder_->pipeline_trace(edge, model.config().num_pipelines, horizon_);
+  const LoadTrace pipe_trace =
+      recorder_->load_trace(edge, model.config().num_pipelines, horizon_);
   RateAdaptConfig ra_cfg;
   ra_cfg.model = model;
-  const auto global =
-      simulate_rate_adaptation(pipe_trace, ra_cfg, RateAdaptMode::kGlobalAsic);
-  const auto per_pipe = simulate_rate_adaptation(pipe_trace, ra_cfg,
-                                                 RateAdaptMode::kPerPipeline);
-  EXPECT_GT(global.savings_vs_none, 0.0);
-  EXPECT_GT(per_pipe.savings_vs_none, 0.0);
-  EXPECT_GE(per_pipe.savings_vs_none, global.savings_vs_none - 1e-9);
+  RateAdaptPolicy global_policy{ra_cfg, RateAdaptMode::kGlobalAsic};
+  const MechanismReport global = run_mechanism(pipe_trace, global_policy);
+  RateAdaptPolicy per_pipe_policy{ra_cfg, RateAdaptMode::kPerPipeline};
+  const MechanismReport per_pipe = run_mechanism(pipe_trace, per_pipe_policy);
+  EXPECT_GT(global.savings, 0.0);
+  EXPECT_GT(per_pipe.savings, 0.0);
+  EXPECT_GE(per_pipe.savings, global.savings - 1e-9);
 
-  const auto agg_trace = recorder_->aggregate_trace(edge, horizon_);
   ParkingConfig park_cfg;
   park_cfg.model = model;
   park_cfg.switch_capacity = Gbps{4 * 100.0};  // 4 ports at 100 G
-  const auto parked = simulate_parking_reactive(agg_trace, park_cfg);
-  EXPECT_GT(parked.savings_vs_all_on, 0.0);
+  ReactiveParkingPolicy parking{park_cfg};
+  const MechanismReport parked =
+      run_mechanism(recorder_->load_trace(edge, 1, horizon_), parking);
+  EXPECT_GT(parked.savings, 0.0);
 }
 
 TEST_F(MlClusterIntegration, ParkingBeatsRateAdaptationAtDeepIdle) {
@@ -107,17 +107,19 @@ TEST_F(MlClusterIntegration, ParkingBeatsRateAdaptationAtDeepIdle) {
   const SwitchPowerModel model;
   RateAdaptConfig ra_cfg;
   ra_cfg.model = model;
-  const auto adapted = simulate_rate_adaptation(
-      recorder_->pipeline_trace(edge, model.config().num_pipelines, horizon_),
-      ra_cfg, RateAdaptMode::kPerPipeline);
+  RateAdaptPolicy rate_policy{ra_cfg, RateAdaptMode::kPerPipeline};
+  const MechanismReport adapted = run_mechanism(
+      recorder_->load_trace(edge, model.config().num_pipelines, horizon_),
+      rate_policy);
 
   ParkingConfig park_cfg;
   park_cfg.model = model;
   park_cfg.switch_capacity = Gbps{4 * 100.0};
-  const auto parked = simulate_parking_reactive(
-      recorder_->aggregate_trace(edge, horizon_), park_cfg);
+  ReactiveParkingPolicy parking{park_cfg};
+  const MechanismReport parked =
+      run_mechanism(recorder_->load_trace(edge, 1, horizon_), parking);
 
-  EXPECT_GT(parked.savings_vs_all_on, adapted.savings_vs_none);
+  EXPECT_GT(parked.savings, adapted.savings);
 }
 
 TEST_F(MlClusterIntegration, PredictiveParkingUsesTheSchedule) {
@@ -128,7 +130,7 @@ TEST_F(MlClusterIntegration, PredictiveParkingUsesTheSchedule) {
   cfg.switch_capacity = Gbps{4 * 100.0};
   cfg.wake_latency = Seconds::from_milliseconds(20.0);
 
-  const auto agg = recorder_->aggregate_trace(edge, horizon_);
+  const LoadTrace agg = recorder_->load_trace(edge, 1, horizon_);
   // Forecast straight from the generator's schedule: comm bursts need full
   // capacity, compute phases need none.
   std::vector<LoadForecast> forecast;
@@ -136,10 +138,12 @@ TEST_F(MlClusterIntegration, PredictiveParkingUsesTheSchedule) {
     forecast.push_back(LoadForecast{w.compute_begin, 0.0});
     forecast.push_back(LoadForecast{w.comm_begin, 1.0});
   }
-  const auto predictive = simulate_parking_predictive(agg, forecast, cfg);
-  const auto reactive = simulate_parking_reactive(agg, cfg);
+  PredictiveParkingPolicy predictive_policy{cfg, forecast};
+  const MechanismReport predictive = run_mechanism(agg, predictive_policy);
+  ReactiveParkingPolicy reactive_policy{cfg};
+  const MechanismReport reactive = run_mechanism(agg, reactive_policy);
 
-  EXPECT_GT(predictive.savings_vs_all_on, 0.0);
+  EXPECT_GT(predictive.savings, 0.0);
   // Pre-waking from the schedule avoids (or at least never worsens) loss.
   EXPECT_LE(predictive.dropped.value(), reactive.dropped.value() + 1e-9);
 }

@@ -1,10 +1,10 @@
 // Deterministic input scenarios for the mechanism golden-equivalence suite.
 //
 // These inputs were fixed when the pre-refactor ("seed") simulators were
-// still in place; golden_equivalence_test.cpp pins every simulator's outputs
-// on them bit-for-bit. tools target `golden_record` re-prints the expected
-// values should they ever need re-recording (only legitimate after a
-// deliberate, documented behavior change).
+// still in place; golden_equivalence_test.cpp pins every mechanism's outputs
+// on them bit-for-bit. The `golden_record` executable (tests/CMakeLists.txt)
+// re-prints the expected values should they ever need re-recording (only
+// legitimate after a deliberate, documented behavior change).
 #pragma once
 
 #include <vector>
@@ -17,11 +17,12 @@
 
 namespace netpp::golden {
 
-inline PipelineLoadTrace pipeline_trace() {
-  PipelineLoadTrace trace;
+/// Per-pipeline trace (4 channels) for rate adaptation.
+inline LoadTrace rate_trace() {
+  LoadTrace trace;
   trace.times = {Seconds{0.0},  Seconds{10.0}, Seconds{20.0},
                  Seconds{30.0}, Seconds{40.0}, Seconds{50.0}};
-  trace.pipeline_loads = {
+  trace.loads = {
       {0.9, 0.8, 0.7, 0.6},    {0.2, 0.1, 0.05, 0.3}, {0.5, 0.5, 0.5, 0.5},
       {0.05, 0.9, 0.1, 0.2},   {0.0, 0.0, 0.0, 0.0},  {0.6, 0.55, 0.62, 0.58},
   };
@@ -38,11 +39,12 @@ inline RateAdaptConfig rateadapt_config(bool lanes) {
   return config;
 }
 
-inline AggregateLoadTrace aggregate_trace() {
-  AggregateLoadTrace trace;
+/// Whole-switch aggregate trace (1 channel) for pipeline parking.
+inline LoadTrace parking_trace() {
+  LoadTrace trace;
   trace.times = {Seconds{0.0},  Seconds{5.0},  Seconds{10.0}, Seconds{15.0},
                  Seconds{20.0}, Seconds{25.0}, Seconds{30.0}, Seconds{35.0}};
-  trace.loads = {0.9, 0.2, 0.1, 0.85, 0.3, 0.95, 0.05, 0.5};
+  trace.loads = {{0.9}, {0.2}, {0.1}, {0.85}, {0.3}, {0.95}, {0.05}, {0.5}};
   trace.end = Seconds{40.0};
   return trace;
 }
@@ -65,11 +67,13 @@ inline std::vector<EmergencyRecall> recalls() {
           {Seconds{22.0}, Seconds{24.0}, 0.3}};
 }
 
-inline AggregateLoadTrace diurnal_trace() {
-  AggregateLoadTrace trace;
-  trace.loads = {0.9, 0.5, 0.2, 0.1, 0.15, 0.4, 0.8, 0.95};
-  for (std::size_t i = 0; i < trace.loads.size(); ++i) {
-    trace.times.push_back(Seconds{600.0 * static_cast<double>(i)});
+/// One link's utilization (1 channel) for down-rating.
+inline LoadTrace diurnal_trace() {
+  LoadTrace trace;
+  for (double load : {0.9, 0.5, 0.2, 0.1, 0.15, 0.4, 0.8, 0.95}) {
+    const auto i = static_cast<double>(trace.loads.size());
+    trace.times.push_back(Seconds{600.0 * i});
+    trace.loads.push_back({load});
   }
   trace.end = Seconds{600.0 * static_cast<double>(trace.loads.size())};
   return trace;

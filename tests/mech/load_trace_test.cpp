@@ -1,6 +1,6 @@
-// Tests for the unified LoadTrace and the shared validation helpers the
-// aggregate/per-pipeline variants now delegate to (the "TypeName:
-// constraint" error style).
+// Tests for LoadTrace, the one trace type every mechanism consumes:
+// validation (the "TypeName: constraint" error style), lookups, and
+// resampling.
 #include "netpp/mech/load_trace.h"
 
 #include <gtest/gtest.h>
@@ -86,31 +86,6 @@ TEST(LoadTrace, ValidationErrorsNameTheType) {
             "LoadTrace: needs at least one channel");
 }
 
-TEST(LoadTrace, SharedHelpersPrefixTheCallersTypeName) {
-  // Satellite 1: both legacy trace types route through the same helpers and
-  // keep their own names in the messages.
-  AggregateLoadTrace agg;
-  agg.times = {0.0_s};
-  agg.loads = {1.5};
-  agg.end = 1.0_s;
-  EXPECT_EQ(thrown_message([&] { agg.validate(); }),
-            "AggregateLoadTrace: loads must be finite and in [0, 1]");
-  agg.loads = {0.5, 0.7};
-  EXPECT_EQ(thrown_message([&] { agg.validate(); }),
-            "AggregateLoadTrace: needs matching, non-empty times and loads");
-
-  PipelineLoadTrace pipe;
-  pipe.times = {0.0_s, 1.0_s};
-  pipe.pipeline_loads = {{0.1, 0.2}, {0.3, 0.4}};
-  pipe.end = 1.0_s;
-  EXPECT_EQ(thrown_message([&] { pipe.validate(2); }),
-            "PipelineLoadTrace: end must be finite and after the last segment");
-  pipe.end = 2.0_s;
-  EXPECT_EQ(thrown_message([&] { pipe.validate(3); }),
-            "PipelineLoadTrace: segment arity != pipeline count");
-  EXPECT_NO_THROW(pipe.validate(2));
-}
-
 TEST(LoadTrace, LoadAtAndAggregateAt) {
   const LoadTrace trace = make_trace();
   EXPECT_DOUBLE_EQ(trace.load_at(0.0_s, 0), 0.2);
@@ -160,49 +135,13 @@ TEST(LoadTrace, ResampledRejectsBadStep) {
       std::invalid_argument);
 }
 
-TEST(LoadTrace, AggregateRoundTrip) {
-  AggregateLoadTrace agg;
-  agg.times = {0.0_s, 2.0_s};
-  agg.loads = {0.25, 0.75};
-  agg.end = 5.0_s;
-
-  const LoadTrace unified = agg.to_load_trace();
-  EXPECT_EQ(unified.channels(), 1);
-  EXPECT_DOUBLE_EQ(unified.loads[1][0], 0.75);
-
-  const AggregateLoadTrace back = AggregateLoadTrace::from_load_trace(unified);
-  EXPECT_EQ(back.times, agg.times);
-  EXPECT_EQ(back.loads, agg.loads);
-  EXPECT_DOUBLE_EQ(back.end.value(), agg.end.value());
-}
-
 TEST(LoadTrace, AggregateFromMultiChannelAverages) {
-  const AggregateLoadTrace agg =
-      AggregateLoadTrace::from_load_trace(make_trace());
-  ASSERT_EQ(agg.loads.size(), 3u);
-  EXPECT_DOUBLE_EQ(agg.loads[0], (0.2 + 0.4) / 2.0);
-  EXPECT_DOUBLE_EQ(agg.loads[1], (0.8 + 0.6) / 2.0);
-}
-
-TEST(LoadTrace, PipelineRoundTrip) {
-  const LoadTrace unified = make_trace();
-  const PipelineLoadTrace pipe = PipelineLoadTrace::from_load_trace(unified);
-  EXPECT_NO_THROW(pipe.validate(2));
-  EXPECT_DOUBLE_EQ(pipe.duration().value(), 4.0);
-
-  const LoadTrace back = pipe.to_load_trace();
-  EXPECT_EQ(back.times, unified.times);
-  EXPECT_EQ(back.loads, unified.loads);
-  EXPECT_DOUBLE_EQ(back.end.value(), unified.end.value());
-}
-
-TEST(LoadTrace, FromLoadTraceValidatesItsInput) {
-  LoadTrace bad = make_trace();
-  bad.loads[0][0] = 2.0;
-  EXPECT_THROW((void)AggregateLoadTrace::from_load_trace(bad),
-               std::invalid_argument);
-  EXPECT_THROW((void)PipelineLoadTrace::from_load_trace(bad),
-               std::invalid_argument);
+  // The whole-device view of a per-pipeline trace is the channel mean,
+  // segment by segment.
+  const LoadTrace trace = make_trace();
+  EXPECT_DOUBLE_EQ(trace.aggregate_at(trace.times[0]), (0.2 + 0.4) / 2.0);
+  EXPECT_DOUBLE_EQ(trace.aggregate_at(trace.times[1]), (0.8 + 0.6) / 2.0);
+  EXPECT_DOUBLE_EQ(trace.aggregate_at(trace.times[2]), (0.1 + 0.3) / 2.0);
 }
 
 }  // namespace

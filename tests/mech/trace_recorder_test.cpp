@@ -28,16 +28,16 @@ TEST(NodeLoadRecorder, RecordsLoadChanges) {
   rig.engine.run();
   EXPECT_GE(recorder.num_samples(), 2u);
 
-  const auto trace = recorder.aggregate_trace(rig.leaf, 3.0_s);
+  const LoadTrace trace = recorder.load_trace(rig.leaf, 1, 3.0_s);
   trace.validate();
   // Leaf has 3 links = 6 directed at 100 G; the flow crosses 2 at 100 G for
   // one second: load 1/3 during [1, 2).
   ASSERT_GE(trace.loads.size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.loads.front(), 0.0);
+  EXPECT_DOUBLE_EQ(trace.loads.front()[0], 0.0);
   double peak = 0.0;
-  for (double l : trace.loads) peak = std::max(peak, l);
+  for (const auto& loads : trace.loads) peak = std::max(peak, loads[0]);
   EXPECT_NEAR(peak, 1.0 / 3.0, 1e-9);
-  EXPECT_DOUBLE_EQ(trace.loads.back(), 0.0);
+  EXPECT_DOUBLE_EQ(trace.loads.back()[0], 0.0);
 }
 
 TEST(NodeLoadRecorder, AggregateTraceIntegratesCorrectly) {
@@ -49,14 +49,12 @@ TEST(NodeLoadRecorder, AggregateTraceIntegratesCorrectly) {
                           Bits::from_gigabits(100.0), 1.0_s, 0});
   rig.engine.run();
 
-  const auto trace = recorder.aggregate_trace(rig.leaf, 3.0_s);
+  const LoadTrace trace = recorder.load_trace(rig.leaf, 1, 3.0_s);
   // Time-weighted mean load over [0, 3): (1/3 for 1 s) / 3 = 1/9.
   double integral = 0.0;
-  for (std::size_t i = 0; i < trace.times.size(); ++i) {
-    const double seg_end = (i + 1 < trace.times.size())
-                               ? trace.times[i + 1].value()
-                               : trace.end.value();
-    integral += trace.loads[i] * (seg_end - trace.times[i].value());
+  for (std::size_t i = 0; i < trace.num_segments(); ++i) {
+    integral += trace.loads[i][0] *
+                (trace.segment_end(i) - trace.times[i]).value();
   }
   EXPECT_NEAR(integral / 3.0, 1.0 / 9.0, 1e-9);
 }
@@ -70,11 +68,12 @@ TEST(NodeLoadRecorder, PipelineTraceSplitsLinks) {
                           Bits::from_gigabits(100.0), 0.0_s, 0});
   rig.engine.run();
 
-  const auto trace = recorder.pipeline_trace(rig.leaf, 2, 2.0_s);
-  trace.validate(2);
+  const LoadTrace trace = recorder.load_trace(rig.leaf, 2, 2.0_s);
+  trace.validate();
+  EXPECT_EQ(trace.channels(), 2);
   // At some sample, at least one pipeline carried load; none exceeded 1.
   double peak = 0.0;
-  for (const auto& loads : trace.pipeline_loads) {
+  for (const auto& loads : trace.loads) {
     for (double l : loads) {
       peak = std::max(peak, l);
       EXPECT_LE(l, 1.0);
@@ -87,16 +86,17 @@ TEST(NodeLoadRecorder, UntrackedNodeThrows) {
   Rig rig;
   NodeLoadRecorder recorder{rig.sim, {rig.leaf}};
   recorder.sample(0.0_s);
-  EXPECT_THROW(recorder.aggregate_trace(rig.topo.hosts[0], 1.0_s),
+  EXPECT_THROW((void)recorder.load_trace(rig.topo.hosts[0], 1, 1.0_s),
                std::out_of_range);
-  EXPECT_THROW(recorder.pipeline_trace(rig.topo.hosts[0], 2, 1.0_s),
+  EXPECT_THROW((void)recorder.load_trace(rig.topo.hosts[0], 2, 1.0_s),
                std::out_of_range);
 }
 
 TEST(NodeLoadRecorder, NoSamplesThrows) {
   Rig rig;
   NodeLoadRecorder recorder{rig.sim, {rig.leaf}};
-  EXPECT_THROW(recorder.aggregate_trace(rig.leaf, 1.0_s), std::logic_error);
+  EXPECT_THROW((void)recorder.load_trace(rig.leaf, 2, 1.0_s),
+               std::logic_error);
 }
 
 TEST(NodeLoadRecorder, EmptyNodeListThrows) {
@@ -108,11 +108,11 @@ TEST(NodeLoadRecorder, InvalidPipelineCountThrows) {
   Rig rig;
   NodeLoadRecorder recorder{rig.sim, {rig.leaf}};
   recorder.sample(0.0_s);
-  EXPECT_THROW(recorder.pipeline_trace(rig.leaf, 0, 1.0_s),
+  EXPECT_THROW((void)recorder.load_trace(rig.leaf, 0, 1.0_s),
                std::invalid_argument);
 }
 
-// --- LoadTrace adapter (the unified entry both legacy adapters wrap) ------
+// --- Edge cases of the trace export ----------------------------------------
 
 TEST(NodeLoadRecorder, LoadTraceOnEmptyRecorderThrows) {
   Rig rig;
@@ -165,10 +165,7 @@ TEST(NodeLoadRecorder, EndOnSegmentBoundaryDropsTheZeroWidthSegment) {
   EXPECT_DOUBLE_EQ(trace.times.front().value(), 0.0);
   EXPECT_DOUBLE_EQ(trace.end.value(), 2.0);
   EXPECT_DOUBLE_EQ(trace.segment_end(0).value(), 2.0);
-
-  // The adapters inherit the fix.
-  EXPECT_NO_THROW(recorder.aggregate_trace(rig.leaf, 2.0_s).validate());
-  EXPECT_NO_THROW(recorder.pipeline_trace(rig.leaf, 2, 2.0_s).validate(2));
+  EXPECT_NO_THROW(recorder.load_trace(rig.leaf, 2, 2.0_s).validate());
 
   // A single sample that lands exactly on the end has no width at all.
   NodeLoadRecorder lone{rig.sim, {rig.leaf}};
@@ -186,14 +183,16 @@ TEST(NodeLoadRecorder, SingleChannelMatchesAggregateTrace) {
                           Bits::from_gigabits(100.0), 1.0_s, 0});
   rig.engine.run();
 
-  const LoadTrace unified = recorder.load_trace(rig.leaf, 1, 3.0_s);
-  const AggregateLoadTrace agg = recorder.aggregate_trace(rig.leaf, 3.0_s);
-  ASSERT_EQ(unified.num_segments(), agg.times.size());
-  for (std::size_t i = 0; i < agg.times.size(); ++i) {
-    EXPECT_EQ(unified.times[i].value(), agg.times[i].value());
-    EXPECT_EQ(unified.loads[i][0], agg.loads[i]);
+  // With equal-capacity links the whole-node channel is the mean of the
+  // per-pipeline channels at every instant.
+  const LoadTrace whole = recorder.load_trace(rig.leaf, 1, 3.0_s);
+  const LoadTrace split = recorder.load_trace(rig.leaf, 2, 3.0_s);
+  EXPECT_EQ(whole.end.value(), split.end.value());
+  for (const LoadTrace* trace : {&whole, &split}) {
+    for (const Seconds t : trace->times) {
+      EXPECT_NEAR(whole.load_at(t, 0), split.aggregate_at(t), 1e-12);
+    }
   }
-  EXPECT_EQ(unified.end.value(), agg.end.value());
 }
 
 }  // namespace
