@@ -4,9 +4,11 @@
 // exploration, examples, and quick prototypes.
 //
 //   core     — the paper's Sec. 2-3 analytical models
-//   sim      — discrete-event substrate (engine, RNG, stats, energy)
+//   sim      — discrete-event substrate (engine, RNG, stats, sweeps)
 //   topo     — explicit topologies, routing, max flow
 //   netsim   — flow-level network simulation + fabric energy tracking
+//              (priced on core's PowerStateTimeline, like every Sec. 4
+//              mechanism)
 //   traffic  — workload generators and the closed training loop
 //   mech     — Sec. 4 mechanism models
 //   faults   — fault injection, degraded-mode policies, resilience reports
@@ -29,7 +31,6 @@
 #include "netpp/workload/phase_model.h"
 
 // sim
-#include "netpp/sim/energy.h"
 #include "netpp/sim/engine.h"
 #include "netpp/sim/random.h"
 #include "netpp/sim/stats.h"

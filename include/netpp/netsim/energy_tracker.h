@@ -2,8 +2,12 @@
 //
 // Attaches a power model to every network device of a simulated topology —
 // switches, host NICs, and the optical transceivers on inter-switch links —
-// and integrates their energy as the simulation runs. Two device power
-// modes:
+// and integrates their energy as the simulation runs, on the same
+// PowerStateTimeline the §4 mechanisms use: one timeline per device class
+// that has devices, each device one component whose track load is the
+// device's load. The actual power function prices the class's power curve;
+// the baseline prices the §3.1 ideal-proportional draw, so the efficiency
+// metric is the ratio of the two integrals. Two device power modes:
 //
 //   kTwoState   — the paper's §2.3 model: a device draws idle power when it
 //                 carries no traffic and max power when it does (envelope
@@ -17,13 +21,13 @@
 // chain it from your own listener) before submitting flows.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "netpp/mech/mechanism.h"
 #include "netpp/netsim/flowsim.h"
-#include "netpp/power/envelope.h"
+#include "netpp/power/state_timeline.h"
 #include "netpp/power/switch_model.h"
-#include "netpp/sim/energy.h"
 
 namespace netpp {
 
@@ -46,15 +50,19 @@ class FabricEnergyTracker {
   };
 
   /// `sim` must outlive the tracker. Hosts get one NIC each; every optical
-  /// link gets two transceivers; every switch-kind node gets a switch meter.
+  /// link gets two transceivers; every switch-kind node gets a switch.
+  /// Every device starts idle at time 0.
   FabricEnergyTracker(const FlowSimulator& sim, Config config);
 
-  /// Re-evaluates all device powers at `now`. Call on every reallocation.
+  /// Integrates every device class through `now`, then records each
+  /// device's load at `now`. Call on every reallocation.
   void on_load_change(Seconds now);
 
   /// Adapter for FlowSimulator::set_load_listener.
   [[nodiscard]] FlowSimulator::LoadListener listener();
 
+  /// Energy queries integrate through `until`, which must not precede the
+  /// last on_load_change(); past it, the last recorded loads hold.
   [[nodiscard]] Joules network_energy(Seconds until) const;
   [[nodiscard]] Watts average_network_power(Seconds until) const;
 
@@ -79,25 +87,33 @@ class FabricEnergyTracker {
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
-  struct Device {
-    enum class Kind { kSwitch, kNic, kTransceiver } kind;
-    /// Switch: the node. NIC: the host node. Transceiver: an endpoint of
-    /// `link` (two Device entries per optical link).
-    NodeId node = kInvalidNode;
-    LinkId link = kInvalidLink;
-    EnergyMeter meter;
+  enum class DeviceKind { kSwitch, kNic, kTransceiver };
+
+  /// A device class with at least one device. Device i is component i of
+  /// `timeline`, and its track's load is the device's load.
+  struct DeviceClass {
+    DeviceKind kind;
+    /// Per device: the switch node, the NIC's host node, or the optical
+    /// link a transceiver terminates (two devices per link).
+    std::vector<std::uint32_t> elements;
+    Watts max_power;  ///< per device
+    PowerStateTimeline timeline;
   };
 
-  [[nodiscard]] double device_load(const Device& device) const;
-  [[nodiscard]] Watts device_power(const Device& device, double load) const;
-  [[nodiscard]] Joules energy_of_kind(Device::Kind kind, Seconds until) const;
+  /// Adds a class priced by `actual` unless `elements` is empty.
+  void add_class(DeviceKind kind, std::vector<std::uint32_t> elements,
+                 Watts max_power, PowerStateTimeline::PowerFn actual);
+  [[nodiscard]] double device_load(DeviceKind kind,
+                                   std::uint32_t element) const;
+  /// A copy of `cls.timeline` advanced to `until`.
+  [[nodiscard]] PowerStateTimeline integrated(const DeviceClass& cls,
+                                              Seconds until) const;
+  [[nodiscard]] Joules energy_of_kind(DeviceKind kind, Seconds until) const;
 
   const FlowSimulator& sim_;
   Config config_;
-  PowerEnvelope switch_env_;
-  PowerEnvelope nic_env_;
-  PowerEnvelope transceiver_env_;
-  std::vector<Device> devices_;
+  /// In DeviceKind order.
+  std::vector<DeviceClass> classes_;
 };
 
 }  // namespace netpp

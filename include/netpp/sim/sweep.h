@@ -2,11 +2,11 @@
 //
 // Every bench/what-if binary is a sweep: run N independent scenario
 // configurations, collect one result per scenario, print them in order.
-// SweepRunner fans those scenarios out over a std::thread pool while
-// keeping runs bit-reproducible: each scenario gets its own Rng seeded as a
-// pure function of (base_seed, scenario index), and results land in a
-// pre-sized vector slot per scenario, so neither thread count nor
-// scheduling order can change any output.
+// SweepRunner fans those scenarios out through thread_budget::parallel_for
+// while keeping runs bit-reproducible: each scenario gets its own Rng
+// seeded as a pure function of (base_seed, scenario index), and results
+// land in a pre-sized vector slot per scenario, so neither thread count
+// nor scheduling order can change any output.
 #pragma once
 
 #include <cstdint>

@@ -1,22 +1,23 @@
-// Process-wide worker-thread budget.
+// Process-wide worker-thread budget and the one fork-join loop built on it.
 //
-// Several components spin up worker pools: SweepRunner fans scenarios out,
-// ShardedFlowSimulator runs shard windows on workers. When they nest — a
-// sweep whose scenarios each run a sharded simulation — independently sized
-// pools oversubscribe the machine (threads^2). This header is the single
-// knob both draw from: a budget of concurrent workers (default: hardware
+// Two components fan work out to workers: SweepRunner runs scenarios,
+// ShardedFlowSimulator runs shard windows. When they nest — a sweep whose
+// scenarios each run a sharded simulation — independently sized pools
+// oversubscribe the machine (threads^2). This header is the single knob
+// both draw from: a budget of concurrent workers (default: hardware
 // concurrency, overridable programmatically or via NETPP_THREAD_BUDGET),
-// and an RAII lease that carves a share out of it.
+// an RAII lease that carves a share out of it, and parallel_for, which
+// both components call.
 //
-// Leases only size pools; they never change results. Every pool built on
-// top of this (SweepRunner, the sharded barrier loop) is bit-deterministic
-// in its worker count by construction, so a smaller grant under contention
-// affects wall-clock only.
+// Leases only size pools; they never change results. Both callers are
+// bit-deterministic in their worker count by construction, so a smaller
+// grant under contention affects wall-clock only.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <functional>
 #include <thread>
 
 namespace netpp::thread_budget {
@@ -100,5 +101,14 @@ class ThreadLease {
  private:
   std::size_t granted_ = 0;
 };
+
+/// Runs `task(i)` for every i in [0, n) on a lease of min(max_workers, n)
+/// workers (max_workers 0 = the whole budget). One granted worker runs the
+/// tasks inline in index order; more run them on spawned threads that claim
+/// indices from a shared counter, so tasks must not share unsynchronized
+/// state. Every task runs even when some throw; once all have finished,
+/// the exception from the smallest failing index is rethrown.
+void parallel_for(std::size_t n, std::size_t max_workers,
+                  const std::function<void(std::size_t)>& task);
 
 }  // namespace netpp::thread_budget

@@ -1,13 +1,9 @@
 #include "netpp/netsim/sharded.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -206,44 +202,11 @@ void ShardedFlowSimulator::run() {
 }
 
 void ShardedFlowSimulator::advance_shards(Seconds target) {
-  const std::size_t n = shards_.size();
-  const std::size_t requested =
-      config_.num_threads != 0 ? config_.num_threads : thread_budget::pool_size();
-  const thread_budget::ThreadLease lease{std::min(requested, n)};
-  const std::size_t workers = std::min(lease.granted(), n);
-
-  if (workers <= 1 || n == 1) {
-    for (auto& shard : shards_) shard->engine->run_until(target);
-    return;
-  }
-
   // Workers claim whole shards; two workers never touch the same shard, and
-  // nothing cross-shard happens until the serial barrier phase, so the only
-  // shared state is the claim counter.
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::size_t first_error_shard = std::numeric_limits<std::size_t>::max();
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
-      if (s >= shards_.size()) return;
-      try {
-        shards_[s]->engine->run_until(target);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (s < first_error_shard) {
-          first_error_shard = s;
-          first_error = std::current_exception();
-        }
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
-  for (auto& thread : pool) thread.join();
-  if (first_error) std::rethrow_exception(first_error);
+  // nothing cross-shard happens until the serial barrier phase.
+  thread_budget::parallel_for(
+      shards_.size(), config_.num_threads,
+      [&](std::size_t s) { shards_[s]->engine->run_until(target); });
 }
 
 void ShardedFlowSimulator::barrier_sync() {

@@ -1,10 +1,6 @@
 #include "netpp/sim/sweep.h"
 
-#include <atomic>
-#include <exception>
-#include <limits>
 #include <mutex>
-#include <thread>
 
 #include "netpp/sim/thread_budget.h"
 
@@ -35,55 +31,28 @@ std::uint64_t SweepRunner::scenario_seed(std::size_t index) const {
 
 void SweepRunner::run_indexed(std::size_t n,
                               const std::function<void(std::size_t)>& task) {
-  if (n == 0) return;
-  // Lease workers from the shared budget so a sweep whose scenarios spin up
-  // their own pools (sharded simulations) does not oversubscribe the
-  // machine. The grant only sizes the pool; per-scenario seeding and
-  // pre-sized result slots keep results independent of it.
-  const thread_budget::ThreadLease lease{std::min(num_threads_, n)};
-  const std::size_t workers = std::min(lease.granted(), n);
-
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::size_t first_error_index = std::numeric_limits<std::size_t>::max();
   std::mutex progress_mutex;
   std::size_t done = 0;
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-      if (index >= n) return;
-      try {
-        task(index);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (index < first_error_index) {
-          first_error_index = index;
-          first_error = std::current_exception();
-        }
-      }
-      // Failed scenarios count as done too: the callback tracks sweep
-      // progress, not success (the first error is rethrown after the drain).
-      if (progress_) {
-        const std::lock_guard<std::mutex> lock(progress_mutex);
-        progress_(++done, n);
-      }
-    }
+  const auto count_done = [&] {
+    if (!progress_) return;
+    const std::lock_guard<std::mutex> lock(progress_mutex);
+    progress_(++done, n);
   };
-
-  if (workers == 1) {
-    // Degenerate pool: run inline (keeps single-core hosts and
-    // num_threads=1 debugging free of thread overhead).
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
-  }
-
-  if (first_error) std::rethrow_exception(first_error);
+  // Workers come from the shared budget, so a sweep whose scenarios run
+  // their own sharded simulations does not oversubscribe the machine. The
+  // grant only sizes the pool; per-scenario seeding and pre-sized result
+  // slots keep results independent of it.
+  thread_budget::parallel_for(n, num_threads_, [&](std::size_t index) {
+    try {
+      task(index);
+    } catch (...) {
+      // Failed scenarios count as done too: the callback tracks sweep
+      // progress, not success.
+      count_done();
+      throw;
+    }
+    count_done();
+  });
 }
 
 }  // namespace netpp

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "netpp/topo/builders.h"
 
 namespace netpp {
@@ -128,8 +131,49 @@ TEST(FabricEnergyTracker, ComponentModeUsesSwitchModel) {
 TEST(FabricEnergyTracker, InvalidHorizonThrows) {
   Rig rig;
   FabricEnergyTracker tracker{rig.sim, small_config()};
-  EXPECT_THROW((void)tracker.average_network_power(Seconds{0.0}),
-               std::invalid_argument);
+  const auto thrown_message = [](const auto& fn) -> std::string {
+    try {
+      fn();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return {};
+  };
+  tracker.on_load_change(2.0_s);
+  for (const std::string& message :
+       {thrown_message([&] { (void)tracker.average_network_power(0.0_s); }),
+        thrown_message([&] { (void)tracker.report(0.0_s); }),
+        thrown_message([&] { (void)tracker.network_energy(1.0_s); })}) {
+    EXPECT_EQ(message.rfind("FabricEnergyTracker: ", 0), 0u) << message;
+  }
+}
+
+TEST(FabricEnergyTracker, ElectricalOnlyFabricHasNoTransceivers) {
+  // One switch between two hosts over electrical links: no transceiver
+  // class at all, so the switch and the two NICs carry the whole fabric.
+  Graph graph;
+  const NodeId h0 = graph.add_node(NodeKind::kHost);
+  const NodeId sw = graph.add_node(NodeKind::kSwitch, 1);
+  const NodeId h1 = graph.add_node(NodeKind::kHost);
+  graph.add_link(h0, sw, 100_Gbps);
+  graph.add_link(sw, h1, 100_Gbps);
+  SimEngine engine;
+  Router router{graph};
+  FlowSimulator sim{graph, router, engine};
+  FabricEnergyTracker tracker{sim, small_config()};
+  sim.set_load_listener(tracker.listener());
+  tracker.on_load_change(0.0_s);
+  sim.submit(FlowSpec{h0, h1, Bits::from_gigabits(100.0), 0.0_s, 0});
+  engine.run();  // the flow completes at 1 s, the last load change
+
+  EXPECT_NEAR(tracker.max_network_power().value(), 120.0, 1e-9);
+  EXPECT_EQ(tracker.transceiver_energy(4.0_s).value(), 0.0);
+  EXPECT_DOUBLE_EQ(tracker.network_energy(4.0_s).value(),
+                   tracker.switch_energy(4.0_s).value() +
+                       tracker.nic_energy(4.0_s).value());
+  // Idle (0.9 x 120 W) for 4 s plus the idle/max gap for the busy second.
+  EXPECT_NEAR(tracker.network_energy(4.0_s).value(), 108.0 * 4.0 + 12.0,
+              1e-6);
 }
 
 

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -218,6 +219,37 @@ TEST(ShardedFlowSim, BitIdenticalAcrossWorkerThreadCounts) {
       continue;
     }
     expect_identical_results(sim, reference, reference_fct);
+  }
+}
+
+TEST(ShardedFlowSim, WindowErrorFromLowestShardAtAnyWorkerCount) {
+  // Observers in shards 1 and 2 both throw inside the first window. Every
+  // worker count surfaces shard 1's exception, whichever shard ran first.
+  thread_budget::set_pool_size(4);
+  const auto topo = build_fat_tree(4, 100_Gbps);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ShardedFlowSimulator::Config scfg;
+    scfg.num_shards = 4;  // one pod per shard
+    scfg.num_threads = threads;
+    ShardedFlowSimulator sim{topo.graph, scfg};
+    for (const std::size_t s : {1u, 2u}) {
+      std::vector<NodeId> hosts;
+      for (const NodeId n : sim.partition().pod_nodes[s]) {
+        if (topo.graph.node(n).kind == NodeKind::kHost) hosts.push_back(n);
+      }
+      ASSERT_GE(hosts.size(), 2u);
+      sim.submit({hosts[0], hosts[1], Bits::from_gigabits(1.0),
+                  Seconds{0.001}, 0});
+      sim.shard_mutable(s).set_load_listener([s](Seconds) {
+        throw std::runtime_error("shard " + std::to_string(s));
+      });
+    }
+    try {
+      sim.run_until(Seconds{1.0});
+      ADD_FAILURE() << threads << " workers: expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 1") << threads << " workers";
+    }
   }
 }
 

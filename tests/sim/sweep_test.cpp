@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "netpp/sim/thread_budget.h"
+
 namespace netpp {
 namespace {
 
@@ -119,6 +121,23 @@ TEST(SweepRunner, ProgressCallbackCountsFailedScenarios) {
                                   }),
                std::runtime_error);
   EXPECT_EQ(last, 32u);  // a failed scenario still counts as done
+}
+
+TEST(SweepRunner, ReturnsLeasedWorkersToTheBudget) {
+  const std::size_t before = thread_budget::in_use();
+  SweepRunner runner{{4, 1}};
+  runner.run_indexed(16, [&](std::size_t) {
+    EXPECT_GT(thread_budget::in_use(), before);  // the sweep holds a lease
+  });
+  EXPECT_EQ(thread_budget::in_use(), before);
+  EXPECT_THROW(runner.run_indexed(16,
+                                  [](std::size_t index) {
+                                    if (index == 9) {
+                                      throw std::runtime_error("boom");
+                                    }
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(thread_budget::in_use(), before);
 }
 
 TEST(SweepRunner, DefaultThreadCountIsPositive) {

@@ -102,7 +102,9 @@ void toggle_sweep(const BuiltTopology& topo, std::uint64_t seed, int rounds,
       const auto picked = cache.route(src, dst, /*flow_id=*/round * 131u + p);
       const auto direct = truth.ecmp_route(src, dst, round * 131u + p);
       ASSERT_EQ(picked.has_value(), direct.has_value());
-      if (picked) EXPECT_EQ(picked->links(), direct->links);
+      if (picked) {
+        EXPECT_EQ(picked->links(), direct->links);
+      }
     }
   }
 }
