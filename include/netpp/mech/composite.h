@@ -159,7 +159,8 @@ struct CompositeConfig {
   /// Optional warm-state cache (must outlive the call). When set, the
   /// simulation runs, tailoring pass, traces, and un-telemetered stage
   /// totals are memoized across calls sharing the scenario; results stay
-  /// bit-identical to cold calls. Telemetered stages always re-run so their
+  /// bit-identical to cold calls. Null memoizes within the call only (a
+  /// call-local cache). Telemetered stages always re-run so their
   /// events/metrics are emitted every call.
   CompositeCache* cache = nullptr;
 };

@@ -5,18 +5,19 @@
 // it crosses. Progressive filling: repeatedly find the most contended link,
 // freeze its flows at the link's equal share, subtract, repeat.
 //
-// The solver is built for the simulator's hot path: flows are described as
-// views (std::span) over caller-owned resource-index arrays (zero copies),
-// every workspace is a contiguous structure-of-arrays buffer (soa.h aligned
-// vectors, 32-bit indices), the flow->resource incidence is flattened into
-// CSR form in both directions, and the "find the tightest link / smallest
-// cap" steps run over lazy-delete min-heaps instead of per-round linear
-// scans. The share-seeding and bulk cap-freeze loops dispatch to the soa.h
-// kernels (scalar or, with NETPP_SIMD, SSE2/AVX2). Results are bit-identical
-// to the textbook scan-based implementation (kept as a reference in the
-// tests and the scale bench) on every dispatch path: shares are computed
-// with the same IEEE-exact expressions in the same order, and ties break
-// toward the lowest index exactly as a first-hit linear scan does.
+// The solver is built for the simulator's hot path: flows arrive as
+// caller-owned CSR rows (one 32-bit resource arena plus per-flow start
+// offsets) that the solver reads in place, every workspace is a contiguous
+// structure-of-arrays buffer (soa.h aligned vectors, 32-bit indices), the
+// resource->flow incidence is the reverse CSR of the caller's rows, and the
+// "find the tightest link / smallest cap" steps run over lazy-delete
+// min-heaps instead of per-round linear scans. The share-seeding and bulk
+// cap-freeze loops dispatch to the soa.h kernels (scalar or, with
+// NETPP_SIMD, SSE2/AVX2). Results are bit-identical to the textbook
+// scan-based implementation (kept as a reference in the tests and the scale
+// bench) on every dispatch path: shares are computed with the same
+// IEEE-exact expressions in the same order, and ties break toward the
+// lowest index exactly as a first-hit linear scan does.
 #pragma once
 
 #include <cstdint>
@@ -35,31 +36,12 @@ struct FairShareFlow {
   double cap = 0.0;
 };
 
-/// Zero-copy flow description: a view over caller-owned resource indices.
-/// The viewed array must stay alive and unchanged for the duration of the
-/// solve.
-struct FairShareFlowView {
-  std::span<const std::size_t> resources;
-  /// Optional per-flow rate cap. <= 0 means uncapped.
-  double cap = 0.0;
-};
-
-/// Like FairShareFlowView but over 32-bit resource indices — the solver's
-/// native index width. Hot-path callers (`FlowSimulator`) store their
-/// adjacency arenas as uint32_t and use this view to keep the whole solve
-/// pipeline on half-width indices.
-struct FairShareFlowView32 {
-  std::span<const std::uint32_t> resources;
-  /// Optional per-flow rate cap. <= 0 means uncapped.
-  double cap = 0.0;
-};
-
 /// Reusable max-min solver. Keeping one instance alive across solves reuses
 /// all workspace buffers (CSR arrays, heaps, residuals), so a steady-state
 /// simulation allocates nothing per event.
 ///
 /// Problem-size limit: at most 2^31 - 1 total flow->resource incidences (and
-/// flows, and resources) per solve; beyond that solve() throws
+/// flows, and resources) per solve; beyond that either entry point throws
 /// std::length_error. The bound keeps every index and count in 32 bits
 /// (exactly convertible to double on all kernel paths).
 class MaxMinSolver {
@@ -77,43 +59,29 @@ class MaxMinSolver {
   /// arenas are rebuilt by the next solve and carry no cross-call state).
   void restore_stats(const SolveStats& s) { stats_ = s; }
 
-  /// Computes max-min fair rates. `capacities[r]` is the capacity of
+  /// Dense solve. Flow f crosses resources arena[start[f] .. start[f+1])
+  /// (so `start` has caps.size() + 1 entries and start[0] == 0), and
+  /// caps[f] is its rate cap (<= 0 means uncapped; an uncapped flow that
+  /// crosses no resource gets 0). `capacities[r]` is the capacity of
   /// resource r (>= 0; a zero-capacity resource pins the flows crossing it
-  /// to rate 0). Returns one rate per flow, in input order; the view stays
-  /// valid until the next solve() on this instance.
-  std::span<const double> solve(std::span<const FairShareFlowView> flows,
-                                std::span<const double> capacities);
-  std::span<const double> solve(std::span<const FairShareFlowView32> flows,
-                                std::span<const double> capacities);
-  /// Owned-vector overload: ingests FairShareFlow directly (no intermediate
-  /// view array) — the max_min_fair_rates wrapper rides on this.
-  std::span<const double> solve(std::span<const FairShareFlow> flows,
+  /// to rate 0). Returns one rate per flow, in row order; the view stays
+  /// valid until the next solve on this instance. `arena` and `start` must
+  /// stay alive and unchanged for the duration of the call. Throws
+  /// std::invalid_argument for malformed rows or a negative/NaN capacity,
+  /// and std::out_of_range for a resource index outside `capacities`.
+  std::span<const double> solve(std::span<const std::uint32_t> arena,
+                                std::span<const std::uint32_t> start,
+                                std::span<const double> caps,
                                 std::span<const double> capacities);
 
-  /// Sparse-reset variant for repeated small subproblems over a big fabric:
-  /// `touched` must list every resource index any flow uses, each exactly
-  /// once (order free), and `uniform_cap` (> 0) must equal every flow's
-  /// cap. Only the touched entries of the resource-indexed workspace are
-  /// reset and capacities are trusted (no NaN scan), so a solve costs
-  /// O(flows + touched + incidence) instead of O(total resources). Returns
-  /// exactly the doubles solve() would for the same input.
-  std::span<const double> solve_on(std::span<const FairShareFlowView> flows,
-                                   std::span<const double> capacities,
-                                   std::span<const std::size_t> touched,
-                                   double uniform_cap);
-  std::span<const double> solve_on(std::span<const FairShareFlowView32> flows,
-                                   std::span<const double> capacities,
-                                   std::span<const std::uint32_t> touched,
-                                   double uniform_cap);
-
-  /// Zero-copy sparse solve over a pre-flattened incidence: flow f's
-  /// resources are arena[start[f] .. start[f+1]) (so start has
-  /// num_flows + 1 entries and start[0] == 0). Returns exactly the doubles
-  /// solve_on would for per-flow views over the same rows — it just skips
-  /// the ingest copy, since the caller (the simulator's binding-closure
-  /// walk) already owns the flattened layout. `arena` and `start` must stay
-  /// alive and unchanged for the duration of the call. Uniform-cap only,
-  /// like solve_on.
+  /// Sparse solve for repeated small subproblems over a big fabric, with
+  /// the same row layout as solve(). `touched` must list every resource
+  /// index any row uses, each exactly once (order free), and every flow is
+  /// capped at `uniform_cap` (> 0). Only the touched entries of the
+  /// resource-indexed workspace are reset and capacities are trusted (no
+  /// NaN scan), so a solve costs O(flows + touched + incidence) instead of
+  /// O(total resources). Returns exactly the doubles solve() would for the
+  /// same rows with every cap equal to `uniform_cap`.
   std::span<const double> solve_arena(std::span<const std::uint32_t> arena,
                                       std::span<const std::uint32_t> start,
                                       std::span<const double> capacities,
@@ -130,26 +98,14 @@ class MaxMinSolver {
     std::uint32_t ver;
   };
 
-  /// Flattens the caller's views into the solver's SoA ingest CSR
-  /// (flow_start_/flow_res_/flow_cap_) and counts per-resource incidence
-  /// into active_on_. Templated only over the view type; everything after
-  /// ingestion is index-width-agnostic.
-  template <typename ViewT>
-  void ingest(std::span<const ViewT> flows, std::size_t num_res, bool uniform,
-              double uniform_cap);
+  /// Checks the problem-size bound and counts each resource's incidence
+  /// into active_on_, then points run() at the caller's rows.
+  void ingest(std::span<const std::uint32_t> arena,
+              std::span<const std::uint32_t> start, std::size_t num_res);
 
-  template <typename ViewT>
-  std::span<const double> solve_dense(std::span<const ViewT> flows,
-                                      std::span<const double> capacities);
-  template <typename ViewT>
-  std::span<const double> solve_sparse(std::span<const ViewT> flows,
-                                       std::span<const double> capacities,
-                                       std::span<const std::uint32_t> touched,
-                                       double uniform_cap);
-
-  /// The progressive-filling loop over the ingested SoA state. `dense`
-  /// means "touched == every resource" (solve()); the touched span is only
-  /// read when !dense.
+  /// The progressive-filling loop over the ingested rows. `dense` means
+  /// "touched == every resource" (solve()); the touched span is only read
+  /// when !dense.
   std::span<const double> run(std::size_t num_flows,
                               std::span<const double> capacities,
                               std::span<const std::uint32_t> touched,
@@ -161,13 +117,8 @@ class MaxMinSolver {
   soa::AlignedVec<double> rate_;
   soa::AlignedVec<double> flow_cap_;       // per-flow cap (non-uniform runs)
   soa::AlignedVec<std::uint8_t> frozen_;
-  // Ingest CSR: flow -> resources, flattened from the caller's views so the
-  // filling loop streams one contiguous uint32 array instead of chasing
-  // per-flow span pointers.
-  soa::AlignedVec<std::uint32_t> flow_start_;  // size num_flows + 1
-  soa::AlignedVec<std::uint32_t> flow_res_;    // size = total incidences
-  // The incidence run() and freeze() actually read: the ingest CSR above,
-  // or the caller's own arena on the solve_arena path (no copy).
+  // The caller's rows (flow -> resources), read in place by run() and
+  // freeze().
   const std::uint32_t* fres_ = nullptr;
   const std::uint32_t* fstart_ = nullptr;
   // Resource-indexed SoA workspace (grow-only, sparse reset over `touched`).
@@ -179,14 +130,16 @@ class MaxMinSolver {
   soa::AlignedVec<std::uint32_t> csr_start_;   // per-resource group start
   soa::AlignedVec<std::uint32_t> csr_cursor_;  // fill cursor / group end
   soa::AlignedVec<std::uint32_t> csr_flows_;   // flow ids grouped by resource
-  soa::AlignedVec<std::uint32_t> touched_u32_;  // scratch: converted touched
   soa::AlignedVec<HeapEntry> link_heap_;  // (share, resource), lazy-delete
   soa::AlignedVec<HeapEntry> cap_heap_;   // (cap, flow), lazy-delete
   SolveStats stats_;
 };
 
 /// Convenience wrapper over MaxMinSolver for owned-vector callers (tests,
-/// one-off analyses). Hot paths should hold a MaxMinSolver and pass views.
+/// one-off analyses): flattens `flows` into CSR rows and runs the dense
+/// solve. Throws std::out_of_range for a resource index outside
+/// `capacities`. Hot paths should hold a MaxMinSolver and pass their own
+/// rows.
 [[nodiscard]] std::vector<double> max_min_fair_rates(
     const std::vector<FairShareFlow>& flows,
     const std::vector<double>& capacities);

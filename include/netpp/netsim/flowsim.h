@@ -106,8 +106,11 @@ class FlowSimulator {
     /// subset: only flows crossing a link whose equal share sits below the
     /// uniform cap went through the solver; everyone else got the cap.
     std::uint64_t binding_solves = 0;
-    /// Total flows handed to the solver across binding_solves (the average
-    /// subset size is binding_subset_flows / binding_solves).
+    /// Total flows the binding walk visited across binding_solves (the
+    /// average subset size is binding_subset_flows / binding_solves). A
+    /// seeded solve counts the closure of the event's links; a full
+    /// evaluation (startup, topology changes) seeds the walk from every
+    /// populated link, so it counts every active flow with a non-empty path.
     std::uint64_t binding_subset_flows = 0;
     std::uint64_t topology_changes = 0;  // enable/disable/degrade events
     std::uint64_t reroutes = 0;          // flows moved to a surviving path
@@ -346,10 +349,12 @@ class FlowSimulator {
   void validate_config() const;
   void settle_progress(Seconds now);
   void reallocate(Seconds now);
-  /// Binding-subset reallocation (uniform cap only): solves max-min on just
-  /// the flows that cross a binding link (equal share below the cap) and
-  /// hands every other flow exactly the cap. Writes rates only; returns
-  /// true when it ran as a seeded (incremental) solve, in which case
+  /// Binding-subset reallocation (uniform cap only): walks the closure of
+  /// the seed links (the event's links, or every populated link on a full
+  /// evaluation) through binding links (equal share below the cap), solves
+  /// max-min on just the closure flows that cross one, and hands every
+  /// other closure flow exactly the cap. Writes rates only; returns true
+  /// when it ran as a seeded (incremental) solve, in which case
   /// bind_sub_links_ lists every link whose carried sum may have moved so
   /// reallocate() can confine the writeback. See reallocate() for why this
   /// is the same allocation.
@@ -388,7 +393,7 @@ class FlowSimulator {
   }
   /// Flow i's binding-candidate links: flow_links(i) filtered down to the
   /// links whose flag_lt_cap_ flag is set, maintained incrementally (see
-  /// set_share_flag). The seeded closure walk streams these directly
+  /// set_share_flag). The binding closure walk streams these directly
   /// instead of re-filtering the full link list per solve.
   [[nodiscard]] std::span<const std::uint32_t> filt_links(std::size_t i) const {
     return {filt_arena_.data() + filt_begin_[i], filt_count_[i]};
@@ -561,8 +566,8 @@ class FlowSimulator {
   // Persistent per-directed-link binding flag: capacity / member count
   // below the uniform cap (the exact division the solver's heap seeding
   // performs). Kept current at every membership or capacity change: the
-  // fast paths and the seeded solve refresh the links they touch, full
-  // evaluations rebuild every populated link.
+  // fast paths and the seeded walk refresh the links they touch, full
+  // evaluations refresh every populated link.
   std::vector<std::uint8_t> flag_lt_cap_;
   std::vector<std::uint32_t> route_scratch_;  // route_flow output buffer
   std::vector<FlowRecord> completed_;
@@ -574,21 +579,20 @@ class FlowSimulator {
   std::vector<TimeWeighted> directed_rate_bps_;  // time-weighted history
   std::vector<double> carried_bps_;              // current carried rate
 
-  // Persistent solver workspace: the problem views point straight into the
-  // flow_links_ arena (no per-event copies), and the solver reuses its
-  // internal buffers across events.
+  // Persistent solver workspace, reused across events: the solver reads its
+  // CSR rows (solver_arena_ / solver_start_, one offset per row plus the end
+  // sentinel) in place and keeps its own buffers warm. The binding walk lays
+  // down its discovered flows' filtered link lists there; the dense path
+  // flattens every active flow's link list (with solver_caps_, one cap per
+  // row).
   MaxMinSolver solver_;
-  std::vector<FairShareFlowView32> problem_;
+  std::vector<std::uint32_t> solver_arena_;
+  std::vector<std::uint32_t> solver_start_;
+  std::vector<double> solver_caps_;
   std::vector<double> carried_scratch_;
-  // Binding-subset workspace: generation-stamped visit marks for the seeded
-  // closure walk (no O(num links) clears per event), the full-mode
-  // tight-candidate refinement buffers, and the active indices of the flows
-  // handed to the solver.
-  std::vector<std::uint8_t> bind_flag_;
-  std::vector<double> bind_share0_;
-  std::vector<double> bind_slb_;
-  std::vector<double> bind_sub_;
-  std::vector<double> bind_lb_;
+  // Binding-subset workspace: the active indices of the flows handed to the
+  // solver (one per solver row), generation-stamped visit marks for the
+  // closure walk (no O(num links) clears per event), and the walk's stack.
   std::vector<std::uint32_t> bind_flows_;
   // Generation-stamped visit marks: deliberately std::vector (zero-init on
   // resize is load-bearing — a fresh stamp slot must never equal bind_gen_).
@@ -601,16 +605,11 @@ class FlowSimulator {
   // work list.
   std::vector<std::uint32_t> bind_sub_seen_;
   std::vector<std::uint32_t> bind_sub_links_;
-  // What the solver actually sees: the discovered flows' filtered link
-  // lists, flattened into a CSR arena (bind_solver_start_ has one offset
-  // per solver row plus the end sentinel, matching solve_arena's layout),
-  // plus the deduplicated flagged-link list used as the solver's
-  // sparse-reset set.
-  std::vector<std::uint32_t> bind_solver_arena_;
-  std::vector<std::uint32_t> bind_solver_start_;
+  // The deduplicated flagged links the solver rows cross: the sparse
+  // solve's reset set.
   std::vector<std::uint32_t> bind_solver_links_;
   // Flows the walk discovered this event, solver rows plus direct-capped;
-  // feeds the telemetry counter (same totals the pre-filtered problem had).
+  // feeds the telemetry counter.
   std::size_t bind_discovered_ = 0;
   std::uint32_t bind_gen_ = 0;
   // Seed links for the next reallocation: the directed links of the flows

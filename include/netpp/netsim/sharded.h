@@ -50,7 +50,8 @@ class ShardedFlowSimulator {
  public:
   struct Config {
     /// Shards to partition the fabric into. Pods are assigned contiguously
-    /// (assign_pods_contiguous); must be in [1, num_pods].
+    /// (assign_pods_contiguous); must be in [1, num_pods]. One shard runs
+    /// any graph the plain FlowSimulator does, core endpoints included.
     std::size_t num_shards = 1;
     /// Worker-thread ceiling for the window phase; 0 draws everything the
     /// shared thread budget (netpp/sim/thread_budget.h) allows. Never
@@ -154,6 +155,8 @@ class ShardedFlowSimulator {
   [[nodiscard]] const ShardTopology& shard_topology(std::size_t s) const {
     return shards_[s]->topo;
   }
+  /// The pod partition shards are cut along. With one shard it is the
+  /// trivial partition: every node, core included, in pod 0.
   [[nodiscard]] const PodPartition& partition() const { return partition_; }
 
   /// Every shard's metric registry merged into one sample list: counters,
@@ -248,8 +251,9 @@ class ShardedFlowSimulator {
   std::vector<int> shard_of_pod_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Boundary-link and core-switch fault state (S > 1 only; with one shard
-  /// faults pass straight through to the verbatim-copy simulator).
+  /// Boundary-link and core-switch fault state (S > 1 only; one shard's
+  /// partition puts every node in pod 0, so its faults all take the
+  /// pod-local path to the verbatim-copy simulator).
   std::unordered_map<LinkId, BoundaryState> boundary_state_;
   std::unordered_map<NodeId, bool> core_enabled_;
   /// Boundary link -> (shard, gateway-link index) of the owning agg.

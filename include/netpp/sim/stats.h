@@ -11,6 +11,11 @@
 
 namespace netpp {
 
+namespace state {
+class SnapshotReader;
+class SnapshotWriter;
+}  // namespace state
+
 /// Scalar summary: count / mean / variance (Welford) / min / max.
 class SummaryStat {
  public:
@@ -24,24 +29,15 @@ class SummaryStat {
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }
 
-  /// Raw Welford accumulator (snapshot support; not derivable bitwise from
-  /// variance()).
+  /// Raw Welford accumulator (not derivable bitwise from variance()).
   [[nodiscard]] double m2() const { return m2_; }
-  /// Raw extrema including the +/-inf empty-state sentinels (min()/max()
-  /// report 0 when empty, which is not bitwise restorable).
-  [[nodiscard]] double raw_min() const { return min_; }
-  [[nodiscard]] double raw_max() const { return max_; }
 
-  /// Snapshot restore: overwrites every accumulator verbatim.
-  void restore(std::uint64_t n, double mean, double m2, double sum, double min,
-               double max) {
-    n_ = n;
-    mean_ = mean;
-    m2_ = m2;
-    sum_ = sum;
-    min_ = min;
-    max_ = max;
-  }
+  /// Serializes every accumulator verbatim — count, mean, m2, sum, then the
+  /// raw extrema including the +/-inf empty-state sentinels — so a restored
+  /// stat continues bit-identically.
+  void save_state(state::SnapshotWriter& w) const;
+  /// Overwrites every accumulator from a save_state() image.
+  void restore_state(state::SnapshotReader& r);
 
  private:
   std::uint64_t n_ = 0;
@@ -73,16 +69,12 @@ class TimeWeighted {
 
   [[nodiscard]] Seconds last_change() const { return last_; }
   [[nodiscard]] Seconds start() const { return start_; }
-  /// Integral accumulated through last_change() (snapshot support).
-  [[nodiscard]] double accumulated() const { return integral_; }
 
-  /// Snapshot restore: overwrites the signal state verbatim.
-  void restore(Seconds start, Seconds last, double value, double integral) {
-    start_ = start;
-    last_ = last;
-    value_ = value;
-    integral_ = integral;
-  }
+  /// Serializes the signal state verbatim: start, last change, current
+  /// value, and the integral accumulated through the last change.
+  void save_state(state::SnapshotWriter& w) const;
+  /// Overwrites the signal state from a save_state() image.
+  void restore_state(state::SnapshotReader& r);
 
  private:
   Seconds start_;
@@ -110,10 +102,6 @@ class Histogram {
   /// q in [0, 1]; linear interpolation inside the containing bin. Values in
   /// the under/overflow buckets clamp to lo/hi.
   [[nodiscard]] double quantile(double q) const;
-
-  /// Snapshot restore: `bins` must match the constructed bin count.
-  void restore(const std::vector<std::uint64_t>& bins, std::uint64_t underflow,
-               std::uint64_t overflow, std::uint64_t total);
 
  private:
   double lo_, hi_, width_;

@@ -44,8 +44,7 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
 // ---------------------------------------------------------------------------
 // SnapshotWriter
 
-SnapshotWriter::SnapshotWriter() {
-  buffer_.insert(buffer_.end(), kMagic.begin(), kMagic.end());
+SnapshotWriter::SnapshotWriter() : buffer_(kMagic.begin(), kMagic.end()) {
   for (int shift = 0; shift < 32; shift += 8) {
     buffer_.push_back(
         static_cast<std::uint8_t>((kSnapshotVersion >> shift) & 0xffu));

@@ -252,10 +252,7 @@ void DegradedModeController::save_state(state::SnapshotWriter& w) const {
     w.put_f64(backend_.control_time(p.event).value());
     w.put_u64(backend_.control_seq(p.event));
   }
-  w.put_f64(powered_count_.start().value());
-  w.put_f64(powered_count_.last_change().value());
-  w.put_f64(powered_count_.current());
-  w.put_f64(powered_count_.accumulated());
+  powered_count_.save_state(w);
   w.put_u64(emergency_wakes_);
   w.put_u64(retailor_passes_);
   w.end_section();
@@ -283,11 +280,7 @@ void DegradedModeController::restore_state(state::SnapshotReader& r) {
         backend_.restore_control_at(at, seq, [this, sw] { complete_wake(sw); });
     pending_wakes_.push_back(PendingWake{sw, event});
   }
-  const double start = r.get_f64();
-  const double last = r.get_f64();
-  const double value = r.get_f64();
-  const double integral = r.get_f64();
-  powered_count_.restore(Seconds{start}, Seconds{last}, value, integral);
+  powered_count_.restore_state(r);
   emergency_wakes_ = static_cast<std::size_t>(r.get_u64());
   retailor_passes_ = static_cast<std::size_t>(r.get_u64());
   r.close_section();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -301,15 +300,16 @@ CompositeReport run_composite(const BuiltTopology& topology,
   CompositeReport report;
   report.switches_total = topology.switches.size();
 
-  // Warm-state cache: stamped to one scenario on first use, serializing
-  // concurrent callers for the duration of the call. Everything consulted
-  // below is a deterministic pure function of the scenario, so hits are
-  // bit-identical to recomputation.
+  // Warm-state cache (a call-local one when the caller brings none):
+  // stamped to one scenario on first use, serializing concurrent callers
+  // for the duration of the call. Everything consulted below is a
+  // deterministic pure function of the scenario, so hits are bit-identical
+  // to recomputation.
+  CompositeCache local_cache;
   CompositeCache::Impl* cache =
-      config.cache != nullptr ? config.cache->impl_.get() : nullptr;
-  std::unique_lock<std::mutex> cache_lock;
-  if (cache != nullptr) {
-    cache_lock = std::unique_lock<std::mutex>{cache->mutex};
+      (config.cache != nullptr ? config.cache : &local_cache)->impl_.get();
+  const std::lock_guard<std::mutex> cache_lock{cache->mutex};
+  {
     std::string fingerprint =
         scenario_fingerprint(topology, workload, demands, config);
     if (cache->fingerprint.empty()) {
@@ -325,16 +325,12 @@ CompositeReport run_composite(const BuiltTopology& topology,
   // therefore which fabric the dynamic stages observe.
   std::vector<NodeId> powered = topology.switches;
   if (config.tailor) {
-    if (cache != nullptr && cache->has_tailoring) {
-      report.tailoring = cache->tailoring;
-    } else {
-      report.tailoring =
+    if (!cache->has_tailoring) {
+      cache->tailoring =
           tailor_topology(topology, demands, config.tailor_config);
-      if (cache != nullptr) {
-        cache->tailoring = report.tailoring;
-        cache->has_tailoring = true;
-      }
+      cache->has_tailoring = true;
     }
+    report.tailoring = cache->tailoring;
     if (!report.tailoring.powered_off.empty()) {
       powered = report.tailoring.powered_on;
     }
@@ -344,21 +340,16 @@ CompositeReport run_composite(const BuiltTopology& topology,
   // Simulate the workload on the full fabric (baseline + dynamic-only
   // stages) and, when tailoring bites, on the tailored fabric (survivors
   // carry the rerouted traffic). Both runs share one energy window.
-  std::deque<BackendRun> local_runs;
   const auto obtain_run =
       [&](const std::vector<NodeId>& disabled) -> const BackendRun& {
-    if (cache != nullptr) {
-      const auto it = cache->runs.find(disabled);
-      if (it != cache->runs.end()) {
-        ++cache->sim_reuses;
-        return *it->second;
-      }
-      auto run = std::make_unique<BackendRun>(topology, workload, disabled,
-                                              config.backend);
-      return *cache->runs.emplace(disabled, std::move(run)).first->second;
+    const auto it = cache->runs.find(disabled);
+    if (it != cache->runs.end()) {
+      ++cache->sim_reuses;
+      return *it->second;
     }
-    local_runs.emplace_back(topology, workload, disabled, config.backend);
-    return local_runs.back();
+    auto run = std::make_unique<BackendRun>(topology, workload, disabled,
+                                            config.backend);
+    return *cache->runs.emplace(disabled, std::move(run)).first->second;
   };
   const BackendRun& full_run = obtain_run({});
   const BackendRun* tailored_run =
@@ -393,26 +384,18 @@ CompositeReport run_composite(const BuiltTopology& topology,
     }
   }
 
-  std::deque<std::map<NodeId, LoadTrace>> local_traces;
   const std::vector<NodeId> no_disabled;
   const auto obtain_traces =
       [&](const BackendRun& run, const std::vector<NodeId>& disabled)
       -> const std::map<NodeId, LoadTrace>& {
-    const auto build = [&] {
-      std::map<NodeId, LoadTrace> traces;
-      for (NodeId sw : pod_switches) {
-        traces.emplace(sw, run.recorder.node_trace(sw, pipes, end));
-      }
-      return traces;
-    };
-    if (cache != nullptr) {
-      const auto key = std::make_pair(disabled, end.value());
-      const auto it = cache->traces.find(key);
-      if (it != cache->traces.end()) return it->second;
-      return cache->traces.emplace(key, build()).first->second;
+    const auto key = std::make_pair(disabled, end.value());
+    const auto it = cache->traces.find(key);
+    if (it != cache->traces.end()) return it->second;
+    std::map<NodeId, LoadTrace> traces;
+    for (NodeId sw : pod_switches) {
+      traces.emplace(sw, run.recorder.node_trace(sw, pipes, end));
     }
-    local_traces.push_back(build());
-    return local_traces.back();
+    return cache->traces.emplace(key, std::move(traces)).first->second;
   };
   const auto& full_traces = obtain_traces(full_run, no_disabled);
   const std::map<NodeId, LoadTrace> no_traces;
@@ -424,30 +407,24 @@ CompositeReport run_composite(const BuiltTopology& topology,
   // Per-stage mechanism totals, memoized for un-telemetered stages; a
   // telemetered stage always re-runs so its events/metrics are emitted
   // every call (the recomputed totals are identical by determinism).
-  std::deque<StageTotals> local_stages;
   const auto obtain_stage =
       [&](const std::vector<NodeId>& traces_disabled,
           const std::map<NodeId, LoadTrace>& traces,
           const std::vector<NodeId>& stage_powered, bool park, bool rate,
           telemetry::Telemetry* telemetry) -> const StageTotals& {
-    if (cache != nullptr) {
-      auto key = std::make_tuple(traces_disabled, end.value(), stage_powered,
-                                 park, rate);
-      if (telemetry == nullptr) {
-        const auto it = cache->stages.find(key);
-        if (it != cache->stages.end()) {
-          ++cache->stage_reuses;
-          return it->second;
-        }
+    auto key = std::make_tuple(traces_disabled, end.value(), stage_powered,
+                               park, rate);
+    if (telemetry == nullptr) {
+      const auto it = cache->stages.find(key);
+      if (it != cache->stages.end()) {
+        ++cache->stage_reuses;
+        return it->second;
       }
-      StageTotals totals =
-          run_stage(traces, stage_powered, config, park, rate, telemetry);
-      return cache->stages.insert_or_assign(std::move(key), std::move(totals))
-          .first->second;
     }
-    local_stages.push_back(
-        run_stage(traces, stage_powered, config, park, rate, telemetry));
-    return local_stages.back();
+    StageTotals totals =
+        run_stage(traces, stage_powered, config, park, rate, telemetry);
+    return cache->stages.insert_or_assign(std::move(key), std::move(totals))
+        .first->second;
   };
 
   // All-on baseline over the full fabric.

@@ -34,13 +34,12 @@ struct EntryGreater {
 // degenerates — all keys equal, so it pops in ascending flow index, which a
 // cursor reproduces with zero heap maintenance. Returns the common cap, or
 // -1.0 when caps are absent or mixed.
-template <typename ViewT>
-double detect_uniform_cap(std::span<const ViewT> flows) {
-  if (flows.empty()) return -1.0;
-  const double cap = flows.front().cap;
+double detect_uniform_cap(std::span<const double> caps) {
+  if (caps.empty()) return -1.0;
+  const double cap = caps.front();
   if (!(cap > 0.0)) return -1.0;
-  for (const auto& flow : flows) {
-    if (flow.cap != cap) return -1.0;
+  for (const double c : caps) {
+    if (c != cap) return -1.0;
   }
   return cap;
 }
@@ -89,62 +88,32 @@ void MaxMinSolver::freeze(std::uint32_t f, double value) {
   }
 }
 
-template <typename ViewT>
-void MaxMinSolver::ingest(std::span<const ViewT> flows, std::size_t num_res,
-                          bool uniform,
-                          [[maybe_unused]] double uniform_cap) {
-  const std::size_t num_flows = flows.size();
-  if (num_flows > kMaxProblem || num_res > kMaxProblem) {
+void MaxMinSolver::ingest(std::span<const std::uint32_t> arena,
+                          std::span<const std::uint32_t> start,
+                          std::size_t num_res) {
+  if (start.size() > kMaxProblem + 1 || num_res > kMaxProblem ||
+      arena.size() > kMaxProblem) {
     throw std::length_error("max-min problem exceeds 2^31 flows/resources");
   }
-  flow_start_.resize(num_flows + 1);
-  if (!uniform) flow_cap_.resize(num_flows);
-  std::size_t total = 0;
-  for (const auto& flow : flows) total += flow.resources.size();
-  if (total > kMaxProblem) {
-    throw std::length_error("max-min problem exceeds 2^31 incidences");
+  if (start.empty() || start.front() != 0 || start.back() != arena.size()) {
+    throw std::invalid_argument("max-min rows must span the arena from 0");
   }
-  flow_res_.resize(total);
-  std::uint32_t* dst = flow_res_.data();
-  std::size_t pos = 0;
-  for (std::size_t f = 0; f < num_flows; ++f) {
-    flow_start_[f] = static_cast<std::uint32_t>(pos);
-    const auto& flow = flows[f];
-    assert(!uniform || flow.cap == uniform_cap);
-    if (!uniform) flow_cap_[f] = flow.cap;
-    for (const auto r : flow.resources) {
-      if (static_cast<std::size_t>(r) >= num_res) {
-        throw std::out_of_range("resource index out of range");
-      }
-      ++active_on_[r];
-      dst[pos++] = static_cast<std::uint32_t>(r);
-    }
+  // The caller's arena IS the flow->resource CSR, so ingesting is one
+  // sequential counting pass.
+  for (std::uint32_t r : arena) {
+    if (r >= num_res) throw std::out_of_range("resource index out of range");
+    ++active_on_[r];
   }
-  flow_start_[num_flows] = static_cast<std::uint32_t>(total);
-  fres_ = flow_res_.data();
-  fstart_ = flow_start_.data();
+  fres_ = arena.data();
+  fstart_ = start.data();
 }
 
 std::span<const double> MaxMinSolver::solve(
-    std::span<const FairShareFlowView> flows,
-    std::span<const double> capacities) {
-  return solve_dense(flows, capacities);
-}
-
-std::span<const double> MaxMinSolver::solve(
-    std::span<const FairShareFlowView32> flows,
-    std::span<const double> capacities) {
-  return solve_dense(flows, capacities);
-}
-
-std::span<const double> MaxMinSolver::solve(
-    std::span<const FairShareFlow> flows, std::span<const double> capacities) {
-  return solve_dense(flows, capacities);
-}
-
-template <typename ViewT>
-std::span<const double> MaxMinSolver::solve_dense(
-    std::span<const ViewT> flows, std::span<const double> capacities) {
+    std::span<const std::uint32_t> arena, std::span<const std::uint32_t> start,
+    std::span<const double> caps, std::span<const double> capacities) {
+  if (start.size() != caps.size() + 1) {
+    throw std::invalid_argument("max-min rows need one cap per row");
+  }
   for (double c : capacities) {
     // Zero is allowed: a dead (disabled or fully degraded) link pins its
     // flows to rate 0 via the normal progressive-filling path.
@@ -164,38 +133,21 @@ std::span<const double> MaxMinSolver::solve_dense(
     std::memset(active_on_.data(), 0, num_res * sizeof(std::uint32_t));
     std::memset(res_ver_.data(), 0, num_res * sizeof(std::uint32_t));
   }
-  const double uniform_cap = detect_uniform_cap(flows);
-  ingest(flows, num_res, uniform_cap > 0.0, uniform_cap);
-  return run(flows.size(), capacities, {}, /*dense=*/true, uniform_cap);
-}
-
-std::span<const double> MaxMinSolver::solve_on(
-    std::span<const FairShareFlowView> flows,
-    std::span<const double> capacities, std::span<const std::size_t> touched,
-    double uniform_cap) {
-  // Legacy size_t touched list: convert once into the solver's native index
-  // width (touched lists are tiny relative to the solve itself).
-  touched_u32_.resize(touched.size());
-  for (std::size_t i = 0; i < touched.size(); ++i) {
-    touched_u32_[i] = static_cast<std::uint32_t>(touched[i]);
+  ingest(arena, start, num_res);
+  const double uniform_cap = detect_uniform_cap(caps);
+  if (!(uniform_cap > 0.0)) {
+    flow_cap_.resize(caps.size());
+    if (!caps.empty()) {
+      std::memcpy(flow_cap_.data(), caps.data(), caps.size() * sizeof(double));
+    }
   }
-  return solve_sparse(flows, capacities,
-                      std::span<const std::uint32_t>(touched_u32_.data(),
-                                                     touched_u32_.size()),
-                      uniform_cap);
+  return run(caps.size(), capacities, {}, /*dense=*/true, uniform_cap);
 }
 
-std::span<const double> MaxMinSolver::solve_on(
-    std::span<const FairShareFlowView32> flows,
-    std::span<const double> capacities,
-    std::span<const std::uint32_t> touched, double uniform_cap) {
-  return solve_sparse(flows, capacities, touched, uniform_cap);
-}
-
-template <typename ViewT>
-std::span<const double> MaxMinSolver::solve_sparse(
-    std::span<const ViewT> flows, std::span<const double> capacities,
-    std::span<const std::uint32_t> touched, double uniform_cap) {
+std::span<const double> MaxMinSolver::solve_arena(
+    std::span<const std::uint32_t> arena, std::span<const std::uint32_t> start,
+    std::span<const double> capacities, std::span<const std::uint32_t> touched,
+    double uniform_cap) {
   assert(uniform_cap > 0.0);
   const std::size_t num_res = capacities.size();
   // Resource-indexed workspace is grow-only and reset sparsely: only the
@@ -213,43 +165,9 @@ std::span<const double> MaxMinSolver::solve_sparse(
     active_on_[r] = 0;
     res_ver_[r] = 0;
   }
-  ingest(flows, num_res, /*uniform=*/true, uniform_cap);
-  return run(flows.size(), capacities, touched, /*dense=*/false, uniform_cap);
-}
-
-std::span<const double> MaxMinSolver::solve_arena(
-    std::span<const std::uint32_t> arena, std::span<const std::uint32_t> start,
-    std::span<const double> capacities, std::span<const std::uint32_t> touched,
-    double uniform_cap) {
-  assert(uniform_cap > 0.0);
-  assert(!start.empty() && start.front() == 0 && start.back() == arena.size());
-  const std::size_t num_flows = start.size() - 1;
-  const std::size_t num_res = capacities.size();
-  if (num_flows > kMaxProblem || num_res > kMaxProblem ||
-      arena.size() > kMaxProblem) {
-    throw std::length_error("max-min problem exceeds 2^31 flows/resources");
-  }
-  if (residual_.size() < num_res) {
-    residual_.resize(num_res);
-    active_on_.resize(num_res);
-    res_ver_.resize(num_res);
-    csr_start_.resize(num_res);
-    csr_cursor_.resize(num_res);
-  }
-  for (std::uint32_t r : touched) {
-    residual_[r] = capacities[r];
-    active_on_[r] = 0;
-    res_ver_[r] = 0;
-  }
-  // The whole ingest step collapses to one sequential counting pass: the
-  // caller's arena IS the flow->resource CSR.
-  for (std::uint32_t r : arena) {
-    if (r >= num_res) throw std::out_of_range("resource index out of range");
-    ++active_on_[r];
-  }
-  fres_ = arena.data();
-  fstart_ = start.data();
-  return run(num_flows, capacities, touched, /*dense=*/false, uniform_cap);
+  ingest(arena, start, num_res);
+  return run(start.size() - 1, capacities, touched, /*dense=*/false,
+             uniform_cap);
 }
 
 std::span<const double> MaxMinSolver::run(
@@ -264,7 +182,7 @@ std::span<const double> MaxMinSolver::run(
   frozen_.assign(num_flows, 0);
 
   // Reverse CSR (resource -> flows): prefix-sum the counts ingest()
-  // accumulated, then fill by streaming the flattened flow->resource array.
+  // accumulated, then fill by streaming the caller's flow->resource rows.
   // Grouping per resource preserves flow order, matching the reference's
   // adjacency lists. csr_cursor_ doubles as the fill cursor and lands
   // exactly on the group end.
@@ -461,9 +379,32 @@ std::span<const double> MaxMinSolver::run(
 std::vector<double> max_min_fair_rates(
     const std::vector<FairShareFlow>& flows,
     const std::vector<double>& capacities) {
+  std::size_t total = 0;
+  for (const FairShareFlow& flow : flows) total += flow.resources.size();
+  // Bound the offsets before narrowing them to the solver's 32-bit rows.
+  if (total > kMaxProblem) {
+    throw std::length_error("max-min problem exceeds 2^31 incidences");
+  }
+  std::vector<std::uint32_t> arena;
+  arena.reserve(total);
+  std::vector<std::uint32_t> start;
+  start.reserve(flows.size() + 1);
+  start.push_back(0);
+  std::vector<double> caps;
+  caps.reserve(flows.size());
+  for (const FairShareFlow& flow : flows) {
+    for (const std::size_t r : flow.resources) {
+      // Range-check before narrowing, so no wrapped index reaches the solver.
+      if (r >= capacities.size()) {
+        throw std::out_of_range("resource index out of range");
+      }
+      arena.push_back(static_cast<std::uint32_t>(r));
+    }
+    start.push_back(static_cast<std::uint32_t>(arena.size()));
+    caps.push_back(flow.cap);
+  }
   MaxMinSolver solver;
-  const auto rates = solver.solve(
-      std::span<const FairShareFlow>(flows.data(), flows.size()), capacities);
+  const auto rates = solver.solve(arena, start, caps, capacities);
   return {rates.begin(), rates.end()};
 }
 

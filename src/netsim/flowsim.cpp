@@ -794,14 +794,18 @@ void FlowSimulator::reallocate(Seconds now) {
     // neighborhood instead of the whole fabric.
     targeted = reallocate_binding_subset(cap_bps);
   } else {
-    // Assemble the fair-share problem as views over the flows' own resource
-    // arrays — no copies, and the solver reuses its workspace.
-    problem_.clear();
-    problem_.reserve(active_.size());
+    // Flatten every flow's link list into the solver's CSR rows, one row per
+    // active flow in index order; the solver reuses its workspace.
+    solver_arena_.clear();
+    solver_start_.assign(1, 0);
     for (std::size_t i = 0; i < active_.size(); ++i) {
-      problem_.push_back({flow_links(i), cap_bps > 0.0 ? cap_bps : 0.0});
+      const auto links = flow_links(i);
+      solver_arena_.insert(solver_arena_.end(), links.begin(), links.end());
+      solver_start_.push_back(static_cast<std::uint32_t>(solver_arena_.size()));
     }
-    const auto rates = solver_.solve(problem_, directed_capacity_bps_);
+    solver_caps_.assign(active_.size(), cap_bps > 0.0 ? cap_bps : 0.0);
+    const auto rates = solver_.solve(solver_arena_, solver_start_, solver_caps_,
+                                     directed_capacity_bps_);
     if (!active_.empty()) {
       std::memcpy(flow_rate_bps_.data(), rates.data(),
                   active_.size() * sizeof(double));
@@ -853,8 +857,7 @@ void FlowSimulator::reallocate(Seconds now) {
 }
 
 bool FlowSimulator::reallocate_binding_subset(double cap_bps) {
-  if (bind_flag_.size() < directed_capacity_bps_.size()) {
-    bind_flag_.resize(directed_capacity_bps_.size(), 0);
+  if (bind_link_seen_.size() < directed_capacity_bps_.size()) {
     bind_link_seen_.resize(directed_capacity_bps_.size(), 0);
     bind_sub_seen_.resize(directed_capacity_bps_.size(), 0);
   }
@@ -869,229 +872,135 @@ bool FlowSimulator::reallocate_binding_subset(double cap_bps) {
     bind_gen_ = 1;
   }
 
+  // Seed links: the event's own links when seeded, every populated link on
+  // a full evaluation (startup, topology changes). A full evaluation is the
+  // one place capacities may have changed under the persistent share flags,
+  // and seeding from every populated link visits every routed flow, so it
+  // is the same walk with the whole fabric as its seed set.
+  const std::vector<std::uint32_t>& seeds =
+      seed_valid_ ? seed_links_ : touched_links_;
+  // The cheap share0 < cap flag suffices. It covers every link that can
+  // freeze below the cap in the NEW state (freezing below the cap needs an
+  // initial equal share below the cap), and every link that froze flows in
+  // the OLD state too: since the last solve, counts changed only on this
+  // event's seed links (walked unconditionally) and on links fast-path
+  // events touched — and fast-path flows are cap-frozen flows crossing only
+  // unsaturated links, never a link that froze anyone, so those refreshes
+  // cannot unflag an old freezing link. The persistent flags are refreshed
+  // at every membership change, so only the seeds need new divisions here
+  // (the same division the solver uses to seed its heap, so the comparison
+  // sees the exact doubles the filling starts from). Flips propagate into
+  // the filtered lists, so those survive capacity changes without a
+  // rebuild.
   bind_flows_.clear();
   std::size_t capped_direct = 0;  // closure flows assigned the cap directly
-  if (!seed_valid_) {
-    // Full evaluation with a tight-candidate refinement. A link can freeze
-    // flows (and thus couple them) only if its capacity can actually be
-    // consumed: with lb(f) a lower bound on every flow's final rate (rates
-    // never fall below the smallest initial equal share they see, nor above
-    // the cap) and ub(f) = min(cap, capacity - sum of the other flows' lb)
-    // an upper bound, a link with sum(ub) < capacity keeps slack through
-    // the whole filling and never constrains anyone. The 1e-9 relative
-    // margins make the bounds robust to the float dust the solver's
-    // residual chains can accumulate (same spirit as kUnsaturatedFraction).
-    // The extra O(hops) passes are worth it only here: full evaluations
-    // (startup, topology changes) solve the whole fabric, while the seeded
-    // path below already starts from a small neighborhood.
-    constexpr double kDown = 1.0 - 1e-9;
-    constexpr double kUp = 1.0 + 1e-9;
-    if (bind_share0_.size() < directed_capacity_bps_.size()) {
-      bind_share0_.resize(directed_capacity_bps_.size(), 0.0);
-      bind_slb_.resize(directed_capacity_bps_.size(), 0.0);
-      bind_sub_.resize(directed_capacity_bps_.size(), 0.0);
-    }
-    if (bind_lb_.size() < active_.size()) {
-      bind_lb_.resize(active_.size(), 0.0);
-    }
-    for (std::uint32_t r : touched_links_) {
-      bind_share0_[r] =
-          directed_capacity_bps_[r] /
-          static_cast<double>(link_flows_.count(r));
-      bind_slb_[r] = 0.0;
-      bind_sub_[r] = 0.0;
-    }
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      double lb = cap_bps;
-      for (std::uint32_t r : flow_links(i)) {
-        lb = std::min(lb, bind_share0_[r]);
-      }
-      lb *= kDown;
-      bind_lb_[i] = lb;
-      for (std::uint32_t r : flow_links(i)) bind_slb_[r] += lb;
-    }
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      const double lb = bind_lb_[i];
-      double ub = cap_bps;
-      for (std::uint32_t r : flow_links(i)) {
-        ub = std::min(ub,
-                      directed_capacity_bps_[r] - (bind_slb_[r] - lb) * kDown);
-      }
-      ub = std::max(ub, 0.0) * kUp;
-      for (std::uint32_t r : flow_links(i)) bind_sub_[r] += ub;
-    }
-    for (std::uint32_t r : touched_links_) {
-      bind_flag_[r] = directed_capacity_bps_[r] <= bind_sub_[r] * kUp ? 1 : 0;
-      // Rebuild the persistent share flags too: a full evaluation is the
-      // one place capacities may have changed under them (topology events
-      // land here), and it visits every populated link anyway. Flips
-      // propagate into the filtered lists, so those survive capacity
-      // changes without a rebuild.
-      set_share_flag(r, bind_share0_[r] < cap_bps ? 1 : 0);
-    }
-    // Every flow crossing a binding candidate goes to the solver, everyone
-    // else gets the cap.
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      bool crosses = false;
-      for (std::uint32_t r : flow_links(i)) {
-        if (bind_flag_[r] != 0) {
-          crosses = true;
-          break;
-        }
-      }
-      if (crosses) bind_flows_.push_back(static_cast<std::uint32_t>(i));
-    }
-    std::fill_n(flow_rate_bps_.data(), active_.size(), cap_bps);
-  } else {
-    // Seeded walk: the cheap share0 < cap flag suffices. It covers every
-    // link that can freeze below the cap in the NEW state (freezing below
-    // the cap needs an initial equal share below the cap), and every link
-    // that froze flows in the OLD state too: since the last solve, counts
-    // changed only on this event's seed links (walked unconditionally) and
-    // on links fast-path events touched — and fast-path flows are
-    // cap-frozen flows crossing only unsaturated links, never a link that
-    // froze anyone, so those refreshes cannot unflag an old freezing link.
-    // The persistent flags are refreshed at every membership change, so
-    // only this event's seeds need new divisions here (the same division
-    // the solver uses to seed its heap, so the comparison sees the exact
-    // doubles the filling starts from).
-    for (std::uint32_t r : seed_links_) {
-      if (link_flows_.empty(r)) continue;
-      set_share_flag(r, directed_capacity_bps_[r] /
-                                static_cast<double>(link_flows_.count(r)) <
-                            cap_bps
-                        ? 1
-                        : 0);
-    }
-    // Seeded closure: the event changed flow counts only on the seed links,
-    // so only flows reachable from them — across a seed link directly, or
-    // transitively through binding links (non-binding links never constrain
-    // anyone, so they carry no coupling) — can see a different max-min
-    // rate. Everything outside the closure keeps its cached rate: its
-    // subproblem inputs are unchanged, so a fresh solve would reproduce the
-    // same doubles.
-    // The walk doubles as the problem build: each flow is discovered exactly
-    // once, so its solver row — the flow's incrementally-maintained filtered
-    // link list (see filt_links / set_share_flag), streamed into the solver
-    // CSR arena — is laid down on the spot, alongside the deduplicated link
-    // lists. Filtering is exact in seeded mode: the flag is
-    // "full-population equal share below the cap", and the subproblem share
-    // of an unflagged link is at least its full share (fewer flows, same
-    // capacity), so its heap key never drops below the cap: the cap branch
-    // beats it in every round (ties included via the gate's >= and the
-    // exact branch's <=), it never becomes the tight link, and its residual
-    // bookkeeping is write-only. Dropping it changes no decision and no
-    // computed double — but shrinks the solver's counting, CSR, heap, and
-    // freeze work to the contended core. A closure flow with an empty
-    // filtered list would freeze at exactly the cap with zero link
-    // interaction, so it bypasses the solver and takes the cap directly.
-    // Discovery order (and with it solver row order) follows the filtered
-    // lists' internal order, which is arbitrary; the solution is row-order
-    // independent because every freeze in one filling round subtracts the
-    // same value. (The full-mode candidate flag has no such share bound, so
-    // full solves keep the unfiltered lists.)
-    bind_sub_links_.clear();
-    bind_solver_links_.clear();
-    bind_solver_arena_.clear();
-    bind_solver_start_.clear();
-    bind_solver_start_.push_back(0);
-    bind_stack_.clear();
-    for (std::uint32_t r : seed_links_) {
-      // Seed links with no remaining flows (e.g. a departed flow's last
-      // link) have nothing to walk.
-      if (link_flows_.empty(r)) continue;
-      if (bind_link_seen_[r] == bind_gen_) continue;
-      bind_link_seen_[r] = bind_gen_;
-      if (flag_lt_cap_[r] != 0) bind_solver_links_.push_back(r);
-      bind_stack_.push_back(r);
-    }
-    while (!bind_stack_.empty()) {
-      const std::uint32_t r = bind_stack_.back();
-      bind_stack_.pop_back();
-      for (std::uint32_t f : link_flows_.flows(r)) {
-        if (bind_flow_seen_[f] == bind_gen_) continue;
-        bind_flow_seen_[f] = bind_gen_;
-        const auto filtered = filt_links(f);
-        if (filtered.empty()) {
-          // No binding candidate on the path: the max-min rate is the cap.
-          // If that changes the cached rate, the flow's links join the
-          // writeback list exactly as a solver-row rate change would.
-          ++capped_direct;
-          if (flow_rate_bps_[f] != cap_bps) {
-            flow_rate_bps_[f] = cap_bps;
-            for (std::uint32_t l : flow_links(f)) {
-              if (bind_sub_seen_[l] != bind_gen_) {
-                bind_sub_seen_[l] = bind_gen_;
-                bind_sub_links_.push_back(l);
-              }
+  bind_sub_links_.clear();
+  bind_solver_links_.clear();
+  solver_arena_.clear();
+  solver_start_.assign(1, 0);
+  bind_stack_.clear();
+  for (std::uint32_t r : seeds) {
+    // Seed links with no remaining flows (e.g. a departed flow's last
+    // link) have nothing to walk; the writeback zeroes them directly.
+    if (link_flows_.empty(r)) continue;
+    set_share_flag(r, directed_capacity_bps_[r] /
+                              static_cast<double>(link_flows_.count(r)) <
+                          cap_bps
+                      ? 1
+                      : 0);
+    if (bind_link_seen_[r] == bind_gen_) continue;
+    bind_link_seen_[r] = bind_gen_;
+    // On a seeded solve membership changed here (the event's own flow
+    // arrived or departed), so the sum moves even if every member keeps
+    // its rate.
+    bind_sub_seen_[r] = bind_gen_;
+    bind_sub_links_.push_back(r);
+    if (flag_lt_cap_[r] != 0) bind_solver_links_.push_back(r);
+    bind_stack_.push_back(r);
+  }
+  // Closure: the event changed flow counts (or, on a full evaluation,
+  // capacities) only on the seed links, so only flows reachable from them —
+  // across a seed link directly, or transitively through binding links
+  // (non-binding links never constrain anyone, so they carry no coupling) —
+  // can see a different max-min rate. Everything outside the closure keeps
+  // its cached rate: its subproblem inputs are unchanged, so a fresh solve
+  // would reproduce the same doubles.
+  // The walk doubles as the problem build: each flow is discovered exactly
+  // once, so its solver row — the flow's incrementally-maintained filtered
+  // link list (see filt_links / set_share_flag), streamed into the solver
+  // CSR arena — is laid down on the spot, alongside the deduplicated link
+  // lists. Filtering is exact: the flag is "full-population equal share
+  // below the cap", and the subproblem share of an unflagged link is at
+  // least its full share (fewer flows, same capacity), so its heap key never
+  // drops below the cap: the cap branch beats it in every round (ties
+  // included via the gate's >= and the exact branch's <=), it never becomes
+  // the tight link, and its residual bookkeeping is write-only. Dropping it
+  // changes no decision and no computed double — but shrinks the solver's
+  // counting, CSR, heap, and freeze work to the contended core. A closure
+  // flow with an empty filtered list would freeze at exactly the cap with
+  // zero link interaction, so it bypasses the solver and takes the cap
+  // directly. Discovery order (and with it solver row order) follows the
+  // seed and filtered lists' internal order, which is arbitrary; the
+  // solution is row-order independent because every freeze in one filling
+  // round subtracts the same value.
+  while (!bind_stack_.empty()) {
+    const std::uint32_t r = bind_stack_.back();
+    bind_stack_.pop_back();
+    for (std::uint32_t f : link_flows_.flows(r)) {
+      if (bind_flow_seen_[f] == bind_gen_) continue;
+      bind_flow_seen_[f] = bind_gen_;
+      const auto filtered = filt_links(f);
+      if (filtered.empty()) {
+        // No binding candidate on the path: the max-min rate is the cap.
+        // If that changes the cached rate, the flow's links join the
+        // writeback list exactly as a solver-row rate change would.
+        ++capped_direct;
+        if (flow_rate_bps_[f] != cap_bps) {
+          flow_rate_bps_[f] = cap_bps;
+          for (std::uint32_t l : flow_links(f)) {
+            if (bind_sub_seen_[l] != bind_gen_) {
+              bind_sub_seen_[l] = bind_gen_;
+              bind_sub_links_.push_back(l);
             }
           }
-          continue;
         }
-        bind_flows_.push_back(f);
-        for (std::uint32_t l : filtered) {
-          bind_solver_arena_.push_back(l);
-          if (bind_link_seen_[l] != bind_gen_) {
-            bind_link_seen_[l] = bind_gen_;
-            bind_solver_links_.push_back(l);
-            bind_stack_.push_back(l);
-          }
+        continue;
+      }
+      bind_flows_.push_back(f);
+      for (std::uint32_t l : filtered) {
+        solver_arena_.push_back(l);
+        if (bind_link_seen_[l] != bind_gen_) {
+          bind_link_seen_[l] = bind_gen_;
+          bind_solver_links_.push_back(l);
+          bind_stack_.push_back(l);
         }
-        bind_solver_start_.push_back(
-            static_cast<std::uint32_t>(bind_solver_arena_.size()));
       }
-    }
-    // Live seed links changed membership (the event's own flow arrived or
-    // departed there), so their sums move even if every member keeps its
-    // rate. Dead seed links are zeroed by the writeback directly.
-    for (std::uint32_t r : seed_links_) {
-      if (link_flows_.empty(r)) continue;
-      if (bind_sub_seen_[r] != bind_gen_) {
-        bind_sub_seen_[r] = bind_gen_;
-        bind_sub_links_.push_back(r);
-      }
+      solver_start_.push_back(static_cast<std::uint32_t>(solver_arena_.size()));
     }
   }
 
   bind_discovered_ = bind_flows_.size() + capped_direct;
   if (!bind_flows_.empty()) {
-    if (!seed_valid_) {
-      problem_.clear();
-      for (std::uint32_t f : bind_flows_) {
-        problem_.push_back({flow_links(f), cap_bps});
-      }
-    }
     // Sparse solve: only the links the subproblem crosses are reset in the
-    // solver's resource-indexed workspace. The seeded path hands the solver
-    // its pre-flattened CSR directly (zero-copy, no per-row views).
+    // solver's resource-indexed workspace, and the solver reads the CSR the
+    // walk just laid down in place.
     const auto rates =
-        seed_valid_
-            ? solver_.solve_arena(bind_solver_arena_, bind_solver_start_,
-                                  directed_capacity_bps_, bind_solver_links_,
-                                  cap_bps)
-            : solver_.solve_on(problem_, directed_capacity_bps_,
-                               std::span<const std::uint32_t>(touched_links_),
-                               cap_bps);
-    if (seed_valid_) {
-      // Collect the links whose carried sums can have moved: a sum changes
-      // only when a member flow's rate changed or the membership itself did
-      // (the seed links, added below). Links that keep both keep their sum
-      // bit-for-bit, so skipping them equals the recompute-and-compare the
-      // writeback would have done.
-      for (std::size_t j = 0; j < bind_flows_.size(); ++j) {
-        const std::uint32_t f = bind_flows_[j];
-        if (flow_rate_bps_[f] == rates[j]) continue;
-        flow_rate_bps_[f] = rates[j];
-        for (std::uint32_t r : flow_links(f)) {
-          if (bind_sub_seen_[r] != bind_gen_) {
-            bind_sub_seen_[r] = bind_gen_;
-            bind_sub_links_.push_back(r);
-          }
+        solver_.solve_arena(solver_arena_, solver_start_,
+                            directed_capacity_bps_, bind_solver_links_, cap_bps);
+    // Collect the links whose carried sums can have moved: a sum changes
+    // only when a member flow's rate changed or the membership itself did
+    // (the live seed links, listed above). Links that keep both keep their
+    // sum bit-for-bit, so skipping them equals the recompute-and-compare
+    // the writeback would have done.
+    for (std::size_t j = 0; j < bind_flows_.size(); ++j) {
+      const std::uint32_t f = bind_flows_[j];
+      if (flow_rate_bps_[f] == rates[j]) continue;
+      flow_rate_bps_[f] = rates[j];
+      for (std::uint32_t r : flow_links(f)) {
+        if (bind_sub_seen_[r] != bind_gen_) {
+          bind_sub_seen_[r] = bind_gen_;
+          bind_sub_links_.push_back(r);
         }
-      }
-    } else {
-      for (std::size_t j = 0; j < bind_flows_.size(); ++j) {
-        flow_rate_bps_[bind_flows_[j]] = rates[j];
       }
     }
   }

@@ -49,21 +49,6 @@ FlowSpec get_spec(state::SnapshotReader& r) {
   return spec;
 }
 
-void put_time_weighted(state::SnapshotWriter& w, const TimeWeighted& tw) {
-  w.put_f64(tw.start().value());
-  w.put_f64(tw.last_change().value());
-  w.put_f64(tw.current());
-  w.put_f64(tw.accumulated());
-}
-
-void get_time_weighted(state::SnapshotReader& r, TimeWeighted& tw) {
-  const double start = r.get_f64();
-  const double last = r.get_f64();
-  const double value = r.get_f64();
-  const double integral = r.get_f64();
-  tw.restore(Seconds{start}, Seconds{last}, value, integral);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -221,7 +206,7 @@ void FlowSimulator::save_state(state::SnapshotWriter& w) const {
   w.put_f64_vec(link_factor_);
   w.put_f64_vec(carried_bps_);
   w.put_u64(directed_rate_bps_.size());
-  for (const TimeWeighted& tw : directed_rate_bps_) put_time_weighted(w, tw);
+  for (const TimeWeighted& tw : directed_rate_bps_) tw.save_state(w);
 
   // Solver + seed state.
   w.put_u64(solver_.stats().solves);
@@ -230,12 +215,7 @@ void FlowSimulator::save_state(state::SnapshotWriter& w) const {
   w.put_bool(seed_valid_);
 
   // Scalars.
-  w.put_u64(fct_.count());
-  w.put_f64(fct_.mean());
-  w.put_f64(fct_.m2());
-  w.put_f64(fct_.sum());
-  w.put_f64(fct_.raw_min());
-  w.put_f64(fct_.raw_max());
+  fct_.save_state(w);
   w.put_u64(unroutable_);
   w.put_u64(next_id_);
   w.put_f64(last_settle_.value());
@@ -377,7 +357,7 @@ void FlowSimulator::restore_state(state::SnapshotReader& r) {
     validation::fail("FlowSimulator",
                      "snapshot rate histories do not match the graph");
   }
-  for (TimeWeighted& tw : directed_rate_bps_) get_time_weighted(r, tw);
+  for (TimeWeighted& tw : directed_rate_bps_) tw.restore_state(r);
 
   MaxMinSolver::SolveStats solver_stats;
   solver_stats.solves = r.get_u64();
@@ -386,13 +366,7 @@ void FlowSimulator::restore_state(state::SnapshotReader& r) {
   seed_links_ = r.get_u32_vec();
   seed_valid_ = r.get_bool();
 
-  const std::uint64_t fct_n = r.get_u64();
-  const double fct_mean = r.get_f64();
-  const double fct_m2 = r.get_f64();
-  const double fct_sum = r.get_f64();
-  const double fct_min = r.get_f64();
-  const double fct_max = r.get_f64();
-  fct_.restore(fct_n, fct_mean, fct_m2, fct_sum, fct_min, fct_max);
+  fct_.restore_state(r);
   unroutable_ = static_cast<std::size_t>(r.get_u64());
   next_id_ = r.get_u64();
   last_settle_ = Seconds{r.get_f64()};

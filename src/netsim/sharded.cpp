@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -37,8 +36,9 @@ ShardTopology make_verbatim_topology(const Graph& graph) {
   return topo;
 }
 
-/// All-in-one-pod fallback partition for single-shard operation on graphs
-/// make_pod_partition rejects (no core layer, multi-stage core).
+/// All-in-one-pod partition for single-shard operation: every node, core
+/// included, sits in pod 0, so one-shard runs accept any graph (and any
+/// endpoint) the plain FlowSimulator does.
 PodPartition make_trivial_partition(const Graph& graph) {
   PodPartition p;
   p.pod_of_node.assign(graph.num_nodes(), 0);
@@ -67,12 +67,11 @@ ShardedFlowSimulator::ShardedFlowSimulator(const Graph& graph, Config config)
 
   std::vector<ShardTopology> topologies;
   if (config_.num_shards == 1) {
-    try {
-      partition_ = make_pod_partition(graph_);
-    } catch (const std::invalid_argument&) {
-      partition_ = make_trivial_partition(graph_);
-    }
-    shard_of_pod_.assign(partition_.num_pods, 0);
+    // Pod 0 -> shard 0 over a verbatim topology: every global id maps to
+    // itself, so the general fault and query paths below reach shard 0 with
+    // the caller's own ids.
+    partition_ = make_trivial_partition(graph_);
+    shard_of_pod_.assign(1, 0);
     topologies.push_back(make_verbatim_topology(graph_));
   } else {
     partition_ = make_pod_partition(graph_);
@@ -335,10 +334,6 @@ void ShardedFlowSimulator::reconcile_cross_flows() {
 void ShardedFlowSimulator::set_node_enabled(NodeId id, bool enabled) {
   validation::require(id < graph_.num_nodes(), kName,
                       "node id out of range");
-  if (shards_.size() == 1) {
-    shards_[0]->sim->set_node_enabled(id, enabled);
-    return;
-  }
   const int pod = partition_.pod_of_node[id];
   if (pod == PodPartition::kCore) {
     core_enabled_[id] = enabled;
@@ -354,10 +349,6 @@ void ShardedFlowSimulator::set_node_enabled(NodeId id, bool enabled) {
 void ShardedFlowSimulator::set_link_enabled(LinkId id, bool enabled) {
   validation::require(id < graph_.num_links(), kName,
                       "link id out of range");
-  if (shards_.size() == 1) {
-    shards_[0]->sim->set_link_enabled(id, enabled);
-    return;
-  }
   const auto boundary = gateway_of_boundary_.find(id);
   if (boundary != gateway_of_boundary_.end()) {
     boundary_state_[id].enabled = enabled;
@@ -374,10 +365,6 @@ void ShardedFlowSimulator::set_link_capacity_factor(LinkId id, double factor) {
                       "link id out of range");
   validation::require(std::isfinite(factor) && factor > 0.0 && factor <= 1.0,
                       kName, "capacity factor must be in (0, 1]");
-  if (shards_.size() == 1) {
-    shards_[0]->sim->set_link_capacity_factor(id, factor);
-    return;
-  }
   const auto boundary = gateway_of_boundary_.find(id);
   if (boundary != gateway_of_boundary_.end()) {
     boundary_state_[id].factor = factor;
@@ -392,7 +379,6 @@ void ShardedFlowSimulator::set_link_capacity_factor(LinkId id, double factor) {
 
 bool ShardedFlowSimulator::node_enabled(NodeId id) const {
   validation::require(id < graph_.num_nodes(), kName, "node id out of range");
-  if (shards_.size() == 1) return shards_[0]->sim->router().node_enabled(id);
   const int pod = partition_.pod_of_node[id];
   if (pod == PodPartition::kCore) {
     const auto it = core_enabled_.find(id);
@@ -404,7 +390,6 @@ bool ShardedFlowSimulator::node_enabled(NodeId id) const {
 
 bool ShardedFlowSimulator::link_enabled(LinkId id) const {
   validation::require(id < graph_.num_links(), kName, "link id out of range");
-  if (shards_.size() == 1) return shards_[0]->sim->router().link_enabled(id);
   const auto boundary = boundary_state_.find(id);
   if (boundary != boundary_state_.end()) return boundary->second.enabled;
   if (gateway_of_boundary_.count(id) != 0) return true;  // untouched boundary
@@ -415,7 +400,6 @@ bool ShardedFlowSimulator::link_enabled(LinkId id) const {
 
 double ShardedFlowSimulator::link_capacity_factor(LinkId id) const {
   validation::require(id < graph_.num_links(), kName, "link id out of range");
-  if (shards_.size() == 1) return shards_[0]->sim->link_capacity_factor(id);
   const auto boundary = boundary_state_.find(id);
   if (boundary != boundary_state_.end()) return boundary->second.factor;
   if (gateway_of_boundary_.count(id) != 0) return 1.0;  // untouched boundary
@@ -609,12 +593,7 @@ void ShardedFlowSimulator::save_state(state::SnapshotWriter& w) const {
   w.put_f64(now_.value());
   w.put_u64(grid_cursor_);
   w.put_u64(next_id_);
-  w.put_u64(fct_.count());
-  w.put_f64(fct_.mean());
-  w.put_f64(fct_.m2());
-  w.put_f64(fct_.sum());
-  w.put_f64(fct_.raw_min());
-  w.put_f64(fct_.raw_max());
+  fct_.save_state(w);
 
   w.put_u64(flows_.size());
   for (const FlowEntry& e : flows_) {
@@ -706,16 +685,7 @@ void ShardedFlowSimulator::restore_state(state::SnapshotReader& r) {
   now_ = Seconds{r.get_f64()};
   grid_cursor_ = r.get_u64();
   next_id_ = r.get_u64();
-  {
-    const std::uint64_t n = r.get_u64();
-    const double mean = r.get_f64();
-    const double m2 = r.get_f64();
-    const double sum = r.get_f64();
-    const double min = r.get_f64();
-    const double max = r.get_f64();
-    fct_ = SummaryStat{};
-    fct_.restore(n, mean, m2, sum, min, max);
-  }
+  fct_.restore_state(r);
 
   flows_.clear();
   flows_.resize(r.get_u64());

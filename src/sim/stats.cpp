@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "netpp/state/snapshot.h"
+
 namespace netpp {
 
 void SummaryStat::add(double x) {
@@ -21,6 +23,24 @@ double SummaryStat::variance() const {
 }
 
 double SummaryStat::stddev() const { return std::sqrt(variance()); }
+
+void SummaryStat::save_state(state::SnapshotWriter& w) const {
+  w.put_u64(n_);
+  w.put_f64(mean_);
+  w.put_f64(m2_);
+  w.put_f64(sum_);
+  w.put_f64(min_);
+  w.put_f64(max_);
+}
+
+void SummaryStat::restore_state(state::SnapshotReader& r) {
+  n_ = r.get_u64();
+  mean_ = r.get_f64();
+  m2_ = r.get_f64();
+  sum_ = r.get_f64();
+  min_ = r.get_f64();
+  max_ = r.get_f64();
+}
 
 TimeWeighted::TimeWeighted(double initial, Seconds start)
     : start_(start), last_(start), value_(initial) {}
@@ -46,6 +66,20 @@ double TimeWeighted::average(Seconds until) const {
   return span > 0.0 ? integral(until) / span : value_;
 }
 
+void TimeWeighted::save_state(state::SnapshotWriter& w) const {
+  w.put_f64(start_.value());
+  w.put_f64(last_.value());
+  w.put_f64(value_);
+  w.put_f64(integral_);
+}
+
+void TimeWeighted::restore_state(state::SnapshotReader& r) {
+  start_ = Seconds{r.get_f64()};
+  last_ = Seconds{r.get_f64()};
+  value_ = r.get_f64();
+  integral_ = r.get_f64();
+}
+
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
       bins_(bins, 0) {
@@ -65,18 +99,6 @@ void Histogram::add(double x) {
     if (idx >= bins_.size()) idx = bins_.size() - 1;  // fp edge case
     ++bins_[idx];
   }
-}
-
-void Histogram::restore(const std::vector<std::uint64_t>& bins,
-                        std::uint64_t underflow, std::uint64_t overflow,
-                        std::uint64_t total) {
-  if (bins.size() != bins_.size()) {
-    throw std::invalid_argument("Histogram: restore bin count mismatch");
-  }
-  bins_ = bins;
-  underflow_ = underflow;
-  overflow_ = overflow;
-  total_ = total;
 }
 
 double Histogram::quantile(double q) const {

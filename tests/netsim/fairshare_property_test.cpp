@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -18,7 +19,9 @@
 namespace netpp {
 namespace {
 
+using netpp::testing::CsrRows;
 using netpp::testing::max_min_fair_rates_reference;
+using netpp::testing::to_csr_rows;
 
 void expect_bit_identical(const std::vector<FairShareFlow>& flows,
                           const std::vector<double>& caps,
@@ -125,13 +128,9 @@ TEST(FairShareProperty, SolverWorkspaceReuseIsClean) {
     for (auto& c : caps) c = rng.uniform(1.0, 50.0);
     const auto flows = random_problem(rng, num_res, num_flows);
 
-    std::vector<FairShareFlowView> views;
-    views.reserve(flows.size());
-    for (const auto& flow : flows) {
-      views.push_back(
-          {std::span<const std::size_t>(flow.resources), flow.cap});
-    }
-    const auto& from_reused = reused.solve(views, caps);
+    const CsrRows rows = to_csr_rows(flows);
+    const auto from_reused =
+        reused.solve(rows.arena, rows.start, rows.caps, caps);
     const auto fresh = max_min_fair_rates(flows, caps);
     ASSERT_EQ(from_reused.size(), fresh.size());
     for (std::size_t f = 0; f < fresh.size(); ++f) {
@@ -140,34 +139,28 @@ TEST(FairShareProperty, SolverWorkspaceReuseIsClean) {
   }
 }
 
-TEST(FairShareProperty, ViewApiMatchesVectorApi) {
-  const std::vector<FairShareFlow> flows = {
-      {{0, 1}, 0.0}, {{1, 2}, 3.0}, {{0, 2}, 0.0}};
-  const std::vector<double> caps = {30.0, 25.0, 60.0};
-  const auto from_vectors = max_min_fair_rates(flows, caps);
-
-  std::vector<FairShareFlowView> views;
-  for (const auto& flow : flows) {
-    views.push_back({std::span<const std::size_t>(flow.resources), flow.cap});
-  }
-  MaxMinSolver solver;
-  const auto& from_views = solver.solve(views, caps);
-  ASSERT_EQ(from_views.size(), from_vectors.size());
-  for (std::size_t f = 0; f < from_vectors.size(); ++f) {
-    EXPECT_EQ(from_views[f], from_vectors[f]);
-  }
-}
-
 TEST(FairShareProperty, InvalidInputsThrowLikeReference) {
   MaxMinSolver solver;
   const std::vector<double> bad_cap = {-1.0};
   const std::vector<double> good_cap = {100.0};
-  const std::vector<std::size_t> out_of_range = {5};
-  std::vector<FairShareFlowView> views = {
-      {std::span<const std::size_t>(out_of_range), 0.0}};
-  EXPECT_THROW(solver.solve(views, good_cap), std::out_of_range);
-  views[0].resources = {};
-  EXPECT_THROW(solver.solve(views, bad_cap), std::invalid_argument);
+  const std::vector<double> uncapped = {0.0};
+  // Row offsets for one flow crossing one resource, or none.
+  const std::vector<std::uint32_t> one_hop_row = {0, 1};
+  const std::vector<std::uint32_t> empty_row = {0, 0};
+  const std::vector<std::uint32_t> out_of_range = {5};
+  EXPECT_THROW(solver.solve(out_of_range, one_hop_row, uncapped, good_cap),
+               std::out_of_range);
+  EXPECT_THROW(solver.solve({}, empty_row, uncapped, bad_cap),
+               std::invalid_argument);
+  // Malformed rows: offsets that miss the arena, or a cap count that does
+  // not match the row count.
+  const std::vector<std::uint32_t> hop0 = {0};
+  EXPECT_THROW(solver.solve(hop0, empty_row, uncapped, good_cap),
+               std::invalid_argument);
+  EXPECT_THROW(solver.solve(hop0, one_hop_row, {}, good_cap),
+               std::invalid_argument);
+  EXPECT_THROW(solver.solve_arena(hop0, empty_row, good_cap, hop0, 1.0),
+               std::invalid_argument);
 }
 
 }  // namespace

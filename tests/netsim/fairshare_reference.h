@@ -4,15 +4,38 @@
 // per-round linear scans; the optimized solver must be bit-identical to
 // this on every SIMD dispatch path — both perform the same IEEE arithmetic
 // in the same order, so the tests compare with EXPECT_EQ, not EXPECT_NEAR.
+// Also home to the CSR flattening the tests feed MaxMinSolver's entry
+// points with.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "netpp/netsim/fairshare.h"
 
 namespace netpp::testing {
+
+/// A problem as the CSR rows MaxMinSolver takes: flow f's resources are
+/// arena[start[f] .. start[f+1]) and its cap is caps[f].
+struct CsrRows {
+  std::vector<std::uint32_t> arena;
+  std::vector<std::uint32_t> start{0};
+  std::vector<double> caps;
+};
+
+inline CsrRows to_csr_rows(const std::vector<FairShareFlow>& flows) {
+  CsrRows rows;
+  for (const FairShareFlow& flow : flows) {
+    for (const std::size_t r : flow.resources) {
+      rows.arena.push_back(static_cast<std::uint32_t>(r));
+    }
+    rows.start.push_back(static_cast<std::uint32_t>(rows.arena.size()));
+    rows.caps.push_back(flow.cap);
+  }
+  return rows;
+}
 
 inline std::vector<double> max_min_fair_rates_reference(
     const std::vector<FairShareFlow>& flows,

@@ -3,8 +3,8 @@
 // them) must produce bit-identical results — both at the kernel level
 // (settle, completion_scan, div_shares, fill_unfrozen compared lane by lane
 // against the forced-scalar path) and end to end (the solver against the
-// verbatim pre-optimization reference, and the sparse solve_on/solve_arena
-// entry points against the dense solve()). force_simd_level() exists for
+// verbatim pre-optimization reference, and the sparse solve_arena entry
+// point against the dense solve()). force_simd_level() exists for
 // exactly this sweep; the suite runs under ASan/UBSan and TSan in CI.
 //
 // Comparisons use the raw double bits (std::bit_cast), not ==: the contract
@@ -138,9 +138,9 @@ TEST(FairShareSoa, SolverMatchesReferenceOnEveryDispatchPath) {
   }
 }
 
-// The sparse entry points the simulator rides on (solve_on over views,
-// solve_arena over a pre-flattened CSR) must return exactly the doubles the
-// dense solve() does — on every dispatch path.
+// The sparse entry point the simulator's binding walk rides on (solve_arena
+// over a touched set and a uniform cap) must return exactly the doubles the
+// dense solve() does over the same CSR rows — on every dispatch path.
 TEST(FairShareSoa, SparseEntryPointsMatchDenseSolve) {
   constexpr double kUniformCap = 25.0;
   for (const soa::SimdLevel level : compiled_levels()) {
@@ -150,55 +150,26 @@ TEST(FairShareSoa, SparseEntryPointsMatchDenseSolve) {
       Problem p = random_problem(rng, true);
       if (p.flows.empty()) continue;
 
+      const testing::CsrRows rows = testing::to_csr_rows(p.flows);
       MaxMinSolver dense;
-      std::vector<FairShareFlowView> views;
-      views.reserve(p.flows.size());
-      for (const auto& flow : p.flows) {
-        views.push_back(
-            {std::span<const std::size_t>(flow.resources), flow.cap});
-      }
-      const auto dense_span = dense.solve(views, p.caps);
+      const auto dense_span = dense.solve(rows.arena, rows.start, rows.caps,
+                                          p.caps);
       const std::vector<double> expected{dense_span.begin(),
                                          dense_span.end()};
 
-      // Flatten to the 32-bit CSR layout and collect the touched set.
-      std::vector<std::uint32_t> arena;
-      std::vector<std::uint32_t> start{0};
       std::vector<std::uint32_t> touched;
       std::vector<std::uint8_t> seen(p.caps.size(), 0);
-      std::vector<FairShareFlowView32> views32;
-      std::vector<std::vector<std::uint32_t>> rows32(p.flows.size());
-      for (std::size_t f = 0; f < p.flows.size(); ++f) {
-        for (std::size_t r : p.flows[f].resources) {
-          const auto r32 = static_cast<std::uint32_t>(r);
-          arena.push_back(r32);
-          rows32[f].push_back(r32);
-          if (seen[r] == 0) {
-            seen[r] = 1;
-            touched.push_back(r32);
-          }
+      for (std::uint32_t r : rows.arena) {
+        if (seen[r] == 0) {
+          seen[r] = 1;
+          touched.push_back(r);
         }
-        start.push_back(static_cast<std::uint32_t>(arena.size()));
-      }
-      for (std::size_t f = 0; f < p.flows.size(); ++f) {
-        views32.push_back(
-            {std::span<const std::uint32_t>(rows32[f]), kUniformCap});
       }
 
       MaxMinSolver sparse;
-      const auto on_span = sparse.solve_on(
-          std::span<const FairShareFlowView32>(views32), p.caps,
-          std::span<const std::uint32_t>(touched), kUniformCap);
-      ASSERT_EQ(on_span.size(), expected.size());
-      for (std::size_t f = 0; f < expected.size(); ++f) {
-        EXPECT_EQ(bits(on_span[f]), bits(expected[f]))
-            << "solve_on, level " << soa::to_string(level) << ", trial "
-            << trial << ", flow " << f;
-      }
-
       const auto arena_span = sparse.solve_arena(
-          arena, start, p.caps, std::span<const std::uint32_t>(touched),
-          kUniformCap);
+          rows.arena, rows.start, p.caps,
+          std::span<const std::uint32_t>(touched), kUniformCap);
       ASSERT_EQ(arena_span.size(), expected.size());
       for (std::size_t f = 0; f < expected.size(); ++f) {
         EXPECT_EQ(bits(arena_span[f]), bits(expected[f]))

@@ -84,6 +84,9 @@ TEST(FairShare, InvalidInputsThrow) {
                    {std::numeric_limits<double>::quiet_NaN()}),
                std::invalid_argument);
   EXPECT_THROW(max_min_fair_rates({{{5}, 0.0}}, {100.0}), std::out_of_range);
+  // An index that would wrap to a valid one when narrowed to 32 bits.
+  EXPECT_THROW(max_min_fair_rates({{{std::size_t{1} << 32}, 0.0}}, {100.0}),
+               std::out_of_range);
 }
 
 TEST(FairShare, ZeroCapacityPinsFlowsToZero) {

@@ -9,6 +9,7 @@
 
 #include <map>
 
+#include "netpp/faults/fault_model.h"
 #include "netpp/netsim/flowsim.h"
 #include "netpp/topo/builders.h"
 #include "netpp/traffic/generators.h"
@@ -128,6 +129,112 @@ TEST(FlowSimIncremental, OverloadedNicCappedMatchesFullResolve) {
 
   expect_equivalent(fast, full);
   EXPECT_GT(fast.stats.full_solves, 0u);
+}
+
+struct FaultRun {
+  std::map<FlowId, double> finished;
+  std::size_t completed = 0;
+  std::size_t events = 0;
+  double fct_sum = 0.0;
+  FlowSimulator::ReallocStats stats;
+};
+
+/// Runs `flows` under `schedule`, applying each fault and its repair
+/// directly on the simulator. Devices never overlap their own faults, so a
+/// repair restores exactly what its fault changed.
+FaultRun run_with_faults(const BuiltTopology& topo,
+                         const std::vector<FlowSpec>& flows,
+                         const FaultSchedule& schedule, Gbps cap,
+                         bool incremental) {
+  SimEngine engine;
+  Router router{topo.graph};
+  FlowSimulator::Config cfg;
+  cfg.flow_rate_cap = cap;
+  cfg.incremental_reallocation = incremental;
+  cfg.strand_unroutable = true;
+  FlowSimulator sim{topo.graph, router, engine, cfg};
+  for (const auto& f : flows) sim.submit(f);
+  for (const FaultSpec& fault : schedule.faults) {
+    engine.schedule_at(fault.at, [&sim, fault] {
+      switch (fault.kind) {
+        case FaultKind::kSwitchDown:
+          sim.set_node_enabled(fault.node, false);
+          break;
+        case FaultKind::kLinkDown:
+          sim.set_link_enabled(fault.link, false);
+          break;
+        case FaultKind::kLinkDegraded:
+          sim.set_link_capacity_factor(fault.link, fault.capacity_factor);
+          break;
+      }
+    });
+    engine.schedule_at(fault.recover_at, [&sim, fault] {
+      switch (fault.kind) {
+        case FaultKind::kSwitchDown:
+          sim.set_node_enabled(fault.node, true);
+          break;
+        case FaultKind::kLinkDown:
+          sim.set_link_enabled(fault.link, true);
+          break;
+        case FaultKind::kLinkDegraded:
+          sim.set_link_capacity_factor(fault.link, 1.0);
+          break;
+      }
+    });
+  }
+
+  FaultRun result;
+  result.events = engine.run();
+  result.completed = sim.completed().size();
+  for (const auto& record : sim.completed()) {
+    result.finished[record.id] = record.finished.value();
+  }
+  result.fct_sum = sim.fct_stats().sum();
+  result.stats = sim.realloc_stats();
+  return result;
+}
+
+TEST(FlowSimIncremental, CappedFullEvaluationUnderFaultsMatchesFullResolve) {
+  // Every topology change re-solves a capped run over the whole fabric (the
+  // full evaluation); every other event takes the seeded binding-subset
+  // walk. Switch and link outages plus degraded links keep both busy.
+  const auto topo = build_leaf_spine(4, 4, 4, 100_Gbps, 100_Gbps);
+  PoissonTrafficConfig tcfg;
+  tcfg.arrivals_per_second = 400.0;
+  tcfg.duration = Seconds{3.0};
+  tcfg.min_size = Bits::from_gigabits(1.0);
+  tcfg.max_size = Bits::from_gigabits(15.0);
+  tcfg.seed = 23;
+  const auto flows = make_poisson_traffic(topo.hosts, tcfg);
+
+  FaultGeneratorConfig fcfg;
+  fcfg.switches = {Seconds{4.0}, Seconds{0.3}};
+  fcfg.links = {Seconds{3.0}, Seconds{0.3}};
+  fcfg.degraded_fraction = 0.5;
+  fcfg.horizon = Seconds{3.0};
+  fcfg.seed = 0xFA17;
+  const FaultSchedule schedule = FaultGenerator{fcfg}.generate(topo.graph);
+  ASSERT_FALSE(schedule.empty());
+
+  const auto fast = run_with_faults(topo, flows, schedule, 25_Gbps, true);
+  const auto full = run_with_faults(topo, flows, schedule, 25_Gbps, false);
+
+  ASSERT_EQ(fast.completed, flows.size());
+  ASSERT_EQ(full.completed, flows.size());
+  for (const auto& [id, finished] : full.finished) {
+    const auto it = fast.finished.find(id);
+    ASSERT_NE(it, fast.finished.end()) << "flow " << id;
+    EXPECT_NEAR(it->second, finished, 1e-9) << "flow " << id;
+  }
+  EXPECT_GT(fast.stats.topology_changes, 0u);
+  EXPECT_GT(fast.stats.stranded, 0u);
+  EXPECT_GT(fast.stats.binding_solves, fast.stats.topology_changes);
+
+  // Golden: completions, engine events and the FCT sum of the incremental
+  // run, to the last bit.
+  EXPECT_EQ(fast.completed, 1220u);
+  EXPECT_EQ(fast.events, 2506u);
+  EXPECT_EQ(fast.fct_sum, 0x1.d097d6d4617eep+9);  // 929.1862435794881
 }
 
 TEST(FlowSimIncremental, StatsCountEveryEvent) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "netpp/state/snapshot.h"
+
 namespace netpp {
 namespace {
 
@@ -33,6 +35,65 @@ TEST(SummaryStat, SingleValue) {
   EXPECT_DOUBLE_EQ(s.mean(), 3.5);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
+}
+
+TEST(SummaryStat, SnapshotRoundTripKeepsEveryAccumulator) {
+  SummaryStat empty;
+  SummaryStat filled;
+  for (double x : {3.0, -1.5, 7.25}) filled.add(x);
+  state::SnapshotWriter w;
+  w.begin_section("stats");
+  empty.save_state(w);
+  filled.save_state(w);
+  w.end_section();
+
+  state::SnapshotReader r{w.buffer()};
+  r.open_section("stats");
+  SummaryStat restored_empty;
+  restored_empty.add(42.0);  // overwritten by the restore
+  SummaryStat restored;
+  restored_empty.restore_state(r);
+  restored.restore_state(r);
+  r.close_section();
+
+  // The empty stat's +/-inf extrema survive, so the first add after the
+  // restore sets both, as on a fresh stat.
+  EXPECT_EQ(restored_empty.count(), 0u);
+  restored_empty.add(-2.0);
+  EXPECT_EQ(restored_empty.min(), -2.0);
+  EXPECT_EQ(restored_empty.max(), -2.0);
+  // Continuing the restored stat matches continuing the original bitwise.
+  filled.add(0.5);
+  restored.add(0.5);
+  EXPECT_EQ(restored.count(), filled.count());
+  EXPECT_EQ(restored.mean(), filled.mean());
+  EXPECT_EQ(restored.m2(), filled.m2());
+  EXPECT_EQ(restored.sum(), filled.sum());
+  EXPECT_EQ(restored.min(), filled.min());
+  EXPECT_EQ(restored.max(), filled.max());
+}
+
+TEST(TimeWeighted, SnapshotRoundTripContinuesTheIntegral) {
+  TimeWeighted original{1.0, Seconds{0.5}};
+  original.set(Seconds{1.5}, 4.0);
+  state::SnapshotWriter w;
+  w.begin_section("signal");
+  original.save_state(w);
+  w.end_section();
+
+  state::SnapshotReader r{w.buffer()};
+  r.open_section("signal");
+  TimeWeighted restored;
+  restored.restore_state(r);
+  r.close_section();
+
+  EXPECT_EQ(restored.start().value(), 0.5);
+  EXPECT_EQ(restored.last_change().value(), 1.5);
+  EXPECT_EQ(restored.current(), 4.0);
+  original.set(Seconds{3.0}, 2.0);
+  restored.set(Seconds{3.0}, 2.0);
+  EXPECT_EQ(restored.integral(Seconds{4.0}), original.integral(Seconds{4.0}));
+  EXPECT_EQ(restored.average(Seconds{4.0}), original.average(Seconds{4.0}));
 }
 
 TEST(TimeWeighted, ConstantSignal) {
