@@ -12,6 +12,12 @@
 //   sharded_1m_smoke      <-> scoreboard_sharded_1m_smoke_ms
 //   serve_qps             <-> scoreboard_serve_qps_ms
 //   telemetry_idle        absolute gate (< 2%), reference display-only
+//   sharded_overhead      absolute gate (< 150%), reference display-only:
+//                         100 x (sharded_composite_smoke / composite_stack
+//                         - 1), both from the same measure_suite() pass —
+//                         the price of the 4-shard barrier loop over the
+//                         single backend on one scenario, compared across
+//                         paths rather than with its own past
 //
 // Reference numbers MUST come from this binary (--write-reference in CI,
 // --record context injection in tools/record_bench.sh): two binaries
@@ -152,6 +158,15 @@ double measure_sharded_composite(int rounds) {
   });
 }
 
+// The sharded_overhead row: what the 4-shard backend costs over the single
+// one on the composite scenario, in percent. Both times must come from the
+// same pass so host noise hits the two sides alike.
+constexpr double kShardedOverheadGatePct = 150.0;
+
+double sharded_overhead_pct(double sharded_ms, double single_ms) {
+  return 100.0 * (sharded_ms / single_ms - 1.0);
+}
+
 // CI-sized cut of the bench_flowsim_sharded 1M gate: the same standing-
 // population scenario at 50k flows, run through the 2-shard barrier loop.
 double measure_sharded_smoke(int rounds) {
@@ -211,6 +226,7 @@ struct SuiteMeasurements {
   double sharded_smoke_ms;
   double serve_qps_ms;
   double telemetry_idle_pct;
+  double sharded_overhead_pct;
 };
 
 SuiteMeasurements measure_suite(int rounds) {
@@ -225,6 +241,8 @@ SuiteMeasurements measure_suite(int rounds) {
   m.sharded_smoke_ms = measure_sharded_smoke(rounds);
   m.serve_qps_ms = measure_serve_qps(rounds);
   m.telemetry_idle_pct = bench::measure_idle_overhead_pct(rounds);
+  m.sharded_overhead_pct =
+      sharded_overhead_pct(m.sharded_composite_ms, m.composite_stack_ms);
   return m;
 }
 
@@ -237,7 +255,7 @@ constexpr const char* kBuildType =
 
 /// Writes the suite as a reference JSON in the google-benchmark schema the
 /// scoreboard parser reads: scoreboard keys as benchmark entries, build
-/// type and telemetry overhead as context.
+/// type and the two absolute-gate percentages as context.
 bool write_reference(const std::string& path, const SuiteMeasurements& m) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return false;
@@ -245,10 +263,11 @@ bool write_reference(const std::string& path, const SuiteMeasurements& m) {
                "{\n"
                "  \"context\": {\n"
                "    \"netpp_build_type\": \"%s\",\n"
-               "    \"telemetry_idle_overhead_pct\": %.3f\n"
+               "    \"telemetry_idle_overhead_pct\": %.3f,\n"
+               "    \"sharded_overhead_pct\": %.3f\n"
                "  },\n"
                "  \"benchmarks\": [\n",
-               kBuildType, m.telemetry_idle_pct);
+               kBuildType, m.telemetry_idle_pct, m.sharded_overhead_pct);
   const struct { const char* key; double ms; } rows[] = {
       {"scoreboard_solver_capped_100k_ms", m.solver_capped_ms},
       {"scoreboard_solver_uncapped_100k_ms", m.solver_uncapped_ms},
@@ -327,6 +346,7 @@ int main(int argc, char** argv) {
                   m.sharded_composite_ms);
       std::printf("scoreboard_sharded_1m_smoke_ms=%.3f\n", m.sharded_smoke_ms);
       std::printf("scoreboard_serve_qps_ms=%.3f\n", m.serve_qps_ms);
+      std::printf("sharded_overhead_pct=%.3f\n", m.sharded_overhead_pct);
     }
     return 0;
   }
@@ -387,6 +407,15 @@ int main(int argc, char** argv) {
     telemetry.limit = bench::kTelemetryIdleGatePct;
     rows.push_back(std::move(telemetry));
   }
+  {
+    bench::ScoreRow overhead;
+    overhead.name = "sharded_overhead";
+    overhead.reference_key = "sharded_overhead_pct";
+    overhead.kind = bench::RowKind::kAbsolutePct;
+    overhead.measured = m.sharded_overhead_pct;
+    overhead.limit = kShardedOverheadGatePct;
+    rows.push_back(std::move(overhead));
+  }
 
   // Adaptive re-measurement: host noise on a shared runner is bursty at
   // second scale, so one burst can inflate every round of a single row.
@@ -404,6 +433,10 @@ int main(int argc, char** argv) {
       [](int r) { return measure_sharded_smoke(r); },
       [](int r) { return measure_serve_qps(r); },
       [](int r) { return bench::measure_idle_overhead_pct(r); },
+      [](int r) {
+        const double single_ms = measure_composite_stack(r);
+        return sharded_overhead_pct(measure_sharded_composite(r), single_ms);
+      },
   };
   bench::ScoreboardReport report = bench::score_rows(rows, ref);
   for (int pass = 0; pass < 4 && report.failures > 0; ++pass) {

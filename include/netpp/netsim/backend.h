@@ -136,8 +136,8 @@ class SimulatorBackend {
   /// Number of shard simulators behind this backend (1 for single).
   [[nodiscard]] virtual std::size_t shard_count() const = 0;
   /// Mutable shard simulator, for attaching per-shard observers. Observers
-  /// fire on worker threads inside sharded windows and must touch only
-  /// their own shard.
+  /// fire inside sharded windows, on a pool helper or the calling thread,
+  /// and must touch only their own shard.
   [[nodiscard]] virtual FlowSimulator& shard_sim(std::size_t s) = 0;
   /// Shard-local topology (id maps + gateway), or nullptr when the shard
   /// runs on the global graph verbatim (single backend).

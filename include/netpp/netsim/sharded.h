@@ -54,8 +54,11 @@ class ShardedFlowSimulator {
     /// any graph the plain FlowSimulator does, core endpoints included.
     std::size_t num_shards = 1;
     /// Worker-thread ceiling for the window phase; 0 draws everything the
-    /// shared thread budget (netpp/sim/thread_budget.h) allows. Never
-    /// affects results, only wall-clock.
+    /// shared thread budget (netpp/sim/thread_budget.h) allows. A window
+    /// goes to the worker pool only when more than one shard has an event
+    /// at or before its barrier; with at most one busy shard there is
+    /// nothing to overlap, and the window runs on the calling thread.
+    /// Never affects results, only wall-clock.
     std::size_t num_threads = 0;
     /// Bounded-lag window: barriers sit on the multiples of this interval
     /// (plus every run_until() boundary). Smaller windows track cross-shard
@@ -147,8 +150,9 @@ class ShardedFlowSimulator {
     return *shards_[s]->sim;
   }
   /// Mutable per-shard simulator access for wiring per-shard observers
-  /// (load-trace recorders). An observer attached here fires on a worker
-  /// thread inside the window phase and must touch only its own shard.
+  /// (load-trace recorders). An observer attached here fires inside the
+  /// window phase, on a pool helper or on the calling thread, and must
+  /// touch only its own shard.
   [[nodiscard]] FlowSimulator& shard_mutable(std::size_t s) {
     return *shards_[s]->sim;
   }

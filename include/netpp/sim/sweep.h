@@ -31,8 +31,9 @@ class SweepRunner {
  public:
   /// Called after each scenario finishes, as (scenarios done so far, total).
   /// Invocations are serialized (one at a time, in completion order — not
-  /// index order) and run on worker threads, so keep it cheap: progress
-  /// lines to stderr, a counter bump. Results are unaffected.
+  /// index order) and run on whichever thread finished the scenario: a
+  /// pool helper or the thread that called run_indexed. Keep it cheap:
+  /// progress lines to stderr, a counter bump. Results are unaffected.
   using ProgressCallback =
       std::function<void(std::size_t done, std::size_t total)>;
 

@@ -9,15 +9,25 @@
 // an RAII lease that carves a share out of it, and parallel_for, which
 // both components call.
 //
-// Leases only size pools; they never change results. Both callers are
-// bit-deterministic in their worker count by construction, so a smaller
+// parallel_for runs on one process-wide pool of persistent helper threads
+// that park on a condition variable between calls, so a call costs a
+// wake-up, not a thread spawn and join. The pool grows lazily to the most
+// helpers the leases have needed at once and never shrinks; the lease
+// still decides how many threads (the caller included) may work on one
+// call.
+//
+// Leases only size the worker set; they never change results. Both callers
+// are bit-deterministic in their worker count by construction, so a smaller
 // grant under contention affects wall-clock only.
 #pragma once
 
 #include <atomic>
+#include <charconv>
 #include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <system_error>
 #include <thread>
 
 namespace netpp::thread_budget {
@@ -34,12 +44,23 @@ inline std::atomic<std::size_t>& leased() {
   return value;
 }
 
+/// Parses a NETPP_THREAD_BUDGET value: a whole decimal >= 1, every
+/// character a digit and the value within size_t. Returns 0 for anything
+/// else ("", "0", "-2", "4x", "1e3", overflow), which means "use the
+/// default".
+inline std::size_t parse_budget(const char* text) {
+  if (text == nullptr) return 0;
+  const char* const end = text + std::strlen(text);
+  std::size_t value = 0;
+  const auto [stop, error] = std::from_chars(text, end, value);
+  return error == std::errc{} && stop == end ? value : 0;
+}
+
 inline std::size_t default_pool_size() {
   static const std::size_t value = [] {
-    if (const char* env = std::getenv("NETPP_THREAD_BUDGET")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed > 0) return static_cast<std::size_t>(parsed);
-    }
+    const std::size_t parsed =
+        parse_budget(std::getenv("NETPP_THREAD_BUDGET"));
+    if (parsed > 0) return parsed;
     const unsigned hw = std::thread::hardware_concurrency();
     return static_cast<std::size_t>(hw > 0 ? hw : 1);
   }();
@@ -104,10 +125,15 @@ class ThreadLease {
 
 /// Runs `task(i)` for every i in [0, n) on a lease of min(max_workers, n)
 /// workers (max_workers 0 = the whole budget). One granted worker runs the
-/// tasks inline in index order; more run them on spawned threads that claim
-/// indices from a shared counter, so tasks must not share unsynchronized
-/// state. Every task runs even when some throw; once all have finished,
-/// the exception from the smallest failing index is rethrown.
+/// tasks inline in index order. With more, the calling thread publishes the
+/// call to the persistent pool and claims indices from a shared counter
+/// alongside whichever parked helpers join, at most granted - 1 of them; so
+/// any task may run on the caller or on a helper, and tasks must not share
+/// unsynchronized state. The caller waits only for helpers that joined, so
+/// a task may itself call parallel_for (nested calls cannot deadlock), and
+/// a helper that cannot be started only leaves the caller more work. Every
+/// task runs even when some throw; once all have finished, the exception
+/// from the smallest failing index is rethrown.
 void parallel_for(std::size_t n, std::size_t max_workers,
                   const std::function<void(std::size_t)>& task);
 

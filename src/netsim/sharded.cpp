@@ -201,10 +201,18 @@ void ShardedFlowSimulator::run() {
 }
 
 void ShardedFlowSimulator::advance_shards(Seconds target) {
+  // Only a shard with an event at or before the target has work in this
+  // window (SimEngine::run_until runs events at exactly `until`); the rest
+  // just move their clock. With at most one busy shard there is nothing to
+  // overlap, so the window runs on this thread instead of waking helpers.
+  std::size_t busy = 0;
+  for (const auto& shard : shards_) {
+    if (shard->engine->next_event_time() <= target.value()) ++busy;
+  }
   // Workers claim whole shards; two workers never touch the same shard, and
   // nothing cross-shard happens until the serial barrier phase.
   thread_budget::parallel_for(
-      shards_.size(), config_.num_threads,
+      shards_.size(), busy > 1 ? config_.num_threads : 1,
       [&](std::size_t s) { shards_[s]->engine->run_until(target); });
 }
 

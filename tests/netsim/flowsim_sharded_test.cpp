@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "netpp/netsim/flowsim.h"
@@ -250,6 +251,54 @@ TEST(ShardedFlowSim, WindowErrorFromLowestShardAtAnyWorkerCount) {
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "shard 1") << threads << " workers";
     }
+  }
+}
+
+TEST(ShardedFlowSim, LoneBusyShardWindowsRunOnTheCallingThread) {
+  // Flows stay inside one pod, so every window has at most one shard with
+  // events before the barrier: it runs on the caller even when four
+  // workers are allowed, with results identical to one worker.
+  thread_budget::set_pool_size(4);
+  const auto topo = build_fat_tree(4, 100_Gbps);
+  constexpr std::size_t kBusy = 2;
+
+  std::vector<FlowRecord> reference;
+  SummaryStat reference_fct;
+  for (const std::size_t threads : {1u, 4u}) {
+    ShardedFlowSimulator::Config scfg;
+    scfg.num_shards = 4;  // one pod per shard
+    scfg.num_threads = threads;
+    scfg.shard.flow_rate_cap = 25_Gbps;
+    ShardedFlowSimulator sim{topo.graph, scfg};
+    std::vector<NodeId> hosts;
+    for (const NodeId n : sim.partition().pod_nodes[kBusy]) {
+      if (topo.graph.node(n).kind == NodeKind::kHost) hosts.push_back(n);
+    }
+    PoissonTrafficConfig tcfg;
+    tcfg.arrivals_per_second = 200.0;
+    tcfg.duration = Seconds{1.0};
+    tcfg.min_size = Bits::from_gigabits(0.2);
+    tcfg.max_size = Bits::from_gigabits(4.0);
+    tcfg.seed = 77;
+    for (const auto& f : make_poisson_traffic(hosts, tcfg)) sim.submit(f);
+
+    std::vector<std::thread::id> ran_on;
+    sim.shard_mutable(kBusy).set_load_listener(
+        [&](Seconds) { ran_on.push_back(std::this_thread::get_id()); });
+    sim.run_until(Seconds{2.0});
+    sim.check_invariants();
+
+    ASSERT_FALSE(ran_on.empty());
+    for (const std::thread::id id : ran_on) {
+      ASSERT_EQ(id, std::this_thread::get_id()) << threads << " workers";
+    }
+    if (threads == 1) {
+      reference = sim.completed();
+      reference_fct = sim.fct_stats();
+      EXPECT_GT(reference.size(), 0u);
+      continue;
+    }
+    expect_identical_results(sim, reference, reference_fct);
   }
 }
 
