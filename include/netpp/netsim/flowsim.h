@@ -359,7 +359,16 @@ class FlowSimulator {
   /// reallocate() can confine the writeback. See reallocate() for why this
   /// is the same allocation.
   bool reallocate_binding_subset(double cap_bps);
-  void schedule_next_completion();
+  /// Cancels the pending completion event and schedules the next one from a
+  /// full completion scan. `retry` marks the nothing-due guard (see
+  /// schedule_completion).
+  void schedule_next_completion(bool retry = false);
+  /// Schedules the completion event at the earliest finish implied by a
+  /// completion scan's minima (none when no flow progresses). A `retry` that
+  /// rounds back to now, with no other event pending at now, would re-fire
+  /// the same no-op forever; it moves to the next representable time.
+  void schedule_completion(double min_quotient, double min_capped,
+                           bool retry = false);
   /// Completion (re)scheduling after a fast arrival: the new flow is the
   /// only one whose completion estimate changed and it runs exactly at the
   /// uniform cap, so min(current event time, now + remaining / cap)
@@ -367,6 +376,10 @@ class FlowSimulator {
   /// The ulp-level slack between a kept event time and a freshly scanned
   /// one is absorbed by complete_due_flows' nothing-due reschedule guard.
   void schedule_completion_for_cap_arrival(std::size_t index);
+  /// Completion-event body: one soa::settle_and_scan pass settles to now and
+  /// counts the due flows; a soa::find_due search jumps from one to the next
+  /// (swap-and-pop order), and the pass's minima schedule the next event
+  /// when every departure took the fast path.
   void complete_due_flows(Seconds now);
   /// Arrival fast path: if the new flow (already in active_, at index i) can
   /// run at its cap without saturating any link it crosses, no other
@@ -527,9 +540,11 @@ class FlowSimulator {
   std::vector<ActiveFlow> active_;
   // Hot per-flow scalars, parallel to active_ (structure-of-arrays; see the
   // ActiveFlow comment). Maintained in lockstep at every push and
-  // swap-and-pop: rate and remaining feed the soa::settle /
-  // soa::completion_scan kernels as dense 64-byte-aligned double streams;
-  // begin/count are flow i's block in the flow_links_ arena.
+  // swap-and-pop: rate and remaining feed the soa kernels as dense
+  // 64-byte-aligned double streams — one fused soa::settle_and_scan pass
+  // plus soa::find_due searches per completion event, soa::settle at
+  // admissions and topology changes, soa::completion_scan after every
+  // reallocation; begin/count are flow i's block in the flow_links_ arena.
   soa::AlignedVec<double> flow_rate_bps_;
   soa::AlignedVec<double> flow_remaining_;
   soa::AlignedVec<std::uint32_t> flow_lbegin_;

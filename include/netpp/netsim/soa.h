@@ -10,14 +10,17 @@
 //     the bulk of the range) and never value-initializes on resize, so
 //     re-using a workspace across solves costs exactly the bytes written.
 //
-//   - Branch-light kernels (div_shares, fill_unfrozen) with an optional
-//     explicit SSE2/AVX2 implementation behind NETPP_SIMD, selected at
-//     runtime from CPUID. Every path is bit-identical to the scalar loop:
-//     the kernels use only IEEE-exact operations (correctly-rounded vdivpd,
-//     blends, integer->double conversion), so the solver's results do not
+//   - Branch-light kernels with an optional explicit SSE2/AVX2
+//     implementation behind NETPP_SIMD, selected at runtime from CPUID: the
+//     solver's div_shares and fill_unfrozen, and the flow simulator's
+//     column passes (settle, completion_scan, and the completion event's
+//     fused settle_and_scan plus its find_due search). Every path is
+//     bit-identical to the scalar loop: the kernels use only IEEE-exact
+//     operations (correctly-rounded vdivpd, separate multiply and subtract,
+//     blends, min/max, integer->double conversion), so results do not
 //     depend on the dispatch level. tests/netsim/fairshare_soa_test.cpp
-//     pins each compiled path against the reference solver;
-//     force_simd_level() exists for exactly that sweep.
+//     pins each compiled path against the scalar kernels and the reference
+//     solver; force_simd_level() exists for exactly that sweep.
 #pragma once
 
 #include <cstddef>
@@ -181,8 +184,41 @@ void settle(double* remaining, const double* rate, double dt, std::size_t n);
 ///   *min_capped   = min(remaining[i])            where rate[i] == cap
 /// Both are +inf when no lane qualifies. Qualifying lanes produce no NaN
 /// (rate > 0) so the min reductions are order-independent — the vector
-/// accumulators match the scalar scan bit for bit.
+/// accumulators match the scalar scan bit for bit. The vector paths divide
+/// only in blocks holding a below-cap lane, so an all-capped array costs no
+/// division at all.
 void completion_scan(const double* remaining, const double* rate, double cap,
                      std::size_t n, double* min_quotient, double* min_capped);
+
+/// What one settle_and_scan pass found.
+struct CompletionPass {
+  /// Lanes due after the settle: !(remaining[i] > eps), so NaN counts as due.
+  std::size_t due = 0;
+  /// Lowest due index; n when no lane is due.
+  std::size_t first_due = 0;
+  /// completion_scan's two minima, over the lanes that stay above eps.
+  double min_quotient = std::numeric_limits<double>::infinity();
+  double min_capped = std::numeric_limits<double>::infinity();
+};
+
+/// A completion event's one pass over the rate/remaining columns:
+///   - settles every lane exactly as settle() does, and writes nothing when
+///     dt <= 0;
+///   - counts the due lanes, !(remaining[i] > eps), and reports the lowest;
+///   - takes completion_scan()'s minima over the lanes above eps.
+/// Each lane goes through the same IEEE operations as settle() followed by
+/// completion_scan() over the surviving lanes, so every path is
+/// bit-identical to that sequence. The vector paths divide only in blocks
+/// holding a below-cap lane, and a block whose lanes all stay above eps at
+/// a positive cap costs one min. Allocation-free.
+[[nodiscard]] CompletionPass settle_and_scan(double* remaining,
+                                             const double* rate, double dt,
+                                             double eps, double cap,
+                                             std::size_t n);
+
+/// Lowest index i in [from, n) with !(remaining[i] > eps) — settle_and_scan's
+/// due predicate — or n when there is none.
+[[nodiscard]] std::size_t find_due(const double* remaining, double eps,
+                                   std::size_t from, std::size_t n);
 
 }  // namespace netpp::soa

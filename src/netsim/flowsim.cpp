@@ -1011,27 +1011,44 @@ bool FlowSimulator::reallocate_binding_subset(double cap_bps) {
   return seed_valid_;
 }
 
-void FlowSimulator::schedule_next_completion() {
+void FlowSimulator::schedule_next_completion(bool retry) {
   if (completion_event_) {
     engine_.cancel(*completion_event_);
     completion_event_.reset();
   }
+  // A dense pass over the rate/remaining SoA columns (vectorized kernel).
+  double min_quotient;
+  double min_capped;
+  soa::completion_scan(flow_remaining_.data(), flow_rate_bps_.data(),
+                       config_.flow_rate_cap.bits_per_second(),
+                       active_.size(), &min_quotient, &min_capped);
+  schedule_completion(min_quotient, min_capped, retry);
+}
+
+void FlowSimulator::schedule_completion(double min_quotient,
+                                        double min_capped, bool retry) {
   // Most flows run at the uniform cap; for them one division after a
   // min-scan of remaining bits gives exactly min(remaining / cap), because
   // correctly-rounded division by a positive constant is monotone — the
-  // same double the per-flow divisions would produce. The scan itself is a
-  // dense pass over the rate/remaining SoA columns (vectorized kernel).
+  // same double the per-flow divisions would produce.
   const double cap_bps = config_.flow_rate_cap.bits_per_second();
-  double earliest;
-  double capped_bits;
-  soa::completion_scan(flow_remaining_.data(), flow_rate_bps_.data(), cap_bps,
-                       active_.size(), &earliest, &capped_bits);
-  if (std::isfinite(capped_bits)) {
-    earliest = std::min(earliest, capped_bits / cap_bps);
+  double earliest = min_quotient;
+  if (std::isfinite(min_capped)) {
+    earliest = std::min(earliest, min_capped / cap_bps);
   }
   if (!std::isfinite(earliest)) return;
-  completion_event_ = engine_.schedule_after(
-      Seconds{earliest}, [this] { complete_due_flows(engine_.now()); });
+  const Seconds now = engine_.now();
+  Seconds at = now + Seconds{earliest};
+  if (retry && at == now && engine_.next_event_time() > now.value()) {
+    // Nothing was due, the retry rounds back to now, and no other event
+    // can change the state at now: firing at now again would repeat the
+    // same no-op forever (large simulated times, where one ulp of time
+    // outlasts the last few bits). Move to the next representable time.
+    at = Seconds{std::nextafter(now.value(),
+                                std::numeric_limits<double>::infinity())};
+  }
+  completion_event_ = engine_.schedule_at(
+      at, [this] { complete_due_flows(engine_.now()); });
 }
 
 void FlowSimulator::schedule_completion_for_cap_arrival(std::size_t index) {
@@ -1068,15 +1085,28 @@ void FlowSimulator::set_remaining_bits(std::size_t index, double bits) {
 
 void FlowSimulator::complete_due_flows(Seconds now) {
   completion_event_.reset();
-  settle_progress(now);
-  bool any = false;
-  bool all_fast = true;
+  // One pass over the rate/remaining columns settles every flow to now,
+  // counts the due flows, and takes the completion minima of the rest.
+  const soa::CompletionPass pass = soa::settle_and_scan(
+      flow_remaining_.data(), flow_rate_bps_.data(),
+      (now - last_settle_).value(), kEpsBits,
+      config_.flow_rate_cap.bits_per_second(), active_.size());
+  last_settle_ = now;
   seed_links_.clear();
-  for (std::size_t i = 0; i < active_.size();) {
-    if (flow_remaining_[i] > kEpsBits) {
-      ++i;
-      continue;
-    }
+  if (pass.due == 0) {
+    // Numerical guard: the event fired before any flow crossed kEpsBits
+    // (see schedule_completion_for_cap_arrival); retry.
+    schedule_next_completion(/*retry=*/true);
+    return;
+  }
+  bool all_fast = true;
+  // Every flow below index i is not due, and a swap-and-pop moves the last
+  // flow into slot i, so each search resumes at i: the swapped-in flow is
+  // checked first, and the walk stops at the last due flow.
+  std::size_t i = pass.first_due;
+  for (std::size_t done = 0; done < pass.due; ++done) {
+    i = soa::find_due(flow_remaining_.data(), kEpsBits, i, active_.size());
+    assert(i < active_.size());
     FlowRecord record;
     record.id = active_[i].id;
     record.spec = active_[i].spec;
@@ -1085,7 +1115,6 @@ void FlowSimulator::complete_due_flows(Seconds now) {
     inst_.fct.observe(record.fct().value());
     if (events_) events_->end_span("flows", "flow", now, record.id);
     completed_.push_back(record);
-    any = true;
     // Departures free capacity only on their own links; remember them as
     // binding-subset seeds in case this event needs a re-solve.
     const auto links = flow_links(i);
@@ -1097,11 +1126,11 @@ void FlowSimulator::complete_due_flows(Seconds now) {
     swap_remove_active(i);
     if (completion_listener_) completion_listener_(completed_.back());
   }
-  if (!any) {
-    // Numerical guard: nothing finished (should not happen); reschedule.
-    schedule_next_completion();
-  } else if (all_fast) {
-    schedule_next_completion();
+  if (all_fast) {
+    // Fast departures write no surviving flow's rate or remaining, and the
+    // survivors are exactly the lanes the pass found above kEpsBits, so its
+    // minima are what a rescan would find.
+    schedule_completion(pass.min_quotient, pass.min_capped);
     update_flow_gauges();
     if (listener_) listener_(now);
   } else {

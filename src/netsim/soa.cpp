@@ -1,6 +1,7 @@
 #include "netpp/netsim/soa.h"
 
 #include <atomic>
+#include <bit>
 #include <limits>
 
 #if defined(NETPP_SIMD) && defined(__x86_64__) && \
@@ -63,7 +64,61 @@ void completion_scan_scalar(const double* remaining, const double* rate,
   *min_capped = c;
 }
 
+CompletionPass settle_and_scan_scalar(double* remaining, const double* rate,
+                                      double dt, double eps, double cap,
+                                      std::size_t n) {
+  const bool settle = dt > 0.0;
+  CompletionPass pass;
+  pass.first_due = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (settle) {
+      const double next = remaining[i] - rate[i] * dt;
+      remaining[i] = next > 0.0 ? next : 0.0;
+    }
+    const double rem = remaining[i];
+    if (!(rem > eps)) {
+      if (pass.due++ == 0) pass.first_due = i;
+      continue;
+    }
+    const double r = rate[i];
+    if (r <= 0.0) continue;
+    if (r == cap) {
+      if (rem < pass.min_capped) pass.min_capped = rem;
+    } else {
+      const double t = rem / r;
+      if (t < pass.min_quotient) pass.min_quotient = t;
+    }
+  }
+  return pass;
+}
+
+std::size_t find_due_scalar(const double* remaining, double eps,
+                            std::size_t from, std::size_t n) {
+  for (std::size_t i = from; i < n; ++i) {
+    if (!(remaining[i] > eps)) return i;
+  }
+  return n;
+}
+
 #if NETPP_SIMD_X86
+
+// Folds a vector body's results and the scalar pass over its tail
+// [at, n) into one CompletionPass.
+CompletionPass merge_tail(std::size_t due, std::size_t first_due,
+                          const double* quotient_lanes,
+                          const double* capped_lanes, int lanes,
+                          const CompletionPass& tail, std::size_t at) {
+  CompletionPass pass = tail;
+  pass.first_due = due != 0 ? first_due : at + tail.first_due;
+  pass.due = due + tail.due;
+  for (int l = 0; l < lanes; ++l) {
+    if (quotient_lanes[l] < pass.min_quotient) {
+      pass.min_quotient = quotient_lanes[l];
+    }
+    if (capped_lanes[l] < pass.min_capped) pass.min_capped = capped_lanes[l];
+  }
+  return pass;
+}
 
 // The 2^31 problem-size bound (enforced by MaxMinSolver) makes the signed
 // epi32 -> double conversions below exact for every count that can occur.
@@ -182,15 +237,16 @@ void completion_scan_sse2(const double* remaining, const double* rate,
     const __m128d pos = _mm_cmpgt_pd(r, zero);
     const __m128d at_cap = _mm_and_pd(pos, _mm_cmpeq_pd(r, vcap));
     const __m128d below = _mm_andnot_pd(_mm_cmpeq_pd(r, vcap), pos);
-    // The division runs on every lane; non-qualifying lanes (which may hold
-    // 0/0 = NaN) are blended to +inf before they can reach the min.
-    const __m128d quo = _mm_div_pd(rem, r);
-    const __m128d qlane =
-        _mm_or_pd(_mm_and_pd(below, quo), _mm_andnot_pd(below, vinf));
     const __m128d clane =
         _mm_or_pd(_mm_and_pd(at_cap, rem), _mm_andnot_pd(at_cap, vinf));
-    qacc = _mm_min_pd(qacc, qlane);
     cacc = _mm_min_pd(cacc, clane);
+    if (_mm_movemask_pd(below) != 0) {
+      // Non-qualifying lanes (which may hold 0/0 = NaN) are blended to +inf
+      // before they can reach the min.
+      const __m128d quo = _mm_div_pd(rem, r);
+      qacc = _mm_min_pd(
+          qacc, _mm_or_pd(_mm_and_pd(below, quo), _mm_andnot_pd(below, vinf)));
+    }
   }
   double lanes[2];
   _mm_storeu_pd(lanes, qacc);
@@ -221,9 +277,11 @@ __attribute__((target("avx2"))) void completion_scan_avx2(
     const __m256d eq_cap = _mm256_cmp_pd(r, vcap, _CMP_EQ_OQ);
     const __m256d at_cap = _mm256_and_pd(pos, eq_cap);
     const __m256d below = _mm256_andnot_pd(eq_cap, pos);
-    const __m256d quo = _mm256_div_pd(rem, r);
-    qacc = _mm256_min_pd(qacc, _mm256_blendv_pd(vinf, quo, below));
     cacc = _mm256_min_pd(cacc, _mm256_blendv_pd(vinf, rem, at_cap));
+    if (_mm256_movemask_pd(below) != 0) {
+      const __m256d quo = _mm256_div_pd(rem, r);
+      qacc = _mm256_min_pd(qacc, _mm256_blendv_pd(vinf, quo, below));
+    }
   }
   double lanes[4];
   _mm256_storeu_pd(lanes, qacc);
@@ -237,6 +295,150 @@ __attribute__((target("avx2"))) void completion_scan_avx2(
   completion_scan_scalar(remaining + i, rate + i, cap, n - i, &qt, &ct);
   *min_quotient = qt < q ? qt : q;
   *min_capped = ct < c ? ct : c;
+}
+
+CompletionPass settle_and_scan_sse2(double* remaining, const double* rate,
+                                    double dt, double eps, double cap,
+                                    std::size_t n) {
+  const bool settle = dt > 0.0;
+  const __m128d vdt = _mm_set1_pd(dt);
+  const __m128d veps = _mm_set1_pd(eps);
+  const __m128d vcap = _mm_set1_pd(cap);
+  const __m128d zero = _mm_setzero_pd();
+  const __m128d vinf = _mm_set1_pd(std::numeric_limits<double>::infinity());
+  // At cap <= 0 a lane equal to the cap is closed (rate <= 0) and must stay
+  // out of the minima, so only a positive cap has a common block.
+  const bool capped = cap > 0.0;
+  __m128d qacc = vinf;
+  __m128d cacc = vinf;
+  std::size_t due = 0;
+  std::size_t first_due = 0;
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const __m128d r = _mm_loadu_pd(rate + i);
+    __m128d rem = _mm_loadu_pd(remaining + i);
+    if (settle) {
+      rem = _mm_max_pd(_mm_sub_pd(rem, _mm_mul_pd(r, vdt)), zero);
+      _mm_storeu_pd(remaining + i, rem);
+    }
+    // cmpgt is false on NaN, so a NaN lane counts as due, as in the scalar
+    // !(rem > eps).
+    const __m128d alive = _mm_cmpgt_pd(rem, veps);
+    const __m128d eq_cap = _mm_cmpeq_pd(r, vcap);
+    const int alive_bits = _mm_movemask_pd(alive);
+    if (capped && (alive_bits & _mm_movemask_pd(eq_cap)) == 0x3) {
+      // The common block: every lane stays above eps at a positive cap,
+      // so the at-cap blend below would pass every lane's rem through.
+      cacc = _mm_min_pd(cacc, rem);
+      continue;
+    }
+    if (alive_bits != 0x3) {
+      const unsigned due_bits = ~static_cast<unsigned>(alive_bits) & 0x3;
+      if (due == 0) first_due = i + std::countr_zero(due_bits);
+      due += static_cast<std::size_t>(std::popcount(due_bits));
+    }
+    const __m128d pos = _mm_and_pd(alive, _mm_cmpgt_pd(r, zero));
+    const __m128d at_cap = _mm_and_pd(pos, eq_cap);
+    const __m128d below = _mm_andnot_pd(eq_cap, pos);
+    cacc = _mm_min_pd(
+        cacc, _mm_or_pd(_mm_and_pd(at_cap, rem), _mm_andnot_pd(at_cap, vinf)));
+    if (_mm_movemask_pd(below) != 0) {
+      const __m128d quo = _mm_div_pd(rem, r);
+      qacc = _mm_min_pd(
+          qacc, _mm_or_pd(_mm_and_pd(below, quo), _mm_andnot_pd(below, vinf)));
+    }
+  }
+  double quotient_lanes[2];
+  double capped_lanes[2];
+  _mm_storeu_pd(quotient_lanes, qacc);
+  _mm_storeu_pd(capped_lanes, cacc);
+  return merge_tail(
+      due, first_due, quotient_lanes, capped_lanes, 2,
+      settle_and_scan_scalar(remaining + i, rate + i, dt, eps, cap, n - i),
+      i);
+}
+
+__attribute__((target("avx2"))) CompletionPass settle_and_scan_avx2(
+    double* remaining, const double* rate, double dt, double eps, double cap,
+    std::size_t n) {
+  const bool settle = dt > 0.0;
+  const __m256d vdt = _mm256_set1_pd(dt);
+  const __m256d veps = _mm256_set1_pd(eps);
+  const __m256d vcap = _mm256_set1_pd(cap);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d vinf =
+      _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  const bool capped = cap > 0.0;
+  __m256d qacc = vinf;
+  __m256d cacc = vinf;
+  std::size_t due = 0;
+  std::size_t first_due = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d r = _mm256_loadu_pd(rate + i);
+    __m256d rem = _mm256_loadu_pd(remaining + i);
+    if (settle) {
+      rem = _mm256_max_pd(_mm256_sub_pd(rem, _mm256_mul_pd(r, vdt)), zero);
+      _mm256_storeu_pd(remaining + i, rem);
+    }
+    const __m256d alive = _mm256_cmp_pd(rem, veps, _CMP_GT_OQ);
+    const __m256d eq_cap = _mm256_cmp_pd(r, vcap, _CMP_EQ_OQ);
+    const int alive_bits = _mm256_movemask_pd(alive);
+    if (capped && (alive_bits & _mm256_movemask_pd(eq_cap)) == 0xF) {
+      cacc = _mm256_min_pd(cacc, rem);
+      continue;
+    }
+    if (alive_bits != 0xF) {
+      const unsigned due_bits = ~static_cast<unsigned>(alive_bits) & 0xF;
+      if (due == 0) first_due = i + std::countr_zero(due_bits);
+      due += static_cast<std::size_t>(std::popcount(due_bits));
+    }
+    const __m256d pos =
+        _mm256_and_pd(alive, _mm256_cmp_pd(r, zero, _CMP_GT_OQ));
+    const __m256d at_cap = _mm256_and_pd(pos, eq_cap);
+    const __m256d below = _mm256_andnot_pd(eq_cap, pos);
+    cacc = _mm256_min_pd(cacc, _mm256_blendv_pd(vinf, rem, at_cap));
+    if (_mm256_movemask_pd(below) != 0) {
+      const __m256d quo = _mm256_div_pd(rem, r);
+      qacc = _mm256_min_pd(qacc, _mm256_blendv_pd(vinf, quo, below));
+    }
+  }
+  double quotient_lanes[4];
+  double capped_lanes[4];
+  _mm256_storeu_pd(quotient_lanes, qacc);
+  _mm256_storeu_pd(capped_lanes, cacc);
+  return merge_tail(
+      due, first_due, quotient_lanes, capped_lanes, 4,
+      settle_and_scan_scalar(remaining + i, rate + i, dt, eps, cap, n - i),
+      i);
+}
+
+std::size_t find_due_sse2(const double* remaining, double eps,
+                          std::size_t from, std::size_t n) {
+  const __m128d veps = _mm_set1_pd(eps);
+  std::size_t i = from;
+  for (; i + 2 <= n; i += 2) {
+    const int alive =
+        _mm_movemask_pd(_mm_cmpgt_pd(_mm_loadu_pd(remaining + i), veps));
+    if (alive != 0x3) {
+      return i + std::countr_zero(static_cast<unsigned>(~alive & 0x3));
+    }
+  }
+  return find_due_scalar(remaining, eps, i, n);
+}
+
+__attribute__((target("avx2"))) std::size_t find_due_avx2(
+    const double* remaining, double eps, std::size_t from, std::size_t n) {
+  const __m256d veps = _mm256_set1_pd(eps);
+  std::size_t i = from;
+  for (; i + 4 <= n; i += 4) {
+    const int alive = _mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(remaining + i), veps, _CMP_GT_OQ));
+    if (alive != 0xF) {
+      return i + std::countr_zero(static_cast<unsigned>(~alive & 0xF));
+    }
+  }
+  return find_due_scalar(remaining, eps, i, n);
 }
 
 #endif  // NETPP_SIMD_X86
@@ -342,6 +544,35 @@ void completion_scan(const double* remaining, const double* rate, double cap,
       completion_scan_scalar(remaining, rate, cap, n, min_quotient,
                              min_capped);
       return;
+  }
+}
+
+CompletionPass settle_and_scan(double* remaining, const double* rate,
+                               double dt, double eps, double cap,
+                               std::size_t n) {
+  switch (active_simd_level()) {
+#if NETPP_SIMD_X86
+    case SimdLevel::kAvx2:
+      return settle_and_scan_avx2(remaining, rate, dt, eps, cap, n);
+    case SimdLevel::kSse2:
+      return settle_and_scan_sse2(remaining, rate, dt, eps, cap, n);
+#endif
+    default:
+      return settle_and_scan_scalar(remaining, rate, dt, eps, cap, n);
+  }
+}
+
+std::size_t find_due(const double* remaining, double eps, std::size_t from,
+                     std::size_t n) {
+  switch (active_simd_level()) {
+#if NETPP_SIMD_X86
+    case SimdLevel::kAvx2:
+      return find_due_avx2(remaining, eps, from, n);
+    case SimdLevel::kSse2:
+      return find_due_sse2(remaining, eps, from, n);
+#endif
+    default:
+      return find_due_scalar(remaining, eps, from, n);
   }
 }
 

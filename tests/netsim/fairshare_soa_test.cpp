@@ -2,7 +2,9 @@
 // kernels (scalar, and with NETPP_SIMD also SSE2/AVX2 when the CPU has
 // them) must produce bit-identical results — both at the kernel level
 // (settle, completion_scan, div_shares, fill_unfrozen compared lane by lane
-// against the forced-scalar path) and end to end (the solver against the
+// against the forced-scalar path; the fused settle_and_scan against the
+// settle + due walk + completion_scan sequence it replaces, and find_due
+// against a scalar search) and end to end (the solver against the
 // verbatim pre-optimization reference, and the sparse solve_arena entry
 // point against the dense solve()). force_simd_level() exists for
 // exactly this sweep; the suite runs under ASan/UBSan and TSan in CI.
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -193,22 +196,52 @@ struct Lanes {
   std::vector<double> rate;
 };
 
-Lanes random_lanes(Rng& rng, std::size_t n, double cap) {
+/// Which rates random_lanes draws. kAllCapped makes every vector block skip
+/// the division; kNoneCapped mixes closed lanes and below-cap shares only;
+/// kAllClosed has no progressing lane at all.
+enum class RateMix { kMixed, kAllCapped, kNoneCapped, kAllClosed };
+
+Lanes random_lanes(Rng& rng, std::size_t n, double cap,
+                   RateMix mix = RateMix::kMixed) {
   Lanes lanes;
   lanes.remaining.resize(n);
   lanes.rate.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     lanes.remaining[i] = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 50e9);
     const double roll = rng.uniform();
-    if (roll < 0.15) {
+    if (mix == RateMix::kAllCapped) {
+      lanes.rate[i] = cap;
+    } else if (roll < 0.15 || mix == RateMix::kAllClosed) {
       lanes.rate[i] = 0.0;
-    } else if (roll < 0.45) {
+    } else if (roll < 0.45 && mix == RateMix::kMixed) {
       lanes.rate[i] = cap;
     } else {
       lanes.rate[i] = rng.uniform(1e3, 30e9);
     }
   }
   return lanes;
+}
+
+/// Moves about a third of the lanes onto the due threshold `eps` as seen
+/// after a settle by `dt`: exactly eps plus the lane's progress, or one ulp
+/// either side of that. Zero-rate lanes, and every lane when dt <= 0, land
+/// exactly at, just below or just above eps; the others land within an ulp
+/// of it, whichever way the settle rounds. A few lanes get NaN, which the
+/// due predicate counts as due.
+void add_threshold_lanes(Rng& rng, Lanes& lanes, double eps, double dt) {
+  for (std::size_t i = 0; i < lanes.remaining.size(); ++i) {
+    const double roll = rng.uniform();
+    if (roll >= 0.35) continue;
+    double at = eps + (dt > 0.0 ? lanes.rate[i] * dt : 0.0);
+    if (roll < 0.02) {
+      at = std::numeric_limits<double>::quiet_NaN();
+    } else if (roll < 0.12) {
+      at = std::nextafter(at, 0.0);
+    } else if (roll < 0.22) {
+      at = std::nextafter(at, kInf);
+    }
+    lanes.remaining[i] = at;
+  }
 }
 
 TEST(FairShareSoa, SettleKernelBitIdenticalAcrossPaths) {
@@ -243,9 +276,14 @@ TEST(FairShareSoa, CompletionScanBitIdenticalAcrossPaths) {
   constexpr double kCap = 25e9;
   const auto levels = compiled_levels();
   Rng rng{0xC03Full};
-  for (int trial = 0; trial < 40; ++trial) {
+  for (int trial = 0; trial < 120; ++trial) {
     const auto n = static_cast<std::size_t>(rng.uniform_int(0, 66));
-    const Lanes lanes = random_lanes(rng, n, kCap);
+    // The first 40 trials mix rates; then all-capped arrays (no vector
+    // block divides) and arrays with no capped lane.
+    const RateMix mix = trial < 40   ? RateMix::kMixed
+                        : trial < 80 ? RateMix::kAllCapped
+                                     : RateMix::kNoneCapped;
+    const Lanes lanes = random_lanes(rng, n, kCap, mix);
 
     // Pin the semantics against the documented straight-line scan.
     double want_quotient = kInf;
@@ -272,6 +310,109 @@ TEST(FairShareSoa, CompletionScanBitIdenticalAcrossPaths) {
       EXPECT_EQ(bits(min_capped), bits(want_capped))
           << "completion_scan capped, level " << soa::to_string(level)
           << ", trial " << trial;
+    }
+  }
+}
+
+// The completion event's fused pass must equal the sequence it replaces:
+// settle (skipped when dt <= 0), a scalar due walk, then completion_scan
+// over the lanes that stayed above the threshold — bit for bit, including
+// every remaining lane it writes (or, for dt <= 0, leaves alone).
+TEST(FairShareSoa, SettleAndScanMatchesSettleWalkScan) {
+  constexpr double kCap = 25e9;
+  constexpr double kEps = 1.0;  // FlowSimulator's completion threshold
+  const auto levels = compiled_levels();
+  Rng rng{0xF05Eull};
+  for (const RateMix mix : {RateMix::kMixed, RateMix::kAllCapped,
+                            RateMix::kNoneCapped, RateMix::kAllClosed}) {
+    // An uncapped simulator passes cap 0, which only zero-rate lanes match;
+    // those lanes must still stay out of both minima.
+    const double cap = mix == RateMix::kNoneCapped ||
+                               mix == RateMix::kAllClosed
+                           ? 0.0
+                           : kCap;
+    for (std::size_t n = 0; n <= 66; ++n) {
+      for (const double dt : {0.0, -0.5, rng.uniform(1e-9, 2.0)}) {
+        Lanes lanes = random_lanes(rng, n, cap, mix);
+        add_threshold_lanes(rng, lanes, kEps, dt);
+
+        std::vector<double> want_remaining = lanes.remaining;
+        std::size_t want_due = 0;
+        std::size_t want_first = n;
+        double want_quotient = 0.0;
+        double want_capped = 0.0;
+        {
+          ForcedLevel forced{soa::SimdLevel::kScalar};
+          if (dt > 0.0) {
+            soa::settle(want_remaining.data(), lanes.rate.data(), dt, n);
+          }
+          std::vector<double> live_remaining;
+          std::vector<double> live_rate;
+          for (std::size_t i = 0; i < n; ++i) {
+            if (!(want_remaining[i] > kEps)) {
+              if (want_due++ == 0) want_first = i;
+            } else {
+              live_remaining.push_back(want_remaining[i]);
+              live_rate.push_back(lanes.rate[i]);
+            }
+          }
+          soa::completion_scan(live_remaining.data(), live_rate.data(), cap,
+                               live_remaining.size(), &want_quotient,
+                               &want_capped);
+        }
+
+        for (const soa::SimdLevel level : levels) {
+          ForcedLevel forced{level};
+          const std::string what = std::string{"level "} +
+                                   soa::to_string(level) + ", n " +
+                                   std::to_string(n) + ", dt " +
+                                   std::to_string(dt);
+          std::vector<double> got = lanes.remaining;
+          const soa::CompletionPass pass = soa::settle_and_scan(
+              got.data(), lanes.rate.data(), dt, kEps, cap, n);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(bits(got[i]), bits(want_remaining[i]))
+                << what << ", lane " << i;
+          }
+          EXPECT_EQ(pass.due, want_due) << what;
+          EXPECT_EQ(pass.first_due, want_first) << what;
+          EXPECT_EQ(bits(pass.min_quotient), bits(want_quotient)) << what;
+          EXPECT_EQ(bits(pass.min_capped), bits(want_capped)) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(FairShareSoa, FindDueMatchesScalarSearchFromEveryStart) {
+  constexpr double kEps = 1.0;
+  const double below = std::nextafter(kEps, 0.0);
+  const double above = std::nextafter(kEps, kInf);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto levels = compiled_levels();
+  Rng rng{0xF1DDull};
+  for (std::size_t n = 0; n <= 66; ++n) {
+    for (const double due_share : {0.0, 0.05, 0.5, 1.0}) {
+      std::vector<double> remaining(n);
+      for (double& r : remaining) {
+        const auto pick = rng.uniform_int(0, 3);
+        if (rng.uniform() < due_share) {
+          const double due[] = {0.0, kEps, below, nan};
+          r = due[pick];
+        } else {
+          r = pick == 0 ? above : rng.uniform(2.0, 50e9);
+        }
+      }
+      for (std::size_t from = 0; from <= n; ++from) {
+        std::size_t want = from;
+        while (want < n && remaining[want] > kEps) ++want;
+        for (const soa::SimdLevel level : levels) {
+          ForcedLevel forced{level};
+          ASSERT_EQ(soa::find_due(remaining.data(), kEps, from, n), want)
+              << "level " << soa::to_string(level) << ", n " << n
+              << ", from " << from << ", due share " << due_share;
+        }
+      }
     }
   }
 }

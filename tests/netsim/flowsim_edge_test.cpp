@@ -140,6 +140,28 @@ TEST(FlowSimEdge, IncrementalMatchesFullAcrossTopologyChange) {
   }
 }
 
+TEST(FlowSimEdge, CompletionRetryAtLargeSimTimeMakesProgress) {
+  // At t = 86400 s one ulp of simulated time (~1.5e-11 s) outlasts the last
+  // bits of an 800 G flow. The completion fires with 1.34 bits left, above
+  // the 1-bit threshold, and its retry at now + leftover / rate rounds back
+  // to now. With no other event at that instant, the retry must move to the
+  // next representable time instead of re-firing a no-op forever.
+  BuiltTopology topo = build_leaf_spine(1, 1, 2, 800_Gbps, 800_Gbps);
+  SimEngine engine;
+  Router router{topo.graph};
+  FlowSimulator sim{topo.graph, router, engine};
+  const double bits = 1e9 * (1.0 + 0.0137 * 5);  // 1.0685 Gbit
+  sim.submit(
+      FlowSpec{topo.hosts[0], topo.hosts[1], Bits{bits}, Seconds{86400.0}, 0});
+  int steps = 0;
+  while (steps < 1000 && engine.step()) ++steps;
+  ASSERT_LT(steps, 1000) << "stuck at t = " << engine.now().value();
+  ASSERT_EQ(sim.completed().size(), 1u);
+  EXPECT_EQ(sim.active_flows(), 0u);
+  EXPECT_NEAR(sim.completed()[0].finished.value(), 86400.0 + bits / 800e9,
+              1e-9);
+}
+
 TEST(FlowSimEdge, TopologyChangeValidation) {
   Fixture f;
   EXPECT_THROW(f.sim.set_node_enabled(NodeId{100000}, false),

@@ -183,6 +183,69 @@ TEST(FlowSimulator, EcmpSpreadsLoadAcrossFabric) {
   EXPECT_EQ(sim.completed().size(), 8u);
 }
 
+// Several flows finishing at one instant complete in swap-and-pop order:
+// the event walks the active columns from the front, and each removal moves
+// the last active flow into the freed slot, where it is checked next. Flows
+// 2, 5 and 6 (the last index) finish together, so they complete as 2, 6, 5.
+// Seven flows admitted at t = 0: ids 1..7, active indices 0..6.
+struct CompletionOrderRun {
+  std::vector<FlowRecord> completed;
+  FlowSimulator::ReallocStats stats;
+};
+
+CompletionOrderRun run_simultaneous_completions(bool capped) {
+  // Capped: 7 flows at a 10 G cap over distinct 100 G paths, so no link
+  // saturates and every departure takes the fast path. Uncapped: 7 flows
+  // share one 100 G link, so each departure re-solves.
+  BuiltTopology topo = capped ? build_leaf_spine(2, 2, 4, 100_Gbps, 100_Gbps)
+                              : build_leaf_spine(1, 1, 2, 100_Gbps, 100_Gbps);
+  SimEngine engine;
+  Router router{topo.graph};
+  FlowSimulator::Config config;
+  if (capped) config.flow_rate_cap = 10_Gbps;
+  FlowSimulator sim{topo.graph, router, engine, config};
+  const double gigabits[7] = {2.0, 3.0, 1.0, 4.0, 5.0, 1.0, 1.0};
+  const auto& hosts = topo.hosts;
+  for (std::size_t k = 0; k < 7; ++k) {
+    const NodeId src = capped ? hosts[k] : hosts[0];
+    const NodeId dst = capped ? hosts[(k + 3) % hosts.size()] : hosts[1];
+    sim.submit(
+        FlowSpec{src, dst, Bits::from_gigabits(gigabits[k]), 0.0_s, k});
+  }
+  engine.run();
+  return {sim.completed(), sim.realloc_stats()};
+}
+
+void expect_completions(const std::vector<FlowRecord>& completed,
+                        const std::vector<FlowId>& ids,
+                        const std::vector<double>& finished) {
+  ASSERT_EQ(completed.size(), ids.size());
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    EXPECT_EQ(completed[k].id, ids[k]) << "completion " << k;
+    EXPECT_EQ(completed[k].finished.value(), finished[k]) << "completion " << k;
+  }
+}
+
+TEST(FlowSimulator, SimultaneousCompletionOrderOnFastDeparturePath) {
+  const CompletionOrderRun run = run_simultaneous_completions(true);
+  EXPECT_EQ(run.stats.full_solves, 0u);
+  EXPECT_EQ(run.stats.fast_departures, 7u);
+  expect_completions(run.completed, {3, 7, 6, 1, 2, 4, 5},
+                     {0x1.999999999999ap-4, 0x1.999999999999ap-4,
+                      0x1.999999999999ap-4, 0x1.999999999999ap-3,
+                      0x1.3333333333334p-2, 0x1.999999999999ap-2, 0x1p-1});
+}
+
+TEST(FlowSimulator, SimultaneousCompletionOrderOnReallocatePath) {
+  const CompletionOrderRun run = run_simultaneous_completions(false);
+  EXPECT_EQ(run.stats.fast_departures, 0u);
+  expect_completions(run.completed, {3, 7, 6, 1, 2, 4, 5},
+                     {0x1.1eb851eb851ecp-4, 0x1.1eb851eb851ecp-4,
+                      0x1.1eb851eb851ecp-4, 0x1.c28f5c28f5c2ap-4,
+                      0x1.1eb851eb851ecp-3, 0x1.47ae147ae147bp-3,
+                      0x1.5c28f5c28f5c3p-3});
+}
+
 TEST(FlowSimulator, InvalidSubmitsThrow) {
   Dumbbell d;
   EXPECT_THROW(d.sim.submit(FlowSpec{d.topo.hosts[0], d.topo.hosts[0],
