@@ -105,7 +105,8 @@ class DeviceCatalog {
   }
 
   /// Switch radix (number of ports) when every port runs at `port_speed`.
-  /// 51.2 Tbps at 400 G => 128 ports. Truncates to an integer port count.
+  /// 51.2 Tbps at 400 G => 128 ports. Truncates to an integer port count;
+  /// a port speed so slow the count leaves int's range throws.
   [[nodiscard]] int switch_radix(Gbps port_speed) const;
 
   /// NIC power at an arbitrary port speed (Table 2 + extrapolation rule;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,13 +18,20 @@
 #include "netpp/faults/experiment.h"
 #include "netpp/mech/composite.h"
 #include "netpp/netsim/backend.h"
+#include "netpp/state/snapshot.h"
+#include "netpp/telemetry/telemetry.h"
 #include "netpp/topo/builders.h"
 
 namespace netpp::serve {
 
-/// The knob set behind the canned scenarios: one field per CLI flag /
-/// query field, with the CLI's defaults. Both front ends parse into this
-/// struct and hand it to the builders below.
+/// The canned analyses: the query commands and the CLI subcommands that
+/// answer them.
+enum class QueryKind : std::uint8_t { kCluster, kSavings, kFaults, kMech };
+
+/// The knob set behind the canned scenarios, with the CLI's defaults. Each
+/// knob is one row of scenario_fields() (serve/query.h), which names its
+/// query field and CLI flag and checks its values for both front ends; both
+/// parse into this struct and hand it to the builders below.
 struct ScenarioOptions {
   // cluster / savings analytics
   ClusterConfig cluster;
@@ -80,6 +88,19 @@ struct CannedMechScenario {
 
 [[nodiscard]] CannedMechScenario make_canned_mech_scenario(
     const ScenarioOptions& opt);
+
+/// The telemetry bundle a `kind` run reports into: events on, and the
+/// sampler at `opt.sample_period_s` for faults (off for mech). A serve
+/// metrics answer lists the same series as the CLI's --metrics-out file
+/// because both build their bundle here.
+[[nodiscard]] std::unique_ptr<telemetry::Telemetry> make_scenario_telemetry(
+    QueryKind kind, const ScenarioOptions& opt);
+
+/// Restores the faults run of `s` from `snapshot`, which must hold exactly
+/// one experiment snapshot, runs it to the end and returns its result.
+/// Throws std::invalid_argument on a damaged or mismatched snapshot.
+[[nodiscard]] FaultExperimentResult resume_fault_run(
+    const CannedFaultScenario& s, state::SnapshotReader& snapshot);
 
 /// Result tables — the exact rows the CLI prints.
 [[nodiscard]] Table cluster_summary_table(const ClusterConfig& config);

@@ -91,7 +91,11 @@ int DeviceCatalog::switch_radix(Gbps port_speed) const {
   if (port_speed.value() <= 0.0) {
     throw std::invalid_argument("port speed must be positive");
   }
-  return static_cast<int>(config_.switch_capacity / port_speed);
+  const double radix = config_.switch_capacity / port_speed;
+  if (!(std::fabs(radix) < 2147483648.0)) {
+    throw std::invalid_argument("switch radix out of int range");
+  }
+  return static_cast<int>(radix);
 }
 
 }  // namespace netpp

@@ -21,18 +21,6 @@ namespace netpp::serve {
 
 namespace {
 
-/// Telemetry bundle mirroring the CLI's make_cli_telemetry wiring exactly:
-/// faults runs sample (period from the query), mech runs don't. Matching
-/// the wiring is part of byte-identity — the metrics JSON must list the
-/// same series as the one-shot run's --metrics-out file.
-std::unique_ptr<telemetry::Telemetry> make_query_telemetry(bool sampled,
-                                                           double period_s) {
-  telemetry::TelemetryConfig config;
-  config.events = true;
-  config.sample_period = Seconds{sampled ? period_s : 0.0};
-  return std::make_unique<telemetry::Telemetry>(config);
-}
-
 std::string render_table(const Table& table, QueryOutput output) {
   return output == QueryOutput::kCsv ? table.to_csv() : table.to_ascii();
 }
@@ -106,9 +94,9 @@ struct QueryEngine::Impl {
     // Build the baseline the way the CLI starts a one-shot run: fresh
     // construction tailors the fabric and arms the injector; the image
     // captures that instant (t = 0) so forks skip straight past setup.
-    const auto tel =
-        telemetered ? make_query_telemetry(true, opt.sample_period_s)
-                    : nullptr;
+    const auto tel = telemetered
+                         ? make_scenario_telemetry(QueryKind::kFaults, opt)
+                         : nullptr;
     const CannedFaultScenario s = make_canned_fault_scenario(opt, tel.get());
     const FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config};
     auto image = std::make_unique<state::StateImage>(state::StateImage::capture(
@@ -127,8 +115,7 @@ struct QueryEngine::Impl {
   std::string compute_faults(const Query& query) {
     const bool metrics = query.output == QueryOutput::kMetrics;
     const auto tel =
-        metrics ? make_query_telemetry(true, query.opt.sample_period_s)
-                : nullptr;
+        metrics ? make_scenario_telemetry(query.kind, query.opt) : nullptr;
     const state::StateImage& baseline =
         obtain_fault_baseline(query.opt, metrics);
     const CannedFaultScenario s =
@@ -136,14 +123,7 @@ struct QueryEngine::Impl {
     FaultExperimentResult result;
     try {
       auto reader = baseline.fork();
-      FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config,
-                             reader};
-      if (!reader.at_end()) {
-        throw std::invalid_argument(
-            "SnapshotReader: trailing bytes after the experiment snapshot");
-      }
-      run.run();
-      result = run.finish();
+      result = resume_fault_run(s, reader);
     } catch (const std::invalid_argument& e) {
       // A damaged (or mismatched) baseline image fails snapshot validation
       // inside the restoring constructor; reject the query, keep serving.
@@ -159,7 +139,8 @@ struct QueryEngine::Impl {
 
   std::string compute_mech(const Query& query) {
     const bool metrics = query.output == QueryOutput::kMetrics;
-    const auto tel = metrics ? make_query_telemetry(false, 0.0) : nullptr;
+    const auto tel =
+        metrics ? make_scenario_telemetry(query.kind, query.opt) : nullptr;
     CannedMechScenario s = make_canned_mech_scenario(query.opt);
     s.config.telemetry = tel.get();
     s.config.cache = &obtain_mech_cache(query.opt);

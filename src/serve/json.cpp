@@ -149,8 +149,9 @@ void append_number(std::string& out, double v) {
     return;
   }
   char buf[40];
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 9.007199254740992e15) {
+  // Range first: casting a double past long long's range is undefined.
+  if (std::fabs(v) < 9.007199254740992e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
     out += buf;
     return;
@@ -399,6 +400,11 @@ class Parser {
     char* end = nullptr;
     const double v = std::strtod(lexeme.c_str(), &end);
     if (end != lexeme.c_str() + lexeme.size()) fail("bad number");
+    // Overflow gives ±inf, which JSON cannot carry; underflow keeps its value.
+    if (!std::isfinite(v)) {
+      pos_ = start;
+      fail("number out of range");
+    }
     return JsonValue::make_number(v);
   }
 

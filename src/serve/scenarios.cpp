@@ -1,5 +1,7 @@
 #include "netpp/serve/scenarios.h"
 
+#include <stdexcept>
+
 #include "netpp/analysis/savings.h"
 #include "netpp/traffic/generators.h"
 
@@ -82,6 +84,26 @@ CannedMechScenario make_canned_mech_scenario(const ScenarioOptions& opt) {
         5_Gbps});
   }
   return s;
+}
+
+std::unique_ptr<telemetry::Telemetry> make_scenario_telemetry(
+    QueryKind kind, const ScenarioOptions& opt) {
+  telemetry::TelemetryConfig config;
+  config.events = true;
+  config.sample_period =
+      Seconds{kind == QueryKind::kFaults ? opt.sample_period_s : 0.0};
+  return std::make_unique<telemetry::Telemetry>(config);
+}
+
+FaultExperimentResult resume_fault_run(const CannedFaultScenario& s,
+                                       state::SnapshotReader& snapshot) {
+  FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config, snapshot};
+  if (!snapshot.at_end()) {
+    throw std::invalid_argument(
+        "SnapshotReader: trailing bytes after the experiment snapshot");
+  }
+  run.run();
+  return run.finish();
 }
 
 Table cluster_summary_table(const ClusterConfig& config) {

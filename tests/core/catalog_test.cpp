@@ -83,6 +83,7 @@ TEST(DeviceCatalog, SwitchRadixPerPortSpeed) {
   EXPECT_EQ(cat.switch_radix(800_Gbps), 64);
   EXPECT_EQ(cat.switch_radix(1600_Gbps), 32);
   EXPECT_THROW((void)cat.switch_radix(Gbps{0.0}), std::invalid_argument);
+  EXPECT_THROW((void)cat.switch_radix(Gbps{1e-9}), std::invalid_argument);
 }
 
 TEST(DeviceCatalog, NicPowersMatchTable2) {

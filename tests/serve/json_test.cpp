@@ -17,6 +17,8 @@ TEST(JsonParse, ScalarsRoundTrip) {
   EXPECT_DOUBLE_EQ(parse_json("3.5").as_number(), 3.5);
   EXPECT_DOUBLE_EQ(parse_json("-17").as_number(), -17.0);
   EXPECT_DOUBLE_EQ(parse_json("1e3").as_number(), 1000.0);
+  // Underflow keeps strtod's value.
+  EXPECT_EQ(parse_json("1e-400").as_number(), 0.0);
   EXPECT_EQ(parse_json("\"hi\"").as_string(), "hi");
 }
 
@@ -41,6 +43,8 @@ TEST(JsonParse, RejectsMalformedInputWithJsonPrefix) {
       "",           "{",          "[1,]",     "{\"a\":}",  "\"unterminated",
       "tru",        "1 2",        "{\"a\" 1}", "\"bad \\q esc\"",
       "{\"a\":1,}", "[1,2] tail", "nan",      "{\"a\":1,\"a\":2}",
+      // Past the double range: JSON cannot carry the infinity strtod gives.
+      "1e400",      "-1e400",     "[1e309]",
   };
   for (const char* text : bad) {
     try {
@@ -68,6 +72,17 @@ TEST(JsonDump, IntegralNumbersPrintWithoutFraction) {
   EXPECT_EQ(JsonValue::make_number(42).dump(), "42");
   EXPECT_EQ(JsonValue::make_number(-3).dump(), "-3");
   EXPECT_EQ(JsonValue::make_number(0.25).dump(), "0.25");
+}
+
+TEST(JsonDump, LargeNumbersRoundTrip) {
+  // Past long long's range (±2^63 and beyond) the integer fast path must
+  // not even be tried.
+  for (const double v : {1e300, 9.3e18, 9223372036854775808.0}) {
+    for (const double signed_v : {v, -v}) {
+      const std::string text = JsonValue::make_number(signed_v).dump();
+      EXPECT_EQ(parse_json(text).as_number(), signed_v) << text;
+    }
+  }
 }
 
 TEST(JsonDump, EscapesControlCharactersAndQuotes) {

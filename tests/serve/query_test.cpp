@@ -3,7 +3,15 @@
 // offending field, and cache_key must identify queries up to their id.
 #include "netpp/serve/query.h"
 
+#include <bit>
+#include <charconv>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -48,6 +56,11 @@ TEST(ParseQuery, OverridesAndIdEcho) {
   EXPECT_EQ(q.opt.stack, "dynamic");
   EXPECT_EQ(q.opt.mech_iterations, 2);
   EXPECT_EQ(q.opt.mech_ocs_devices, 8);
+  // Spelled enum fields map each spelling to its own enumerator.
+  const Query f = parse(
+      R"({"command":"faults","policy":"wake-all","backend":"sharded"})");
+  EXPECT_EQ(f.opt.policy, DegradedPolicy::kEmergencyWakeAll);
+  EXPECT_EQ(f.opt.backend.kind, BackendKind::kSharded);
 }
 
 TEST(ParseQuery, RequestLevelErrors) {
@@ -91,6 +104,136 @@ TEST(ParseQuery, RangeAndBackendErrors) {
                   ErrorCode::kBackendMismatch, "shards");
   expect_rejected(R"({"command":"mech","backend":"sharded","shards":0})",
                   ErrorCode::kOutOfRange, "shards");
+}
+
+TEST(ParseQuery, WholeNumbersDoNotWrap) {
+  // Past an int member's range the value is rejected, not narrowed.
+  expect_rejected(R"({"command":"mech","iters":4294967297})",
+                  ErrorCode::kOutOfRange, "iters");
+  expect_rejected(R"({"command":"mech","iters":2147483648})",
+                  ErrorCode::kOutOfRange, "iters");
+  expect_rejected(R"({"command":"mech","ocs":4294967296})",
+                  ErrorCode::kOutOfRange, "ocs");
+}
+
+/// One front end's verdict on a value: the rejection code, or the cache key
+/// of the scenario it produced.
+struct Verdict {
+  std::optional<ErrorCode> error;
+  std::string key;
+};
+
+/// (row, value text) pairs, applied in order.
+using Settings = std::vector<std::pair<const ScenarioField*, std::string>>;
+
+/// `settings` through netpp_cli's path: apply_flag per flag, then the
+/// backend rule.
+Verdict via_flags(QueryKind kind, const Settings& settings) {
+  Query query;
+  query.kind = kind;
+  try {
+    for (const auto& [field, text] : settings) {
+      apply_flag(query.opt, field->flag, text);
+    }
+    check_backend(query.opt.backend, /*cli=*/true);
+  } catch (const ServeError& e) {
+    return {e.code(), ""};
+  }
+  return {std::nullopt, cache_key(query)};
+}
+
+/// The same settings as one query object; spelled values are JSON strings.
+Verdict via_query(QueryKind kind, const Settings& settings) {
+  std::string text = std::string{R"({"command":")"} + to_string(kind) + '"';
+  for (const auto& [field, value] : settings) {
+    const bool spelled = !field->rule.spellings.empty();
+    text += ",\"" + std::string{field->name} + "\":" +
+            (spelled ? '"' + value + '"' : value);
+  }
+  try {
+    return {std::nullopt, cache_key(parse(text + "}"))};
+  } catch (const ServeError& e) {
+    return {e.code(), ""};
+  }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+std::string number_text(double v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, end);
+}
+
+TEST(ScenarioSchema, CliFlagsAndQueryFieldsApplyOneRule) {
+  const auto fields = scenario_fields();
+  const ScenarioField* backend = nullptr;
+  for (const ScenarioField& f : fields) {
+    if (f.name == "backend") backend = &f;
+  }
+  ASSERT_NE(backend, nullptr);
+  const ScenarioOptions defaults;
+  for (std::size_t row = 0; row < fields.size(); ++row) {
+    const ScenarioField& f = fields[row];
+    SCOPED_TRACE(std::string{f.name});
+    ASSERT_NE(f.commands, 0u);
+    const auto kind = static_cast<QueryKind>(std::countr_zero(f.commands));
+    // (text, accepted?) probes: the grid every row must reject the same way
+    // in both front ends, and values inside the rule both must accept.
+    std::vector<std::pair<std::string, bool>> probes;
+    if (!f.rule.spellings.empty()) {
+      std::string_view rest = f.rule.spellings;
+      while (!rest.empty()) {
+        const std::size_t bar = rest.find('|');
+        probes.emplace_back(std::string{rest.substr(0, bar)}, true);
+        rest.remove_prefix(bar == std::string_view::npos ? rest.size()
+                                                         : bar + 1);
+      }
+      probes.emplace_back("bogus", false);
+    } else {
+      const FieldRule& r = f.rule;
+      const double lowest = r.lo_open ? std::nextafter(r.lo, 1.0) : r.lo;
+      const double below = r.lo_open ? r.lo
+                           : r.whole  ? r.lo - 1.0
+                                      : std::nextafter(r.lo, -1.0);
+      const auto inside = [&](double v) {
+        const bool whole = v == std::floor(v) && std::fabs(v) <= 0x1p53;
+        return (!r.whole || whole) && (r.lo_open ? v > r.lo : v >= r.lo) &&
+               v <= r.hi;
+      };
+      std::vector<double> values = {lowest, r.lo + 0.5, -1.0, below,
+                                    0x1p31, 0x1p32 + 1.0, 0x1p53 + 2.0};
+      if (std::isfinite(r.hi)) {
+        values.push_back(r.hi);
+        values.push_back(r.whole ? r.hi + 1.0 : std::nextafter(r.hi, kInf));
+      }
+      for (const double v : values) {
+        probes.emplace_back(number_text(v), inside(v));
+      }
+    }
+    Settings prefix;
+    // More than one shard needs the sharded backend in both front ends.
+    if (f.name == "shards") prefix.emplace_back(backend, "sharded");
+    for (const auto& [text, accepted] : probes) {
+      SCOPED_TRACE(text);
+      auto settings = prefix;
+      settings.emplace_back(&f, text);
+      const Verdict cli = via_flags(kind, settings);
+      const Verdict json = via_query(kind, settings);
+      EXPECT_EQ(cli.error, json.error);
+      EXPECT_EQ(cli.key, json.key);
+      EXPECT_EQ(!cli.error.has_value(), accepted);
+      if (!accepted || !prefix.empty()) continue;
+      // An accepted value lands in this row's knob and nowhere else.
+      ScenarioOptions opt;
+      apply_flag(opt, f.flag, text);
+      for (std::size_t other = 0; other < fields.size(); ++other) {
+        if (other == row) continue;
+        EXPECT_EQ(fields[other].get(opt), fields[other].get(defaults))
+            << fields[other].name;
+      }
+    }
+  }
 }
 
 TEST(CacheKey, IdentifiesQueriesUpToId) {

@@ -19,11 +19,13 @@
 //   netpp_cli telemetry [faults flags] [--trace-out F] [--metrics-out F]
 //   netpp_cli help
 //
-// Flags accept both `--flag value` and `--flag=value`. Every error path
-// prints a single `netpp_cli: error: ...` line to stderr and exits non-zero.
+// Flags accept both `--flag value` and `--flag=value`, and every subcommand
+// accepts every scenario flag. The scenario flags are rows of the schema
+// table netpp_serve queries use (serve/query.h), which checks their values
+// for both front ends. Every error path prints a single `netpp_cli: error:
+// ...` line to stderr and exits non-zero.
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -36,6 +38,7 @@
 #include "netpp/cluster/cluster.h"
 #include "netpp/faults/experiment.h"
 #include "netpp/mech/composite.h"
+#include "netpp/serve/query.h"
 #include "netpp/serve/scenarios.h"
 #include "netpp/state/snapshot.h"
 #include "netpp/telemetry/export.h"
@@ -52,10 +55,6 @@ using namespace netpp::literals;
 struct Options {
   serve::ScenarioOptions scenario;
   bool csv = false;
-  // simulator backend (faults / mech subcommands); validated into
-  // scenario.backend by make_backend_config.
-  std::string backend = "single";
-  std::size_t shards = 1;
   // telemetry outputs (faults / mech / telemetry subcommands)
   std::string trace_out;
   std::string metrics_out;
@@ -118,7 +117,11 @@ int usage(std::FILE* out) {
   return out == stdout ? 0 : 2;
 }
 
-bool parse(int argc, char** argv, Options& opt) {
+/// Parses the flags after the subcommand. Throws std::invalid_argument
+/// (serve::ServeError for a scenario flag's value) on the first bad flag.
+Options parse(int argc, char** argv) {
+  Options opt;
+  const auto fields = serve::scenario_fields();
   for (int i = 2; i < argc; ++i) {
     std::string flag = argv[i];
     std::string inline_value;
@@ -130,143 +133,40 @@ bool parse(int argc, char** argv, Options& opt) {
     }
     if (flag == "--csv") {
       if (has_inline_value) {
-        error_out("flag '--csv' takes no value");
-        return false;
+        throw std::invalid_argument("flag '--csv' takes no value");
       }
       opt.csv = true;
       continue;
     }
     // Every other flag takes one value: either inline (--flag=value) or the
     // next argument (--flag value).
+    std::string* const path = flag == "--trace-out"     ? &opt.trace_out
+                              : flag == "--metrics-out" ? &opt.metrics_out
+                              : flag == "--save-state"  ? &opt.save_state
+                              : flag == "--load-state"  ? &opt.load_state
+                                                        : nullptr;
     const bool known_flag =
-        flag == "--stack" || flag == "--policy" || flag == "--trace-out" ||
-        flag == "--metrics-out" || flag == "--gpus" || flag == "--gbps" ||
-        flag == "--ratio" || flag == "--prop" || flag == "--mtbf" ||
-        flag == "--mttr" || flag == "--headroom" || flag == "--seed" ||
-        flag == "--iters" || flag == "--volume" || flag == "--horizon" ||
-        flag == "--ocs" || flag == "--pod-budget" ||
-        flag == "--core-budget" || flag == "--sample-period" ||
-        flag == "--save-state" || flag == "--load-state" ||
-        flag == "--save-at" || flag == "--backend" || flag == "--shards";
+        path != nullptr || flag == "--save-at" ||
+        std::ranges::find(fields, flag, &serve::ScenarioField::flag) !=
+            fields.end();
     if (!known_flag) {
-      error_out("unknown flag '" + flag + "' (see 'netpp_cli help')");
-      return false;
+      throw std::invalid_argument("unknown flag '" + flag +
+                                  "' (see 'netpp_cli help')");
     }
     if (!has_inline_value && i + 1 >= argc) {
-      error_out("flag '" + flag + "' needs a value");
-      return false;
+      throw std::invalid_argument("flag '" + flag + "' needs a value");
     }
-    const std::string value_str =
+    const std::string value =
         has_inline_value ? inline_value : std::string{argv[++i]};
-    if (flag == "--stack") {
-      if (value_str != "all" && value_str != "dynamic" &&
-          value_str != "tailor" && value_str != "park" &&
-          value_str != "rate") {
-        error_out("unknown stack '" + value_str + "'");
-        return false;
-      }
-      opt.scenario.stack = value_str;
-      continue;
-    }
-    if (flag == "--policy") {
-      if (value_str == "none") {
-        opt.scenario.policy = DegradedPolicy::kNone;
-      } else if (value_str == "wake-all") {
-        opt.scenario.policy = DegradedPolicy::kEmergencyWakeAll;
-      } else if (value_str == "re-tailor") {
-        opt.scenario.policy = DegradedPolicy::kRetailor;
-      } else {
-        error_out("unknown policy '" + value_str + "'");
-        return false;
-      }
-      continue;
-    }
-    if (flag == "--backend") {
-      if (value_str != "single" && value_str != "sharded") {
-        error_out("unknown backend '" + value_str +
-                  "' (expected single|sharded)");
-        return false;
-      }
-      opt.backend = value_str;
-      continue;
-    }
-    if (flag == "--trace-out") {
-      opt.trace_out = value_str;
-      continue;
-    }
-    if (flag == "--metrics-out") {
-      opt.metrics_out = value_str;
-      continue;
-    }
-    if (flag == "--save-state") {
-      opt.save_state = value_str;
-      continue;
-    }
-    if (flag == "--load-state") {
-      opt.load_state = value_str;
-      continue;
-    }
-    char* parse_end = nullptr;
-    const double value = std::strtod(value_str.c_str(), &parse_end);
-    if (parse_end == value_str.c_str() || *parse_end != '\0') {
-      error_out("bad value '" + value_str + "' for flag '" + flag + "'");
-      return false;
-    }
-    if (flag == "--gpus" && value > 0) {
-      opt.scenario.cluster.num_gpus = value;
-    } else if (flag == "--gbps" && value > 0) {
-      opt.scenario.cluster.bandwidth_per_gpu = Gbps{value};
-    } else if (flag == "--ratio" && value >= 0 && value <= 1) {
-      opt.scenario.cluster.communication_ratio = value;
-    } else if (flag == "--prop" && value >= 0 && value <= 1) {
-      opt.scenario.prop = value;
-    } else if (flag == "--mtbf" && value >= 0) {
-      opt.scenario.mtbf_s = value;
-    } else if (flag == "--mttr" && value > 0) {
-      opt.scenario.mttr_s = value;
-    } else if (flag == "--headroom" && value >= 0) {
-      opt.scenario.headroom = value;
-    } else if (flag == "--seed" && value >= 0) {
-      opt.scenario.fault_seed = static_cast<std::uint64_t>(value);
-    } else if (flag == "--iters" && value > 0) {
-      opt.scenario.mech_iterations = static_cast<int>(value);
-    } else if (flag == "--volume" && value > 0) {
-      opt.scenario.mech_volume_gbit = value;
-    } else if (flag == "--horizon" && value > 0) {
-      opt.scenario.mech_horizon_s = value;
-    } else if (flag == "--ocs" && value >= 0) {
-      opt.scenario.mech_ocs_devices = static_cast<int>(value);
-    } else if (flag == "--pod-budget" && value >= 0) {
-      opt.scenario.pod_budget_w = value;
-    } else if (flag == "--core-budget" && value >= 0) {
-      opt.scenario.core_budget_w = value;
-    } else if (flag == "--shards" && value >= 1 &&
-               value == static_cast<double>(static_cast<std::size_t>(value))) {
-      opt.shards = static_cast<std::size_t>(value);
-    } else if (flag == "--sample-period" && value >= 0) {
-      opt.scenario.sample_period_s = value;
-    } else if (flag == "--save-at" && value >= 0) {
-      opt.save_at_s = value;
+    if (path != nullptr) {
+      *path = value;
+    } else if (flag == "--save-at") {
+      opt.save_at_s = serve::read_flag_number(flag, value, serve::FieldRule{});
     } else {
-      error_out("bad value '" + value_str + "' for flag '" + flag + "'");
-      return false;
+      serve::apply_flag(opt.scenario, flag, value);
     }
   }
-  return true;
-}
-
-/// Validates --backend/--shards into opt.scenario.backend. Returns false
-/// (after the one-line diagnostic) on an inconsistent combination.
-bool make_backend_config(Options& opt) {
-  if (opt.backend == "single" && opt.shards > 1) {
-    error_out("--shards " + std::to_string(opt.shards) +
-              " requires --backend sharded");
-    return false;
-  }
-  opt.scenario.backend.kind = opt.backend == "sharded" ? BackendKind::kSharded
-                                                       : BackendKind::kSingle;
-  opt.scenario.backend.num_shards = opt.shards;
-  return true;
+  return opt;
 }
 
 /// Writes the requested trace/metrics files; returns 0, or 1 after printing
@@ -294,19 +194,8 @@ int write_telemetry_outputs(const Options& opt,
   return 0;
 }
 
-/// Telemetry bundle for subcommands that honor --trace-out/--metrics-out:
-/// null when neither output (nor `force`) was requested.
-std::unique_ptr<telemetry::Telemetry> make_cli_telemetry(const Options& opt,
-                                                         bool sampled,
-                                                         bool force = false) {
-  if (!force && opt.trace_out.empty() && opt.metrics_out.empty()) {
-    return nullptr;
-  }
-  telemetry::TelemetryConfig config;
-  config.events = true;
-  config.sample_period =
-      Seconds{sampled ? opt.scenario.sample_period_s : 0.0};
-  return std::make_unique<telemetry::Telemetry>(config);
+bool wants_telemetry(const Options& opt) {
+  return !opt.trace_out.empty() || !opt.metrics_out.empty();
 }
 
 int cmd_cluster(const Options& opt) {
@@ -374,54 +263,38 @@ int cmd_sensitivity(const Options& opt) {
   return 0;
 }
 
-FaultExperimentResult run_canned_fault_scenario(const Options& opt,
-                                                telemetry::Telemetry* tel) {
-  const serve::CannedFaultScenario s =
-      serve::make_canned_fault_scenario(opt.scenario, tel);
-  return run_fault_experiment(s.topo, s.workload, s.schedule, s.config);
-}
-
-int cmd_faults(Options& opt) {
+int cmd_faults(const Options& opt) {
   if (!opt.save_state.empty() && !opt.load_state.empty()) {
     return error_out("--save-state and --load-state are mutually exclusive");
   }
-  if (!make_backend_config(opt)) return 2;
-  const auto tel = make_cli_telemetry(opt, /*sampled=*/true);
+  serve::check_backend(opt.scenario.backend, /*cli=*/true);
+  const auto tel = wants_telemetry(opt)
+                       ? serve::make_scenario_telemetry(
+                             serve::QueryKind::kFaults, opt.scenario)
+                       : nullptr;
+  const serve::CannedFaultScenario s =
+      serve::make_canned_fault_scenario(opt.scenario, tel.get());
+  if (!opt.save_state.empty()) {
+    // Run the canned scenario to the snapshot point, serialize everything,
+    // and stop: a later --load-state continues bit-identically.
+    const Seconds save_at{opt.save_at_s >= 0.0
+                              ? opt.save_at_s
+                              : s.fault_horizon.value() / 2.0};
+    FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config};
+    run.run_until(save_at);
+    state::SnapshotWriter w;
+    run.save_state(w);
+    w.write_file(opt.save_state);
+    std::printf("saved state at t=%s to %s\n", to_string(save_at).c_str(),
+                opt.save_state.c_str());
+    return 0;
+  }
   FaultExperimentResult result;
-  try {
-    if (!opt.save_state.empty()) {
-      // Run the canned scenario to the snapshot point, serialize everything,
-      // and stop: a later --load-state continues bit-identically.
-      const serve::CannedFaultScenario s =
-          serve::make_canned_fault_scenario(opt.scenario, tel.get());
-      const Seconds save_at{opt.save_at_s >= 0.0
-                                ? opt.save_at_s
-                                : s.fault_horizon.value() / 2.0};
-      FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config};
-      run.run_until(save_at);
-      state::SnapshotWriter w;
-      run.save_state(w);
-      w.write_file(opt.save_state);
-      std::printf("saved state at t=%s to %s\n", to_string(save_at).c_str(),
-                  opt.save_state.c_str());
-      return 0;
-    }
-    if (!opt.load_state.empty()) {
-      const serve::CannedFaultScenario s =
-          serve::make_canned_fault_scenario(opt.scenario, tel.get());
-      auto r = state::SnapshotReader::from_file(opt.load_state);
-      FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config, r};
-      if (!r.at_end()) {
-        throw std::invalid_argument(
-            "SnapshotReader: trailing bytes after the experiment snapshot");
-      }
-      run.run();
-      result = run.finish();
-    } else {
-      result = run_canned_fault_scenario(opt, tel.get());
-    }
-  } catch (const std::exception& e) {
-    return error_out(e.what());
+  if (!opt.load_state.empty()) {
+    auto r = state::SnapshotReader::from_file(opt.load_state);
+    result = serve::resume_fault_run(s, r);
+  } else {
+    result = run_fault_experiment(s.topo, s.workload, s.schedule, s.config);
   }
   print_table(serve::faults_summary_table(result), opt.csv);
   if (tel != nullptr) return write_telemetry_outputs(opt, *tel);
@@ -433,12 +306,16 @@ int cmd_telemetry(const Options& opt) {
   // summarized. --trace-out / --metrics-out save the artifacts. The sharded
   // backend keeps the netsim registry per shard, so this demo (which reads
   // the shared registry) is single-backend only.
-  if (opt.backend != "single" || opt.shards != 1) {
+  if (opt.scenario.backend.kind != BackendKind::kSingle ||
+      opt.scenario.backend.num_shards != 1) {
     return error_out("'telemetry' supports only --backend single");
   }
   const auto tel =
-      make_cli_telemetry(opt, /*sampled=*/true, /*force=*/true);
-  const auto result = run_canned_fault_scenario(opt, tel.get());
+      serve::make_scenario_telemetry(serve::QueryKind::kFaults, opt.scenario);
+  const serve::CannedFaultScenario s =
+      serve::make_canned_fault_scenario(opt.scenario, tel.get());
+  const auto result =
+      run_fault_experiment(s.topo, s.workload, s.schedule, s.config);
   const telemetry::MetricRegistry& m = tel->metrics();
 
   Table table{{"metric", "value"}};
@@ -464,64 +341,53 @@ int cmd_telemetry(const Options& opt) {
   return write_telemetry_outputs(opt, *tel);
 }
 
-int cmd_mech(Options& opt) {
+int cmd_mech(const Options& opt) {
   if (!opt.save_state.empty() && !opt.load_state.empty()) {
     return error_out("--save-state and --load-state are mutually exclusive");
   }
-  if (!make_backend_config(opt)) return 2;
+  serve::check_backend(opt.scenario.backend, /*cli=*/true);
   if (!opt.load_state.empty()) {
     // Offline restore: load a saved metric registry into a fresh bundle and
     // re-export it, without re-running the simulation.
-    try {
-      telemetry::MetricRegistry metrics;
-      auto r = state::SnapshotReader::from_file(opt.load_state);
-      metrics.restore_state(r);
-      if (!r.at_end()) {
-        throw std::invalid_argument(
-            "SnapshotReader: trailing bytes after the metrics snapshot");
-      }
-      Table table{{"metric", "value"}};
-      table.add_row({"metrics restored", std::to_string(metrics.size())});
-      table.add_row(
-          {"combined savings",
-           fmt_percent(metrics.gauge_value("composite.combined_savings"), 2)});
-      print_table(table, opt.csv);
-      if (!opt.metrics_out.empty()) {
-        std::string error;
-        const std::string json = telemetry::to_metrics_json(metrics);
-        if (!telemetry::write_file(opt.metrics_out, json, error)) {
-          return error_out(error);
-        }
-      }
-      return 0;
-    } catch (const std::exception& e) {
-      return error_out(e.what());
+    telemetry::MetricRegistry metrics;
+    auto r = state::SnapshotReader::from_file(opt.load_state);
+    metrics.restore_state(r);
+    if (!r.at_end()) {
+      throw std::invalid_argument(
+          "SnapshotReader: trailing bytes after the metrics snapshot");
     }
+    Table table{{"metric", "value"}};
+    table.add_row({"metrics restored", std::to_string(metrics.size())});
+    table.add_row(
+        {"combined savings",
+         fmt_percent(metrics.gauge_value("composite.combined_savings"), 2)});
+    print_table(table, opt.csv);
+    if (!opt.metrics_out.empty()) {
+      std::string error;
+      const std::string json = telemetry::to_metrics_json(metrics);
+      if (!telemetry::write_file(opt.metrics_out, json, error)) {
+        return error_out(error);
+      }
+    }
+    return 0;
   }
   // The canned scenario (and the summary rendering below) are shared with
   // netpp_serve — serve/scenarios.h is the single definition of both.
   serve::CannedMechScenario s = serve::make_canned_mech_scenario(opt.scenario);
   // --save-state needs a registry to snapshot even without --metrics-out.
-  const auto tel = make_cli_telemetry(opt, /*sampled=*/false,
-                                      /*force=*/!opt.save_state.empty());
+  const auto tel = wants_telemetry(opt) || !opt.save_state.empty()
+                       ? serve::make_scenario_telemetry(serve::QueryKind::kMech,
+                                                        opt.scenario)
+                       : nullptr;
   s.config.telemetry = tel.get();
 
-  CompositeReport report;
-  try {
-    report = run_composite(s.topo, s.workload, s.demands, s.horizon,
-                           s.config);
-  } catch (const std::exception& e) {
-    return error_out(e.what());
-  }
+  const CompositeReport report =
+      run_composite(s.topo, s.workload, s.demands, s.horizon, s.config);
   print_table(serve::mech_summary_table(opt.scenario.stack, report), opt.csv);
   if (!opt.save_state.empty()) {
-    try {
-      state::SnapshotWriter w;
-      tel->metrics().save_state(w);
-      w.write_file(opt.save_state);
-    } catch (const std::exception& e) {
-      return error_out(e.what());
-    }
+    state::SnapshotWriter w;
+    tel->metrics().save_state(w);
+    w.write_file(opt.save_state);
     std::printf("saved metric registry to %s\n", opt.save_state.c_str());
   }
   if (tel != nullptr) return write_telemetry_outputs(opt, *tel);
@@ -536,17 +402,21 @@ int main(int argc, char** argv) {
   if (command == "help" || command == "--help" || command == "-h") {
     return usage(stdout);
   }
-  Options opt;
-  if (!parse(argc, argv, opt)) return 2;
-
-  if (command == "cluster") return cmd_cluster(opt);
-  if (command == "table3") return cmd_table3(opt);
-  if (command == "fig3") return cmd_fig(opt, BudgetScenario::kFixedWorkload);
-  if (command == "fig4") return cmd_fig(opt, BudgetScenario::kFixedCommRatio);
-  if (command == "savings") return cmd_savings(opt);
-  if (command == "sensitivity") return cmd_sensitivity(opt);
-  if (command == "faults") return cmd_faults(opt);
-  if (command == "mech") return cmd_mech(opt);
-  if (command == "telemetry") return cmd_telemetry(opt);
+  // Every rejection — a bad flag, a model's precondition, an unreadable
+  // snapshot — ends here as the one-line diagnostic.
+  try {
+    const Options opt = parse(argc, argv);
+    if (command == "cluster") return cmd_cluster(opt);
+    if (command == "table3") return cmd_table3(opt);
+    if (command == "fig3") return cmd_fig(opt, BudgetScenario::kFixedWorkload);
+    if (command == "fig4") return cmd_fig(opt, BudgetScenario::kFixedCommRatio);
+    if (command == "savings") return cmd_savings(opt);
+    if (command == "sensitivity") return cmd_sensitivity(opt);
+    if (command == "faults") return cmd_faults(opt);
+    if (command == "mech") return cmd_mech(opt);
+    if (command == "telemetry") return cmd_telemetry(opt);
+  } catch (const std::exception& e) {
+    return error_out(e.what());
+  }
   return error_out("unknown command '" + command + "' (see 'netpp_cli help')");
 }

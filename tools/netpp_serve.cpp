@@ -36,6 +36,7 @@
 
 #include "netpp/serve/engine.h"
 #include "netpp/serve/protocol.h"
+#include "netpp/serve/query.h"
 
 namespace {
 
@@ -122,14 +123,13 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (flag == "--save-baseline") {
       opt.save_baseline = value;
     } else {
-      char* parse_end = nullptr;
-      const double threads = std::strtod(value.c_str(), &parse_end);
-      if (parse_end == value.c_str() || *parse_end != '\0' || threads < 0 ||
-          threads != static_cast<double>(static_cast<std::size_t>(threads))) {
-        error_out("bad value '" + value + "' for flag '--threads'");
+      try {
+        opt.threads = static_cast<std::size_t>(
+            serve::read_flag_number(flag, value, {.whole = true}));
+      } catch (const serve::ServeError& e) {
+        error_out(e.what());
         return false;
       }
-      opt.threads = static_cast<std::size_t>(threads);
     }
   }
   const int modes = (!opt.socket_path.empty() ? 1 : 0) +
