@@ -277,32 +277,33 @@ class FlowSimulator {
   // --- Sharded-driver hooks (see netpp/netsim/sharded.h) ---
   //
   // The sharded driver reconciles the two halves of a cross-shard flow at
-  // its bounded-lag barriers: settle each involved shard to the barrier
-  // time, read the halves' remaining volumes, raise the faster half to the
-  // slower half's value (rate = min of the halves at window granularity),
-  // and re-derive the completion event. The hooks are allocation-free and
-  // leave rates and the carried-sum bookkeeping untouched, so
-  // check_invariants() holds across any raise sequence. Only call them at
-  // event boundaries (never from inside a simulator callback).
+  // its bounded-lag barriers. Inside its window, each shard settles to the
+  // barrier time and reads its halves off the member lists of its gateway
+  // links (every half crosses exactly one); the barrier then raises the
+  // faster half of each pair to the slower half's remaining volume (rate =
+  // min of the halves at window granularity) and re-derives the completion
+  // event. The hooks are allocation-free and leave rates and the carried-sum
+  // bookkeeping untouched, so check_invariants() holds across any raise
+  // sequence. Only call them at event boundaries (never from inside a
+  // simulator callback).
 
   /// Settles flow progress to the engine's current time (idempotent; a
   /// second call at the same time is a no-op, so barrier settles compose
   /// with the simulator's own event-driven settles).
   void settle_to_now() { settle_progress(engine_.now()); }
 
-  /// Identity of the active flow at `index`. Indices are positions in the
-  /// active-flow columns and stay valid only until the next event.
-  [[nodiscard]] FlowId active_flow_id(std::size_t index) const {
-    return active_[index].id;
-  }
-  [[nodiscard]] std::uint64_t active_flow_tag(std::size_t index) const {
-    return active_[index].spec.tag;
-  }
-
-  /// The remaining-volume column (parallel to active-flow indices), as of
-  /// the last settle.
-  [[nodiscard]] std::span<const double> remaining_bits() const {
-    return {flow_remaining_.data(), active_.size()};
+  /// Calls visit(index, tag, remaining_bits) for every active flow crossing
+  /// directed link `dl`, in membership order: the flow's position in the
+  /// active-flow columns (valid only until the next event), its spec tag,
+  /// and its remaining volume as of the last settle. Visits nothing on a
+  /// link no flow has crossed yet.
+  template <class Visit>
+  void for_each_flow_on(DirectedLink dl, Visit&& visit) const {
+    const std::size_t r = dl.index();
+    if (r >= link_flows_.num_links()) return;
+    for (const std::uint32_t i : link_flows_.flows(r)) {
+      visit(i, active_[i].spec.tag, flow_remaining_[i]);
+    }
   }
 
   /// Raises active flow `index`'s remaining volume to `bits` (must not be

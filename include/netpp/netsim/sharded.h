@@ -6,8 +6,9 @@
 // the per-event costs that dominate at scale (completion scans, solver
 // closures, route BFS) touch one pod group's state instead of the whole
 // fabric. Shards advance in bounded-lag windows under one global clock:
-// workers run each shard's event loop to the next barrier, then a serial
-// barrier phase drains completions and reconciles cross-shard flows.
+// workers run each shard's event loop to the next barrier and collect the
+// shard's live cross-shard halves, then a serial barrier phase drains
+// completions and reconciles the collected halves pairwise.
 //
 // Cross-shard flows are split at the shard boundary into an ingress half
 // (src -> gateway in the source shard) and an egress half (gateway -> dst in
@@ -17,16 +18,23 @@
 // reconciled by min-progress: the half that ran ahead is pulled back to the
 // slower half's remaining volume, which is exactly "the flow's end-to-end
 // rate is the min of its halves" at window granularity. The flow completes
-// when both halves have; its completion time is the later of the two.
+// when both halves have; its completion time is the later of the two. Every
+// live half crosses exactly one agg <-> gateway link of its shard, so a
+// shard finds its halves on those links' member lists, never by a walk over
+// all of its active flows.
 //
-// Determinism: workers only ever run disjoint shards inside a window, and
-// everything that crosses shards — completion draining, half reconciliation,
-// fault routing — happens in the serial barrier phase in fixed shard /
-// submission order. Results are therefore bit-identical regardless of the
-// worker-thread count (the SweepRunner discipline). With one shard the
-// local topology is a verbatim copy of the global graph and no flow is ever
-// split, so the single-shard configuration is bit-identical to a plain
-// FlowSimulator driven over the same submissions (pinned by
+// Determinism: workers only ever run disjoint shards inside a window. A
+// window task writes its own shard, its own collection buffer, and the
+// scratch fields of its own halves' flow-table entries (src fields in the
+// source shard, dst fields in the destination shard: distinct members, so
+// no two tasks write the same memory). Everything that acts across shards —
+// completion draining, raising the faster half of each pair, fault routing —
+// happens in the serial barrier phase in fixed shard / submission order.
+// Results are therefore bit-identical regardless of the worker-thread count
+// (the SweepRunner discipline). With one shard the local topology is a
+// verbatim copy of the global graph and no flow is ever split, so the
+// single-shard configuration is bit-identical to a plain FlowSimulator
+// driven over the same submissions (pinned by
 // tests/netsim/flowsim_sharded_test.cpp).
 #pragma once
 
@@ -208,7 +216,9 @@ class ShardedFlowSimulator {
     double finished_src = -1.0;
     double finished_dst = -1.0;
     bool completed = false;
-    /// Barrier scratch (valid when the stamp matches barrier_gen_).
+    /// Cross-half collection scratch, valid when the stamp matches
+    /// barrier_gen_. The src fields are written only by the source shard's
+    /// window task, the dst fields only by the destination shard's.
     std::uint32_t seen_src = 0;
     std::uint32_t seen_dst = 0;
     std::uint32_t index_src = 0;
@@ -228,8 +238,15 @@ class ShardedFlowSimulator {
     /// completed() entries already drained by a barrier.
     std::size_t completed_cursor = 0;
     /// Live (submitted, not yet drained-complete) cross halves resident in
-    /// this shard; the barrier skips the settle + scan when zero.
+    /// this shard. The window task settles and collects only when some
+    /// remain after the coming barrier's drain.
     std::size_t live_cross_halves = 0;
+    /// Flow-table indices of the source halves the last window collected,
+    /// in gateway-link membership order; the barrier pairs each with its
+    /// destination half. Derived per window, never serialized.
+    std::vector<std::uint32_t> src_halves;
+    /// Set by a raise, cleared by the barrier's one reschedule.
+    bool raised = false;
   };
 
   /// Per-boundary-link fault state (global boundary links only).
@@ -240,6 +257,9 @@ class ShardedFlowSimulator {
 
   [[nodiscard]] std::uint32_t shard_of_node(NodeId global) const;
   void advance_shards(Seconds target);
+  /// Window-task tail: settles shard `s` and stamps its live cross halves'
+  /// (active index, remaining) into their flow-table entries.
+  void collect_cross_halves(std::size_t s);
   void barrier_sync();
   void drain_completions();
   void reconcile_cross_flows();

@@ -184,9 +184,19 @@ void ShardedFlowSimulator::run() {
     // exactly on the last event, as the plain FlowSimulator would.
     shards_[0]->engine->run();
     now_ = shards_[0]->engine->now();
-    while (static_cast<double>(grid_cursor_ + 1) * interval <= now_.value()) {
-      ++grid_cursor_;
-    }
+    // Catch the grid up to the first cursor at or past the current one whose
+    // next barrier lies after now, as stepping one barrier at a time would,
+    // but from floor(now / interval) instead of from the old cursor: the
+    // makespan can be a huge number of windows. (c + 1) * interval is
+    // monotone in c (exact for c < 2^53), so the test flips once and the two
+    // short walks only absorb the division's rounding.
+    const double t = now_.value();
+    std::uint64_t c = std::max(
+        grid_cursor_,
+        static_cast<std::uint64_t>(std::min(std::floor(t / interval), 0x1p53)));
+    while (c > grid_cursor_ && static_cast<double>(c) * interval > t) --c;
+    while (static_cast<double>(c + 1) * interval <= t) ++c;
+    grid_cursor_ = c;
     barrier_sync();
     if (barrier_listener_) barrier_listener_(now_);
     return;
@@ -209,11 +219,59 @@ void ShardedFlowSimulator::advance_shards(Seconds target) {
   for (const auto& shard : shards_) {
     if (shard->engine->next_event_time() <= target.value()) ++busy;
   }
-  // Workers claim whole shards; two workers never touch the same shard, and
-  // nothing cross-shard happens until the serial barrier phase.
+  // A fresh stamp marks this window's collections. On the 2^32 wrap every
+  // old stamp is cleared, so none can collide with a new one.
+  if (++barrier_gen_ == 0) {
+    for (FlowEntry& entry : flows_) entry.seen_src = entry.seen_dst = 0;
+    barrier_gen_ = 1;
+  }
+  // Workers claim whole shards; two workers never touch the same shard or
+  // the same flow-table field (see collect_cross_halves), and nothing that
+  // acts across shards happens until the serial barrier phase.
   thread_budget::parallel_for(
-      shards_.size(), busy > 1 ? config_.num_threads : 1,
-      [&](std::size_t s) { shards_[s]->engine->run_until(target); });
+      shards_.size(), busy > 1 ? config_.num_threads : 1, [&](std::size_t s) {
+        shards_[s]->engine->run_until(target);
+        collect_cross_halves(s);
+      });
+}
+
+void ShardedFlowSimulator::collect_cross_halves(std::size_t s) {
+  Shard& shard = *shards_[s];
+  shard.src_halves.clear();
+  // The coming drain retires one live half per odd-tag record this window
+  // appended. Settle only when halves outlive it: settling a shard with none
+  // would split one remaining -= rate * dt step in two and move bits.
+  const std::vector<FlowRecord>& records = shard.sim->completed();
+  std::size_t live = shard.live_cross_halves;
+  for (std::size_t i = shard.completed_cursor; i < records.size(); ++i) {
+    live -= records[i].spec.tag & 1;
+  }
+  if (live == 0) return;
+  shard.sim->settle_to_now();
+  // Every live half ends (ingress) or starts (egress) at the gateway, so it
+  // crosses exactly one gateway link, once. Even tags on these links are
+  // intra-shard flows between this shard's pods, transiting the gateway.
+  const auto owner = static_cast<std::uint32_t>(s);
+  const auto visit = [&](std::uint32_t index, std::uint64_t tag,
+                         double remaining) {
+    if ((tag & 1) == 0) return;
+    const auto f = static_cast<std::uint32_t>(tag >> 1);
+    FlowEntry& entry = flows_[f];
+    if (entry.src_shard == owner) {
+      entry.seen_src = barrier_gen_;
+      entry.index_src = index;
+      entry.remaining_src = remaining;
+      shard.src_halves.push_back(f);
+    } else {
+      entry.seen_dst = barrier_gen_;
+      entry.index_dst = index;
+      entry.remaining_dst = remaining;
+    }
+  };
+  for (const ShardTopology::GatewayLink& gl : shard.topo.gateway_links) {
+    shard.sim->for_each_flow_on(DirectedLink{gl.local_link, 0}, visit);
+    shard.sim->for_each_flow_on(DirectedLink{gl.local_link, 1}, visit);
+  }
 }
 
 void ShardedFlowSimulator::barrier_sync() {
@@ -283,57 +341,38 @@ void ShardedFlowSimulator::complete_entry(FlowEntry& entry, double finished) {
 }
 
 void ShardedFlowSimulator::reconcile_cross_flows() {
-  bool any = false;
-  for (const auto& shard : shards_) any = any || shard->live_cross_halves > 0;
-  if (!any) return;
-
-  const std::uint32_t gen = ++barrier_gen_;
-  std::vector<std::uint32_t> touched;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    if (shard.live_cross_halves == 0) continue;
-    shard.sim->settle_to_now();
-    const auto remaining = shard.sim->remaining_bits();
-    const std::size_t active = shard.sim->active_flows();
-    for (std::size_t i = 0; i < active; ++i) {
-      const std::uint64_t tag = shard.sim->active_flow_tag(i);
-      if ((tag & 1) == 0) continue;
-      const std::uint32_t f = static_cast<std::uint32_t>(tag >> 1);
+  // Raise the faster half of every live pair to the slower half's remaining
+  // volume: the end-to-end rate is min(halves) at window granularity. A
+  // pair is live when both shards collected their half this window; halves
+  // whose partner is pending, stranded, or already finished run
+  // unconstrained. Raises leave rates untouched, so per-link feasibility is
+  // preserved; each raised shard re-derives its completion event once at
+  // the end.
+  //
+  // Visiting order cannot matter: each raise writes one (shard, active
+  // index) lane, each lane belongs to exactly one pair, and the raised value
+  // comes from the remaining volumes fixed at collection, which no raise
+  // changes. So the raises commute, and each raised shard's one reschedule
+  // sees the same columns whatever order the pairs were visited in.
+  for (const auto& shard : shards_) {
+    for (const std::uint32_t f : shard->src_halves) {
       FlowEntry& entry = flows_[f];
-      if (entry.seen_src != gen && entry.seen_dst != gen) touched.push_back(f);
-      if (static_cast<std::uint32_t>(s) == entry.src_shard) {
-        entry.seen_src = gen;
-        entry.index_src = static_cast<std::uint32_t>(i);
-        entry.remaining_src = remaining[i];
-      } else {
-        entry.seen_dst = gen;
-        entry.index_dst = static_cast<std::uint32_t>(i);
-        entry.remaining_dst = remaining[i];
+      if (entry.seen_dst != barrier_gen_) continue;
+      const double r = std::max(entry.remaining_src, entry.remaining_dst);
+      if (entry.remaining_src < r) {
+        shard->sim->set_remaining_bits(entry.index_src, r);
+        shard->raised = true;
+      } else if (entry.remaining_dst < r) {
+        Shard& dst = *shards_[entry.dst_shard];
+        dst.sim->set_remaining_bits(entry.index_dst, r);
+        dst.raised = true;
       }
     }
   }
-
-  // Raise the faster half of every live pair to the slower half's remaining
-  // volume: the end-to-end rate is min(halves) at window granularity.
-  // Halves whose partner is pending, stranded, or already finished run
-  // unconstrained this window. Raises leave rates untouched, so per-link
-  // feasibility is preserved; dirty shards re-derive their completion event
-  // once at the end.
-  std::vector<std::uint8_t> dirty(shards_.size(), 0);
-  for (const std::uint32_t f : touched) {
-    FlowEntry& entry = flows_[f];
-    if (entry.seen_src != gen || entry.seen_dst != gen) continue;
-    const double r = std::max(entry.remaining_src, entry.remaining_dst);
-    if (entry.remaining_src < r) {
-      shards_[entry.src_shard]->sim->set_remaining_bits(entry.index_src, r);
-      dirty[entry.src_shard] = 1;
-    } else if (entry.remaining_dst < r) {
-      shards_[entry.dst_shard]->sim->set_remaining_bits(entry.index_dst, r);
-      dirty[entry.dst_shard] = 1;
-    }
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (dirty[s]) shards_[s]->sim->reschedule_completion();
+  for (const auto& shard : shards_) {
+    if (!shard->raised) continue;
+    shard->sim->reschedule_completion();
+    shard->raised = false;
   }
 }
 

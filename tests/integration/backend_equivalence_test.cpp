@@ -10,7 +10,10 @@
 //      reproduces the same goldens bit-identically (the FlowSimulator and
 //      the one-shard ShardedFlowSimulator are bitwise-equivalent, and the
 //      control plane allocates identical (time, seq) pairs).
-//   3. For a fixed shard count > 1, composite and fault-storm results are
+//   3. At 2 and 4 shards the composite and the re-tailor fault storm
+//      reproduce hexfloat goldens recorded from the sharded backend itself,
+//      so a reconcile change cannot move every worker count in step.
+//   4. For a fixed shard count > 1, composite and fault-storm results are
 //      bit-identical across worker-thread counts 1/2/4 — determinism does
 //      not depend on the parallelism the host happens to grant.
 //
@@ -134,6 +137,67 @@ FaultGolden wake_all_golden() {
   e.fct_mean_s = 0x1.65651fc560c28p-2;      // 0.34901857034873496
   e.fct_max_s = 0x1.8a0f79b617d6cp+0;       // 1.5392986363948138
   e.tailored_off = 7;
+  return e;
+}
+
+// The sharded backend's own answers at 2 and 4 shards (backend_golden_record
+// prints them). Worker-count invariance alone would pass a reconcile change
+// that moves every worker count the same way; these pin the values.
+CompositeGolden sharded_composite_golden(std::size_t shards) {
+  CompositeGolden e;
+  e.horizon_s = 0x1p+2;                        // 4
+  e.baseline_j = 0x1.7da9p+15;                 // 48852.5
+  e.energy_j = 0x1.a18b6e5604188p+14;          // 26722.857749999996
+  e.combined_savings = 0x1.cfdc553f9fc94p-2;   // 0.45298894120055277
+  e.best_single_savings = 0x1.29a5a1b3921cap-2; // 0.29067089708817362
+  if (shards == 2) {
+    e.singles = {
+        {"tailoring", 0x1.0eb9p+15, 0x1.29a5a1b3921cap-2},
+        {"parking", 0x1.13db933333333p+15, 0x1.1bde9b608156ap-2},
+        {"rate-adaptation", 0x1.56af0cp+15, 0x1.a24bffe27ca1p-4},
+    };
+  } else {
+    e.singles = {
+        {"tailoring", 0x1.0eb9p+15, 0x1.29a5a1b3921cap-2},
+        {"parking", 0x1.13db8cccccccdp+15, 0x1.1bdeac8c5b79ep-2},
+        {"rate-adaptation", 0x1.56b2p+15, 0x1.a22c4e725e678p-4},
+    };
+  }
+  e.tailored_off = 7;
+  e.wakes = 72;
+  e.parks = 108;
+  e.levels = 120;
+  e.dropped_bits = 0x0p+0;
+  e.average_power_w = 0x1.a18b6e5604188p+12;   // 6680.7144374999989
+  e.baseline_power_w = 0x1.7da9p+13;           // 12213.125
+  return e;
+}
+
+FaultGolden sharded_retailor_golden(std::size_t shards) {
+  FaultGolden e;
+  e.completion_rate = 0x1p+0;               // 1
+  e.stranded_gbit_s = 0x1.3e1fa6b4f1d3p+7;  // 159.06181874706226
+  e.mean_recovery_s = 0x1.503e3d65728e8p-2; // 0.32836242610632249
+  e.p99_recovery_s = 0x1.5075e01c7e3d4p+0;  // 1.3142986363948141
+  e.energy_delta = -0x1.4087b490ab4c8p-3;   // -0.15650883738036314
+  e.faults_injected = 21;
+  e.strand_events = 24;
+  e.emergency_wakes = 33;
+  e.retailor_passes = 42;
+  e.powered_at_end = 13;
+  e.end_s = 0x1.75c28f5c28f5cp+2;           // 5.8399999999999999
+  e.fct_count = 96;
+  e.fct_max_s = 0x1.8a0f79b617d6cp+0;       // 1.5392986363948138
+  e.tailored_off = 7;
+  if (shards == 2) {
+    e.availability = 0x1.867afeaca1d7fp-1;  // 0.76265712601973223
+    e.flows_rerouted = 8;
+    e.fct_mean_s = 0x1.622ca88ae3e59p-2;    // 0.34587348315924299
+  } else {
+    e.availability = 0x1.837ae2fd003fcp-1;  // 0.75679692591086178
+    e.flows_rerouted = 6;
+    e.fct_mean_s = 0x1.59a3ea0d6fe48p-2;    // 0.33753934580815725
+  }
   return e;
 }
 
@@ -294,7 +358,25 @@ TEST(BackendGolden, ShardedOneShardFaultWakeAllBitIdentical) {
       wake_all_golden());
 }
 
-// --- Contract 3: fixed shards, bit-identical across worker counts ------
+// --- Contract 3: shards > 1 reproduce their recorded answers ----------
+
+TEST(BackendGolden, ShardedMultiShardCompositeMatchesRecorded) {
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    expect_matches(run_composite_on(sharded(shards, 2)),
+                   sharded_composite_golden(shards));
+  }
+}
+
+TEST(BackendGolden, ShardedMultiShardFaultRetailorMatchesRecorded) {
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    expect_matches(run_faults_on(DegradedPolicy::kRetailor, sharded(shards, 2)),
+                   sharded_retailor_golden(shards));
+  }
+}
+
+// --- Contract 4: fixed shards, bit-identical across worker counts ------
 
 TEST(BackendGolden, CompositeBitIdenticalAcrossWorkerCounts) {
   thread_budget::set_pool_size(4);

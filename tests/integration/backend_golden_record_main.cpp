@@ -1,10 +1,14 @@
 // Re-prints the expectations for backend_equivalence_test.cpp as
-// ready-to-paste C++ (hexfloat doubles, exact integers). Recorded once
-// against the pre-backend-seam drivers; run again only after a deliberate
-// behavior change — the suite's whole point is that the backend refactor
-// does NOT change these values. Built as the plain `backend_golden_record`
-// executable (not a test): ./build/tests/backend_golden_record
+// ready-to-paste C++ (hexfloat doubles, exact integers). The single-backend
+// values were recorded once against the pre-backend-seam drivers; the
+// multi-shard values pin the sharded backend's own answers at 2 and 4
+// shards (worker-count invariant, so one worker records them). Run again
+// only after a deliberate behavior change — the suite's whole point is that
+// refactors do NOT change these values. Built as the plain
+// `backend_golden_record` executable (not a test):
+// ./build/tests/backend_golden_record
 #include <cstdio>
+#include <string>
 
 #include "backend_golden_inputs.h"
 
@@ -64,6 +68,14 @@ void print_fault(const char* tag, const FaultExperimentResult& r) {
   std::printf("}\n");
 }
 
+BackendConfig sharded(std::size_t shards) {
+  BackendConfig b;
+  b.kind = BackendKind::kSharded;
+  b.num_shards = shards;
+  b.num_threads = 1;
+  return b;
+}
+
 }  // namespace
 
 int main() {
@@ -88,6 +100,26 @@ int main() {
         golden::fault_scenario(topo, DegradedPolicy::kEmergencyWakeAll);
     print_fault("faults wake-all",
                 run_fault_experiment(topo, s.workload, s.schedule, s.config));
+  }
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    const std::string tag = "shards=" + std::to_string(shards);
+    {
+      const BuiltTopology topo = golden::composite_topology();
+      golden::CompositeScenario s = golden::composite_scenario(topo);
+      s.config.backend = sharded(shards);
+      print_composite(("composite full stack, " + tag).c_str(),
+                      run_composite(topo, s.workload, s.demands, s.horizon,
+                                    s.config));
+    }
+    {
+      const BuiltTopology topo = golden::fault_topology();
+      golden::FaultScenario s =
+          golden::fault_scenario(topo, DegradedPolicy::kRetailor);
+      s.config.backend = sharded(shards);
+      print_fault(("faults re-tailor, " + tag).c_str(),
+                  run_fault_experiment(topo, s.workload, s.schedule,
+                                       s.config));
+    }
   }
   return 0;
 }

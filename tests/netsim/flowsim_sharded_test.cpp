@@ -9,12 +9,20 @@
 //   3. Cross-shard flows obey the min-progress coupling: the end-to-end
 //      completion time tracks the bottleneck half.
 //   4. Mid-run faults (core kill, pod-local agg kill, recovery) keep every
-//      shard's invariants intact and strand/resume flows correctly.
+//      shard's invariants intact and strand/resume flows correctly; a
+//      gateway fault storm over live cross halves stays bit-identical
+//      across worker counts and across a snapshot cut.
 //   5. A run resumed from save_state/restore_state is bit-identical to the
 //      uninterrupted run.
+//   6. A one-shard run() lands the barrier grid where stepping one barrier
+//      at a time would, in constant time however long the makespan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -322,6 +330,13 @@ TEST(ShardedFlowSim, CrossShardFlowTracksBottleneckHalf) {
   ShardedFlowSimulator sim{topo.graph, scfg};
   sim.set_link_capacity_factor(access, 0.05);
   sim.submit({src, dst, Bits::from_gigabits(3.0), Seconds{0.0}, 99});
+
+  // Alone at line rate the ingress half would finish by 0.03 s; every
+  // barrier pulls it back to the egress half's progress, so both halves
+  // are still live at 0.3 s.
+  sim.run_until(Seconds{0.3});
+  EXPECT_EQ(sim.shard(0).active_flows(), 1u);
+  EXPECT_EQ(sim.shard(1).active_flows(), 1u);
   sim.run_until(Seconds{1.0});
 
   // Plain-simulator ground truth: 3 Gb over a 5 Gbps bottleneck = 0.6 s.
@@ -430,6 +445,113 @@ TEST(ShardedFlowSim, PartialCoreDegradationRescalesGateway) {
   sim.check_invariants();
 }
 
+/// What a gateway-storm run leaves behind, compared bitwise across runs.
+struct StormOutcome {
+  std::vector<FlowRecord> completed;
+  SummaryStat fct;
+  std::vector<std::uint8_t> image;  // final save_state bytes
+};
+
+/// k=4, one pod per shard, Poisson traffic (three in four flows inter-pod,
+/// so split into live halves), and a storm against the collapsed core
+/// between run_until calls: kill a core switch, degrade a boundary link,
+/// take down every core uplink of one agg (its gateway link goes down and
+/// its halves reroute), kill the whole core (halves strand), then recover
+/// everything. With `cut` > 0 the run is saved at that time and finished by
+/// a fresh simulator restored from the image.
+StormOutcome run_gateway_storm(const BuiltTopology& topo,
+                               const std::vector<FlowSpec>& flows,
+                               std::size_t threads, double cut) {
+  ShardedFlowSimulator::Config scfg;
+  scfg.num_shards = 4;
+  scfg.num_threads = threads;
+  scfg.shard.flow_rate_cap = 25_Gbps;
+  scfg.shard.strand_unroutable = true;
+  auto sim = std::make_unique<ShardedFlowSimulator>(topo.graph, scfg);
+  for (const auto& f : flows) sim->submit(f);
+
+  const std::vector<NodeId> cores = topo.graph.nodes_at_tier(3);
+  const std::vector<LinkId> agg_uplinks =
+      sim->shard_topology(0).gateway_links.front().global_links;
+  const LinkId degraded =
+      sim->shard_topology(2).gateway_links.front().global_links.front();
+
+  const auto run_to = [&](double t) {
+    if (cut > 0.0 && sim->now().value() < cut && cut <= t) {
+      sim->run_until(Seconds{cut});
+      state::SnapshotWriter writer;
+      sim->save_state(writer);
+      sim = std::make_unique<ShardedFlowSimulator>(topo.graph, scfg);
+      state::SnapshotReader reader{writer.buffer()};
+      sim->restore_state(reader);
+    }
+    sim->run_until(Seconds{t});
+    EXPECT_GT(sim->flows_in_flight(), 0u) << "at " << t;
+  };
+  run_to(0.3);
+  sim->set_node_enabled(cores[0], false);
+  run_to(0.6);
+  sim->set_link_capacity_factor(degraded, 0.5);
+  run_to(0.9);
+  const auto reroutes = sim->realloc_stats().reroutes;
+  for (const LinkId l : agg_uplinks) sim->set_link_enabled(l, false);
+  EXPECT_GT(sim->realloc_stats().reroutes, reroutes);
+  sim->check_invariants();
+  run_to(1.2);
+  for (const NodeId c : cores) sim->set_node_enabled(c, false);
+  EXPECT_GT(sim->stranded_flows(), 0u);
+  sim->check_invariants();
+  run_to(1.5);
+  for (const NodeId c : cores) sim->set_node_enabled(c, true);
+  for (const LinkId l : agg_uplinks) sim->set_link_enabled(l, true);
+  sim->set_link_capacity_factor(degraded, 1.0);
+  EXPECT_EQ(sim->stranded_flows(), 0u);
+  sim->run_until(Seconds{12.0});
+  EXPECT_EQ(sim->flows_in_flight(), 0u);
+  sim->check_invariants();
+
+  StormOutcome out;
+  out.completed = sim->completed();
+  out.fct = sim->fct_stats();
+  state::SnapshotWriter writer;
+  sim->save_state(writer);
+  out.image = writer.buffer();
+  return out;
+}
+
+TEST(ShardedFlowSim, GatewayStormOverLiveHalvesBitIdentical) {
+  thread_budget::set_pool_size(4);
+  const auto topo = build_fat_tree(4, 100_Gbps);
+  const auto flows = poisson_workload(topo, 400.0, 2.0, 2024);
+
+  const StormOutcome reference = run_gateway_storm(topo, flows, 1, 0.0);
+  EXPECT_EQ(reference.completed.size(), flows.size());
+  const auto expect_same = [&](const StormOutcome& run) {
+    ASSERT_EQ(run.completed.size(), reference.completed.size());
+    for (std::size_t i = 0; i < run.completed.size(); ++i) {
+      ASSERT_EQ(run.completed[i].id, reference.completed[i].id) << i;
+      EXPECT_EQ(run.completed[i].finished.value(),
+                reference.completed[i].finished.value())
+          << i;
+    }
+    EXPECT_EQ(run.fct.count(), reference.fct.count());
+    EXPECT_EQ(run.fct.mean(), reference.fct.mean());
+    EXPECT_EQ(run.fct.m2(), reference.fct.m2());
+    EXPECT_EQ(run.fct.sum(), reference.fct.sum());
+    EXPECT_EQ(run.image, reference.image);
+  };
+  for (const std::size_t threads : {2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " workers");
+    expect_same(run_gateway_storm(topo, flows, threads, 0.0));
+  }
+  // Cut mid-storm: the agg's gateway link is down and a core switch is
+  // dead; the whole-core kill and the recovery happen after the restore.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " workers, resumed");
+    expect_same(run_gateway_storm(topo, flows, threads, 1.05));
+  }
+}
+
 // --- Contract 5: snapshot / resume bit-identity ---
 
 TEST(ShardedFlowSim, SnapshotResumeBitIdentical) {
@@ -467,7 +589,80 @@ TEST(ShardedFlowSim, SnapshotResumeBitIdentical) {
   resumed.check_invariants();
 }
 
-// --- Contract 6: merged-metrics export stability ---
+// --- Contract 6: the one-shard barrier grid after run() ---
+
+/// The grid cursor stepping one barrier at a time from zero reaches.
+std::uint64_t stepped_cursor(double now, double interval) {
+  std::uint64_t c = 0;
+  while (static_cast<double>(c + 1) * interval <= now) ++c;
+  return c;
+}
+
+TEST(ShardedFlowSim, OneShardRunLandsTheGridLikeSteppingWould) {
+  // An unroutable flow (its source's access link is down) is dropped at
+  // admission, so the makespan is exactly its start time: run() lands on
+  // and around values whose grid multiples round either way.
+  const auto topo = build_fat_tree(4, 100_Gbps);
+  const NodeId src = topo.hosts.front();
+  const NodeId dst = topo.hosts.back();
+  LinkId access = kInvalidLink;
+  for (const Link& l : topo.graph.links()) {
+    if (l.a == src || l.b == src) access = l.id;
+  }
+  ASSERT_NE(access, kInvalidLink);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double interval : {0.01, 0.1}) {
+    for (const double grid : {0.3, 0.7, 1e6 + 0.01}) {
+      for (const double makespan : {std::nextafter(grid, 0.0), grid,
+                                    std::nextafter(grid, inf)}) {
+        SCOPED_TRACE(testing::Message() << "interval=" << interval
+                                        << " makespan=" << makespan);
+        ShardedFlowSimulator::Config scfg;
+        scfg.num_shards = 1;
+        scfg.barrier_interval = Seconds{interval};
+        ShardedFlowSimulator sim{topo.graph, scfg};
+        sim.set_link_enabled(access, false);
+        sim.submit({src, dst, Bits::from_gigabits(1.0), Seconds{makespan}, 0});
+        sim.run();
+        ASSERT_EQ(sim.now().value(), makespan);
+        EXPECT_EQ(sim.unroutable_flows(), 1u);
+
+        std::vector<double> barriers;
+        sim.set_barrier_listener(
+            [&](Seconds t) { barriers.push_back(t.value()); });
+        sim.run_until(Seconds{makespan + 2.5 * interval});
+        ASSERT_FALSE(barriers.empty());
+        EXPECT_EQ(barriers.front(),
+                  static_cast<double>(stepped_cursor(makespan, interval) + 1) *
+                      interval);
+      }
+    }
+  }
+}
+
+TEST(ShardedFlowSim, OneShardRunReturnsAtHugeMakespans) {
+  // Stepping one barrier at a time would walk 1e14 grid windows here.
+  const auto topo = build_fat_tree(4, 100_Gbps);
+  ShardedFlowSimulator::Config scfg;
+  scfg.num_shards = 1;
+  ShardedFlowSimulator sim{topo.graph, scfg};
+  const double start = 1e12;
+  sim.submit({topo.hosts.front(), topo.hosts.back(), Bits::from_gigabits(1.0),
+              Seconds{start}, 0});
+  sim.run();
+  ASSERT_EQ(sim.completed().size(), 1u);
+  EXPECT_GT(sim.now().value(), start);
+
+  std::vector<double> barriers;
+  sim.set_barrier_listener([&](Seconds t) { barriers.push_back(t.value()); });
+  sim.run_until(Seconds{sim.now().value() + 1.0});
+  ASSERT_FALSE(barriers.empty());
+  EXPECT_GT(barriers.front(), sim.completed().front().finished.value());
+  EXPECT_LT(barriers.front() - sim.completed().front().finished.value(),
+            2 * scfg.barrier_interval.value());
+}
+
+// --- Contract 7: merged-metrics export stability ---
 
 std::vector<telemetry::MetricSample> run_and_merge(const BuiltTopology& topo,
                                                    std::size_t shards,
