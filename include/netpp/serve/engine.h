@@ -26,8 +26,10 @@
 //
 // Thread safety: handle()/answer() may be called concurrently; batches fan
 // out over a sim::SweepRunner pool. Internal caches are mutex-protected,
-// and each mech scenario's CompositeCache serializes its callers, so
-// results are independent of thread count and arrival order.
+// but cold fault baselines are built outside the lock (racing builds of
+// one key produce byte-identical images; the first insert wins), and each
+// mech scenario's CompositeCache serializes its callers, so results are
+// independent of thread count and arrival order.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +53,7 @@ struct EngineConfig {
 struct EngineStats {
   std::size_t queries = 0;          ///< queries answered (ok or error)
   std::size_t result_reuses = 0;    ///< answered from the result cache
-  std::size_t baselines_built = 0;  ///< warm fault baselines constructed
+  std::size_t baselines_built = 0;  ///< warm fault baselines inserted
   std::size_t baseline_forks = 0;   ///< queries answered by forking one
   std::size_t sim_reuses = 0;       ///< backend runs reused (mech caches)
   std::size_t stage_reuses = 0;     ///< stage totals reused (mech caches)

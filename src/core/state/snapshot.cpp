@@ -12,31 +12,57 @@ namespace {
 
 constexpr std::array<char, 8> kMagic = {'N', 'P', 'P', 'S', 'N', 'A', 'P', '1'};
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: tables[0] is the bytewise CRC-32 table, and
+/// tables[k][i] advances tables[k - 1][i] by one more zero byte, so one
+/// lookup per byte of an 8-byte block replaces eight dependent steps.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xffu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  return table;
+const CrcTables& crc_tables() {
+  static const CrcTables tables = make_crc_tables();
+  return tables;
+}
+
+/// Little-endian u32 from bytes, independent of the host's byte order.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
-  const auto& table = crc_table();
+  const CrcTables& t = crc_tables();
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xffffffffu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ bytes[i]) & 0xffu] ^ (c >> 8);
+  for (; len >= 8; bytes += 8, len -= 8) {
+    const std::uint32_t lo = c ^ load_le32(bytes);
+    const std::uint32_t hi = load_le32(bytes + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++bytes, --len) {
+    c = t[0][(c ^ *bytes) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

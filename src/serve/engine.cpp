@@ -85,12 +85,18 @@ struct QueryEngine::Impl {
   EngineStats stats;
 
   /// Looks up or builds the warm baseline for the query's faults tuple.
+  /// The build runs outside `mutex`, so a cold build does not stall other
+  /// queries (result-cache hits included). Threads racing on one cold key
+  /// each build; the first insert wins and the others discard their image,
+  /// which is byte-identical. `baselines_built` counts inserted images.
   const state::StateImage& obtain_fault_baseline(const ScenarioOptions& opt,
                                                  bool telemetered) {
     const std::string key = fault_baseline_key(opt, telemetered);
-    const std::lock_guard<std::mutex> lock{mutex};
-    const auto it = fault_baselines.find(key);
-    if (it != fault_baselines.end()) return *it->second;
+    {
+      const std::lock_guard<std::mutex> lock{mutex};
+      const auto it = fault_baselines.find(key);
+      if (it != fault_baselines.end()) return *it->second;
+    }
     // Build the baseline the way the CLI starts a one-shot run: fresh
     // construction tailors the fabric and arms the injector; the image
     // captures that instant (t = 0) so forks skip straight past setup.
@@ -101,8 +107,11 @@ struct QueryEngine::Impl {
     const FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config};
     auto image = std::make_unique<state::StateImage>(state::StateImage::capture(
         [&](state::SnapshotWriter& w) { run.save_state(w); }));
-    ++stats.baselines_built;
-    return *fault_baselines.emplace(key, std::move(image)).first->second;
+    const std::lock_guard<std::mutex> lock{mutex};
+    const auto [it, inserted] =
+        fault_baselines.try_emplace(key, std::move(image));
+    if (inserted) ++stats.baselines_built;
+    return *it->second;
   }
 
   CompositeCache& obtain_mech_cache(const ScenarioOptions& opt) {

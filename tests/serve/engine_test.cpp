@@ -6,12 +6,16 @@
 //     queries first (so the fork/cache paths are hot) produces the same
 //     bytes as a fresh engine answering only that query;
 //   * batches are independent of worker-thread count;
+//   * threads racing on one cold faults query build the baseline outside
+//     the engine lock, insert it once, and answer byte-identically;
 //   * the reuse accounting (EngineStats) reflects the paths taken;
 //   * malformed queries become typed error envelopes in place, never
 //     exceptions, and never poison the rest of a batch.
 #include "netpp/serve/engine.h"
 
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,6 +55,31 @@ TEST(QueryEngine, RepeatedForksAreBitIdentical) {
     EXPECT_EQ(stats.baselines_built, 1u) << query;
     EXPECT_EQ(stats.baseline_forks, 4u) << query;
     EXPECT_EQ(stats.result_reuses, 0u) << query;
+  }
+}
+
+TEST(QueryEngine, ConcurrentColdFaultsQueriesInsertOneBaseline) {
+  constexpr int kThreads = 4;
+  for (const char* query : {kFaultsCsv, kFaultsShardedCsv}) {
+    QueryEngine engine{EngineConfig{.result_cache = false}};
+    std::vector<std::string> payloads(kThreads);
+    std::latch start{kThreads};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        payloads[t] = payload_of(engine, query);
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    ASSERT_FALSE(payloads[0].empty()) << query;
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(payloads[t], payloads[0]) << query << ": thread " << t;
+    }
+    const EngineStats stats = engine.stats();
+    EXPECT_EQ(stats.baselines_built, 1u) << query;
+    EXPECT_EQ(stats.baseline_forks, static_cast<std::size_t>(kThreads))
+        << query;
   }
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -275,6 +276,55 @@ TEST(Snapshot, Crc32MatchesKnownVector) {
   EXPECT_EQ(crc32(s, 9), 0xcbf43926u);
   // Chained computation equals one-shot.
   EXPECT_EQ(crc32(s + 4, 5, crc32(s, 4)), crc32(s, 9));
+}
+
+/// The bytewise table loop crc32 used before slicing-by-8, as its
+/// reference.
+std::uint32_t crc32_bytewise(const std::uint8_t* bytes, std::size_t len,
+                             std::uint32_t seed = 0) {
+  static const std::vector<std::uint32_t> table = [] {
+    std::vector<std::uint32_t> t(256);
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c = table[(c ^ bytes[i]) & 0xffu] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Snapshot, Crc32MatchesBytewiseLoop) {
+  std::mt19937_64 rng{0xc3c32u};
+  std::vector<std::uint8_t> buf(std::size_t{1} << 20);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  // Every length 0-256 at every start offset 0-7: each alignment and tail.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      ASSERT_EQ(crc32(buf.data() + offset, len),
+                crc32_bytewise(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  const std::uint32_t whole = crc32_bytewise(buf.data(), buf.size());
+  EXPECT_EQ(crc32(buf.data(), buf.size()), whole);
+  // Chained seeds: any split point, and an arbitrary starting seed.
+  for (const std::size_t split : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{8}, std::size_t{4099},
+                                  buf.size() - 3}) {
+    EXPECT_EQ(crc32(buf.data() + split, buf.size() - split,
+                    crc32(buf.data(), split)),
+              whole)
+        << "split " << split;
+  }
+  EXPECT_EQ(crc32(buf.data() + 3, 1000, 0x12345678u),
+            crc32_bytewise(buf.data() + 3, 1000, 0x12345678u));
 }
 
 TEST(InvariantAuditor, RunsChecksInOrderAndCounts) {

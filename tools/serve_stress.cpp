@@ -3,13 +3,16 @@
 //   serve_stress --socket PATH [--clients N] [--rounds M]
 //
 // N clients connect concurrently and each sends M rounds of the same mixed
-// query set (analytics, faults, mech, one deliberately-invalid query). The
-// driver asserts the protocol invariants that matter under concurrency:
-// every request gets exactly one well-formed response envelope, ids echo
-// back, the invalid query fails with its documented typed code, and —
-// because the engine's warm state is shared across clients — every client
-// receives byte-identical payloads for identical queries. Exit 0 on
-// success; one diagnostic line and exit 1 on the first violation.
+// query set (analytics; faults on the single and sharded backends and under
+// the re-tailor and wake-all policies; mech; one deliberately-invalid
+// query), so cold baseline builds race each other and concurrent
+// re-tailoring runs on both backends. The driver asserts the protocol
+// invariants that matter under concurrency: every request gets exactly one
+// well-formed response envelope, ids echo back, the invalid query fails
+// with its documented typed code, and — because the engine's warm state is
+// shared across clients — every client receives byte-identical payloads
+// for identical queries. Exit 0 on success; one diagnostic line and exit 1
+// on the first violation.
 //
 // The CI concurrent-client job runs this under ASan/UBSan against a live
 // server; it doubles as the protocol-level determinism test.
@@ -48,6 +51,10 @@ constexpr CannedQuery kQueries[] = {
     {R"({"command":"mech","stack":"all","iters":2,"ocs":8,"output":"csv","id":4})",
      ""},
     {R"({"command":"faults","mttr_s":0,"id":5})", "out_of_range"},
+    {R"({"command":"faults","seed":7,"backend":"sharded","shards":2,"output":"csv","id":6})",
+     ""},
+    {R"({"command":"faults","seed":7,"policy":"wake-all","output":"csv","id":7})",
+     ""},
 };
 constexpr std::size_t kNumQueries = sizeof(kQueries) / sizeof(kQueries[0]);
 
