@@ -11,6 +11,7 @@
 // utilization/energy studies at cluster scale.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -274,23 +275,38 @@ class FlowSimulator {
   /// std::invalid_argument("FlowSimulator: constraint") on violation.
   void check_invariants() const;
 
+ private:
   // --- Sharded-driver hooks (see netpp/netsim/sharded.h) ---
   //
   // The sharded driver reconciles the two halves of a cross-shard flow at
   // its bounded-lag barriers. Inside its window, each shard settles to the
-  // barrier time and reads its halves off the member lists of its gateway
-  // links (every half crosses exactly one); the barrier then raises the
-  // faster half of each pair to the slower half's remaining volume (rate =
-  // min of the halves at window granularity) and re-derives the completion
-  // event. The hooks are allocation-free and leave rates and the carried-sum
-  // bookkeeping untouched, so check_invariants() holds across any raise
-  // sequence. Only call them at event boundaries (never from inside a
-  // simulator callback).
+  // barrier time, taking the completion minima on the way, and reads its
+  // halves off the member lists of its gateway links (every half crosses
+  // exactly one); the barrier then raises the faster half of each pair to
+  // the slower half's remaining volume (rate = min of the halves at window
+  // granularity) and re-derives the completion event. The hooks are
+  // allocation-free and leave rates and the carried-sum bookkeeping
+  // untouched, so check_invariants() holds across any raise sequence. Only
+  // the driver calls them, and only at event boundaries (never from inside
+  // a simulator callback).
+  friend class ShardedFlowSimulator;
 
-  /// Settles flow progress to the engine's current time (idempotent; a
-  /// second call at the same time is a no-op, so barrier settles compose
-  /// with the simulator's own event-driven settles).
-  void settle_to_now() { settle_progress(engine_.now()); }
+  /// Settles flow progress to the engine's current time and takes
+  /// completion_scan's two minima over the settled columns: one
+  /// soa::settle_and_scan pass at threshold -inf, so no lane counts as due
+  /// and the minima cover every lane. Idempotent: a second call at the same
+  /// time writes nothing, so barrier settles compose with the simulator's
+  /// own event-driven settles.
+  soa::CompletionPass settle_and_scan_to_now();
+
+  /// Whether active flow `index` attains one of `minima`
+  /// (soa::attains_minimum): the lanes whose raise can move them.
+  [[nodiscard]] bool attains_completion_minimum(
+      std::size_t index, const soa::CompletionPass& minima) const {
+    return soa::attains_minimum(flow_remaining_[index], flow_rate_bps_[index],
+                                config_.flow_rate_cap.bits_per_second(),
+                                minima);
+  }
 
   /// Calls visit(index, tag, remaining_bits) for every active flow crossing
   /// directed link `dl`, in membership order: the flow's position in the
@@ -306,19 +322,28 @@ class FlowSimulator {
     }
   }
 
-  /// Raises active flow `index`'s remaining volume to `bits` (must not be
-  /// below the current value or above the flow's size, modulo the
-  /// completion epsilon). Rates are untouched, so per-link feasibility is
-  /// preserved; call settle_to_now() first and reschedule_completion()
-  /// after the batch of raises.
-  void set_remaining_bits(std::size_t index, double bits);
+  /// Raises active flow `index`'s remaining volume to `bits`, unvalidated:
+  /// the driver raises a half to its partner's remaining volume, which lies
+  /// in [current, size] because both halves share the flow's size. Rates
+  /// are untouched, so per-link feasibility is preserved; settle first and
+  /// reschedule the completion after the batch of raises.
+  void raise_remaining_bits(std::size_t index, double bits) {
+    assert(index < active_.size() && bits >= flow_remaining_[index]);
+    flow_remaining_[index] = bits;
+  }
 
   /// Cancels and re-derives the completion event from the current
   /// remaining/rate columns (the tail of every reallocation), for use after
-  /// a set_remaining_bits batch.
+  /// a batch of raises.
   void reschedule_completion() { schedule_next_completion(); }
 
- private:
+  /// The same from minima taken over the columns before the raises. A raise
+  /// only delays its lane, so they are the rescan's minima whenever no
+  /// raised lane attained one; the event time and sequence number then
+  /// match reschedule_completion()'s. `retry` as for schedule_completion.
+  void reschedule_completion(const soa::CompletionPass& minima,
+                             bool retry = false);
+
   // Cold per-flow identity. The hot per-event scalars — current rate,
   // remaining volume, and the flow's arena block (begin/count into
   // flow_links_) — live in the parallel structure-of-arrays columns next to
@@ -360,9 +385,8 @@ class FlowSimulator {
   /// reallocate() can confine the writeback. See reallocate() for why this
   /// is the same allocation.
   bool reallocate_binding_subset(double cap_bps);
-  /// Cancels the pending completion event and schedules the next one from a
-  /// full completion scan. `retry` marks the nothing-due guard (see
-  /// schedule_completion).
+  /// A full completion scan, then reschedule_completion from its minima.
+  /// `retry` marks the nothing-due guard (see schedule_completion).
   void schedule_next_completion(bool retry = false);
   /// Schedules the completion event at the earliest finish implied by a
   /// completion scan's minima (none when no flow progresses). A `retry` that

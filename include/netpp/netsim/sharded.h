@@ -24,12 +24,12 @@
 // all of its active flows.
 //
 // Determinism: workers only ever run disjoint shards inside a window. A
-// window task writes its own shard, its own collection buffer, and the
-// scratch fields of its own halves' flow-table entries (src fields in the
-// source shard, dst fields in the destination shard: distinct members, so
-// no two tasks write the same memory). Everything that acts across shards —
-// completion draining, raising the faster half of each pair, fault routing —
-// happens in the serial barrier phase in fixed shard / submission order.
+// window task writes its own shard, its own collection buffer, and its own
+// halves' slots of the cross-pair table (src fields in the source shard,
+// dst fields in the destination shard: distinct members, so no two tasks
+// write the same memory). Everything that acts across shards — completion
+// draining, raising the faster half of each pair, fault routing — happens
+// in the serial barrier phase in fixed shard / submission order.
 // Results are therefore bit-identical regardless of the worker-thread count
 // (the SweepRunner discipline). With one shard the local topology is a
 // verbatim copy of the global graph and no flow is ever split, so the
@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -216,18 +217,31 @@ class ShardedFlowSimulator {
     double finished_src = -1.0;
     double finished_dst = -1.0;
     bool completed = false;
-    /// Cross-half collection scratch, valid when the stamp matches
-    /// barrier_gen_. The src fields are written only by the source shard's
-    /// window task, the dst fields only by the destination shard's.
-    std::uint32_t seen_src = 0;
-    std::uint32_t seen_dst = 0;
-    std::uint32_t index_src = 0;
-    std::uint32_t index_dst = 0;
-    double remaining_src = 0.0;
-    double remaining_dst = 0.0;
+    /// Cross flows: the flow's entry in pairs_.
+    std::uint32_t pair = 0;
 
     [[nodiscard]] bool cross() const { return src_shard != dst_shard; }
   };
+
+  /// One cross flow's collection slots: the compact table the barrier's
+  /// raises read, one entry per cross flow in submission order. The src
+  /// fields are written only by the source shard's window task, the dst
+  /// fields only by the destination shard's. Rebuilt from the flow table on
+  /// restore, never serialized.
+  struct CrossPair {
+    /// Remaining volume of each half at its shard's collection.
+    double remaining_src = 0.0;
+    double remaining_dst = 0.0;
+    /// Active-flow lane of each half, with kAttainsMinimum set when the lane
+    /// attained one of its shard's completion minima at collection.
+    std::uint32_t lane_src = 0;
+    std::uint32_t lane_dst = 0;
+    /// barrier_gen_ of the window that collected the destination half (the
+    /// source half is in its shard's src_halves exactly when collected).
+    std::uint32_t seen_dst = 0;
+    std::uint32_t dst_shard = 0;
+  };
+  static constexpr std::uint32_t kAttainsMinimum = 1u << 31;
 
   struct Shard {
     ShardTopology topo;
@@ -241,12 +255,16 @@ class ShardedFlowSimulator {
     /// this shard. The window task settles and collects only when some
     /// remain after the coming barrier's drain.
     std::size_t live_cross_halves = 0;
-    /// Flow-table indices of the source halves the last window collected,
-    /// in gateway-link membership order; the barrier pairs each with its
+    /// pairs_ entries of the source halves the last window collected, in
+    /// gateway-link membership order; the barrier pairs each with its
     /// destination half. Derived per window, never serialized.
     std::vector<std::uint32_t> src_halves;
     /// Set by a raise, cleared by the barrier's one reschedule.
     bool raised = false;
+    /// Completion minima the last collection took, dropped when a raised
+    /// lane attained one: the barrier reschedules from them instead of
+    /// rescanning. Derived per window, never serialized.
+    std::optional<soa::CompletionPass> minima;
   };
 
   /// Per-boundary-link fault state (global boundary links only).
@@ -257,8 +275,9 @@ class ShardedFlowSimulator {
 
   [[nodiscard]] std::uint32_t shard_of_node(NodeId global) const;
   void advance_shards(Seconds target);
-  /// Window-task tail: settles shard `s` and stamps its live cross halves'
-  /// (active index, remaining) into their flow-table entries.
+  /// Window-task tail: settles shard `s`, taking its completion minima, and
+  /// writes its live cross halves' (lane, remaining) into their cross-pair
+  /// slots.
   void collect_cross_halves(std::size_t s);
   void barrier_sync();
   void drain_completions();
@@ -288,6 +307,7 @@ class ShardedFlowSimulator {
   std::unordered_map<std::uint64_t, bool> gateway_link_disabled_;
 
   std::vector<FlowEntry> flows_;
+  std::vector<CrossPair> pairs_;
   std::vector<FlowRecord> completed_;
   SummaryStat fct_;
   FlowId next_id_ = 1;

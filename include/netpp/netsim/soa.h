@@ -201,6 +201,32 @@ struct CompletionPass {
   double min_capped = std::numeric_limits<double>::infinity();
 };
 
+/// completion_scan's rule for one lane: the minimum it competes for and its
+/// value there. A lane at the cap competes for min_capped with its
+/// remaining volume, any other lane for min_quotient with remaining / rate,
+/// and a stalled lane (!(rate > 0.0)) for neither (minimum == nullptr). The
+/// scalar kernels fold every lane through it; the vector bodies reproduce
+/// it bit for bit.
+struct LaneKey {
+  double CompletionPass::*minimum = nullptr;
+  double value = 0.0;
+};
+[[nodiscard]] inline LaneKey completion_key(double remaining, double rate,
+                                            double cap) {
+  if (!(rate > 0.0)) return {};
+  if (rate == cap) return {&CompletionPass::min_capped, remaining};
+  return {&CompletionPass::min_quotient, remaining / rate};
+}
+
+/// Whether the lane attains the minimum it competes for in `pass`: the only
+/// lanes whose raise can move the pass's minima.
+[[nodiscard]] inline bool attains_minimum(double remaining, double rate,
+                                          double cap,
+                                          const CompletionPass& pass) {
+  const LaneKey key = completion_key(remaining, rate, cap);
+  return key.minimum != nullptr && key.value == pass.*key.minimum;
+}
+
 /// A completion event's one pass over the rate/remaining columns:
 ///   - settles every lane exactly as settle() does, and writes nothing when
 ///     dt <= 0;

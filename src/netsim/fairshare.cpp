@@ -84,7 +84,9 @@ void MaxMinSolver::freeze(std::uint32_t f, double value) {
     // a touched link's share ((residual - v) / (n - 1) >= residual / n
     // whenever residual / n >= v, which progressive filling guarantees), so
     // the link's existing heap entry is a valid lower bound. run() fixes
-    // it up lazily when it reaches the top.
+    // it up lazily when it reaches the top. That holds in exact arithmetic
+    // only: after rounding the new share can sit one step below the old,
+    // and the entry then overstates it (see fairshare.h).
   }
 }
 

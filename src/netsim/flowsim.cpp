@@ -1012,17 +1012,21 @@ bool FlowSimulator::reallocate_binding_subset(double cap_bps) {
 }
 
 void FlowSimulator::schedule_next_completion(bool retry) {
+  // A dense pass over the rate/remaining SoA columns (vectorized kernel).
+  soa::CompletionPass pass;
+  soa::completion_scan(flow_remaining_.data(), flow_rate_bps_.data(),
+                       config_.flow_rate_cap.bits_per_second(),
+                       active_.size(), &pass.min_quotient, &pass.min_capped);
+  reschedule_completion(pass, retry);
+}
+
+void FlowSimulator::reschedule_completion(const soa::CompletionPass& minima,
+                                          bool retry) {
   if (completion_event_) {
     engine_.cancel(*completion_event_);
     completion_event_.reset();
   }
-  // A dense pass over the rate/remaining SoA columns (vectorized kernel).
-  double min_quotient;
-  double min_capped;
-  soa::completion_scan(flow_remaining_.data(), flow_rate_bps_.data(),
-                       config_.flow_rate_cap.bits_per_second(),
-                       active_.size(), &min_quotient, &min_capped);
-  schedule_completion(min_quotient, min_capped, retry);
+  schedule_completion(minima.min_quotient, minima.min_capped, retry);
 }
 
 void FlowSimulator::schedule_completion(double min_quotient,
@@ -1072,15 +1076,14 @@ void FlowSimulator::schedule_completion_for_cap_arrival(std::size_t index) {
       Seconds{delay}, [this] { complete_due_flows(engine_.now()); });
 }
 
-void FlowSimulator::set_remaining_bits(std::size_t index, double bits) {
-  validation::require(index < active_.size(), "FlowSimulator",
-                      "set_remaining_bits index must name an active flow");
-  validation::require(
-      std::isfinite(bits) && bits + kEpsBits >= flow_remaining_[index] &&
-          bits <= active_[index].spec.size.value() + kEpsBits,
-      "FlowSimulator",
-      "set_remaining_bits may only raise remaining within [current, size]");
-  flow_remaining_[index] = bits;
+soa::CompletionPass FlowSimulator::settle_and_scan_to_now() {
+  const Seconds now = engine_.now();
+  const soa::CompletionPass pass = soa::settle_and_scan(
+      flow_remaining_.data(), flow_rate_bps_.data(),
+      (now - last_settle_).value(), -std::numeric_limits<double>::infinity(),
+      config_.flow_rate_cap.bits_per_second(), active_.size());
+  last_settle_ = now;
+  return pass;
 }
 
 void FlowSimulator::complete_due_flows(Seconds now) {

@@ -1,6 +1,7 @@
 #include "netpp/netsim/sharded.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -150,6 +151,8 @@ FlowId ShardedFlowSimulator::submit(const FlowSpec& spec) {
     egress.tag = 2 * f + 1;
     dst.sim->submit(egress);
     ++dst.live_cross_halves;
+    entry.pair = static_cast<std::uint32_t>(pairs_.size());
+    pairs_.push_back(CrossPair{.dst_shard = entry.dst_shard});
   }
   flows_.push_back(entry);
   return entry.id;
@@ -222,11 +225,11 @@ void ShardedFlowSimulator::advance_shards(Seconds target) {
   // A fresh stamp marks this window's collections. On the 2^32 wrap every
   // old stamp is cleared, so none can collide with a new one.
   if (++barrier_gen_ == 0) {
-    for (FlowEntry& entry : flows_) entry.seen_src = entry.seen_dst = 0;
+    for (CrossPair& pair : pairs_) pair.seen_dst = 0;
     barrier_gen_ = 1;
   }
   // Workers claim whole shards; two workers never touch the same shard or
-  // the same flow-table field (see collect_cross_halves), and nothing that
+  // the same cross-pair field (see collect_cross_halves), and nothing that
   // acts across shards happens until the serial barrier phase.
   thread_budget::parallel_for(
       shards_.size(), busy > 1 ? config_.num_threads : 1, [&](std::size_t s) {
@@ -238,6 +241,7 @@ void ShardedFlowSimulator::advance_shards(Seconds target) {
 void ShardedFlowSimulator::collect_cross_halves(std::size_t s) {
   Shard& shard = *shards_[s];
   shard.src_halves.clear();
+  shard.minima.reset();
   // The coming drain retires one live half per odd-tag record this window
   // appended. Settle only when halves outlive it: settling a shard with none
   // would split one remaining -= rate * dt step in two and move bits.
@@ -247,7 +251,10 @@ void ShardedFlowSimulator::collect_cross_halves(std::size_t s) {
     live -= records[i].spec.tag & 1;
   }
   if (live == 0) return;
-  shard.sim->settle_to_now();
+  // A raise only delays its lane, so the settled columns' completion minima
+  // stay the rescan's unless a raised lane attained one.
+  const soa::CompletionPass minima = shard.sim->settle_and_scan_to_now();
+  shard.minima = minima;
   // Every live half ends (ingress) or starts (egress) at the gateway, so it
   // crosses exactly one gateway link, once. Even tags on these links are
   // intra-shard flows between this shard's pods, transiting the gateway.
@@ -255,17 +262,21 @@ void ShardedFlowSimulator::collect_cross_halves(std::size_t s) {
   const auto visit = [&](std::uint32_t index, std::uint64_t tag,
                          double remaining) {
     if ((tag & 1) == 0) return;
-    const auto f = static_cast<std::uint32_t>(tag >> 1);
-    FlowEntry& entry = flows_[f];
+    const FlowEntry& entry = flows_[tag >> 1];
+    CrossPair& pair = pairs_[entry.pair];
+    assert(index < kAttainsMinimum);
+    std::uint32_t lane = index;
+    if (shard.sim->attains_completion_minimum(index, minima)) {
+      lane |= kAttainsMinimum;
+    }
     if (entry.src_shard == owner) {
-      entry.seen_src = barrier_gen_;
-      entry.index_src = index;
-      entry.remaining_src = remaining;
-      shard.src_halves.push_back(f);
+      pair.lane_src = lane;
+      pair.remaining_src = remaining;
+      shard.src_halves.push_back(entry.pair);
     } else {
-      entry.seen_dst = barrier_gen_;
-      entry.index_dst = index;
-      entry.remaining_dst = remaining;
+      pair.seen_dst = barrier_gen_;
+      pair.lane_dst = lane;
+      pair.remaining_dst = remaining;
     }
   };
   for (const ShardTopology::GatewayLink& gl : shard.topo.gateway_links) {
@@ -349,29 +360,38 @@ void ShardedFlowSimulator::reconcile_cross_flows() {
   // preserved; each raised shard re-derives its completion event once at
   // the end.
   //
-  // Visiting order cannot matter: each raise writes one (shard, active
-  // index) lane, each lane belongs to exactly one pair, and the raised value
-  // comes from the remaining volumes fixed at collection, which no raise
-  // changes. So the raises commute, and each raised shard's one reschedule
-  // sees the same columns whatever order the pairs were visited in.
+  // Visiting order cannot matter: each raise writes one (shard, lane), each
+  // lane belongs to exactly one pair, and the raised value comes from the
+  // remaining volumes fixed at collection, which no raise changes. So the
+  // raises commute, and each raised shard's one reschedule sees the same
+  // columns whatever order the pairs were visited in.
+  const auto raise = [](Shard& shard, std::uint32_t lane, double bits) {
+    shard.sim->raise_remaining_bits(lane & ~kAttainsMinimum, bits);
+    shard.raised = true;
+    if ((lane & kAttainsMinimum) != 0) shard.minima.reset();
+  };
   for (const auto& shard : shards_) {
-    for (const std::uint32_t f : shard->src_halves) {
-      FlowEntry& entry = flows_[f];
-      if (entry.seen_dst != barrier_gen_) continue;
-      const double r = std::max(entry.remaining_src, entry.remaining_dst);
-      if (entry.remaining_src < r) {
-        shard->sim->set_remaining_bits(entry.index_src, r);
-        shard->raised = true;
-      } else if (entry.remaining_dst < r) {
-        Shard& dst = *shards_[entry.dst_shard];
-        dst.sim->set_remaining_bits(entry.index_dst, r);
-        dst.raised = true;
+    for (const std::uint32_t p : shard->src_halves) {
+      const CrossPair& pair = pairs_[p];
+      if (pair.seen_dst != barrier_gen_) continue;
+      const double r = std::max(pair.remaining_src, pair.remaining_dst);
+      if (pair.remaining_src < r) {
+        raise(*shard, pair.lane_src, r);
+      } else if (pair.remaining_dst < r) {
+        raise(*shards_[pair.dst_shard], pair.lane_dst, r);
       }
     }
   }
+  // A raised shard whose raises all missed its minima keeps them (a raise
+  // only delays its lane); one that raised an attaining lane rescans. Both
+  // schedule the same event at the same sequence number.
   for (const auto& shard : shards_) {
     if (!shard->raised) continue;
-    shard->sim->reschedule_completion();
+    if (shard->minima) {
+      shard->sim->reschedule_completion(*shard->minima);
+    } else {
+      shard->sim->reschedule_completion();
+    }
     shard->raised = false;
   }
 }
@@ -749,6 +769,12 @@ void ShardedFlowSimulator::restore_state(state::SnapshotReader& r) {
     e.finished_dst = r.get_f64();
     e.completed = r.get_bool();
   }
+  pairs_.clear();
+  for (FlowEntry& e : flows_) {
+    if (!e.cross()) continue;
+    e.pair = static_cast<std::uint32_t>(pairs_.size());
+    pairs_.push_back(CrossPair{.dst_shard = e.dst_shard});
+  }
   completed_.clear();
   completed_.resize(r.get_u64());
   for (FlowRecord& rec : completed_) {
@@ -807,9 +833,14 @@ void ShardedFlowSimulator::check_invariants() const {
                       "fct stats must count exactly the completed flows");
   std::vector<std::size_t> live(shards_.size(), 0);
   std::size_t done = 0;
+  std::size_t cross = 0;
   for (const FlowEntry& e : flows_) {
     if (e.completed) ++done;
     if (!e.cross()) continue;
+    validation::require(e.pair == cross++ && e.pair < pairs_.size() &&
+                            pairs_[e.pair].dst_shard == e.dst_shard,
+                        kName,
+                        "cross flows own the cross-pair entries in order");
     validation::require(e.completed == (e.finished_src >= 0.0 &&
                                         e.finished_dst >= 0.0),
                         kName,
@@ -819,6 +850,8 @@ void ShardedFlowSimulator::check_invariants() const {
   }
   validation::require(done == completed_.size(), kName,
                       "completed flags must agree with the record list");
+  validation::require(cross == pairs_.size(), kName,
+                      "the cross-pair table holds one entry per cross flow");
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     validation::require(live[s] == shards_[s]->live_cross_halves, kName,
                         "live cross-half counters must match the flow table");

@@ -45,23 +45,24 @@ void settle_scalar(double* remaining, const double* rate, double dt,
   }
 }
 
+// Folds one lane into pass's minima under completion_key's rule.
+void fold_lane(CompletionPass& pass, double remaining, double rate,
+               double cap) {
+  const LaneKey key = completion_key(remaining, rate, cap);
+  if (key.minimum != nullptr && key.value < pass.*key.minimum) {
+    pass.*key.minimum = key.value;
+  }
+}
+
 void completion_scan_scalar(const double* remaining, const double* rate,
                             double cap, std::size_t n, double* min_quotient,
                             double* min_capped) {
-  double q = std::numeric_limits<double>::infinity();
-  double c = std::numeric_limits<double>::infinity();
+  CompletionPass pass;
   for (std::size_t i = 0; i < n; ++i) {
-    const double r = rate[i];
-    if (r <= 0.0) continue;  // stalled lane (fully contended/disabled)
-    if (r == cap) {
-      if (remaining[i] < c) c = remaining[i];
-    } else {
-      const double t = remaining[i] / r;
-      if (t < q) q = t;
-    }
+    fold_lane(pass, remaining[i], rate[i], cap);
   }
-  *min_quotient = q;
-  *min_capped = c;
+  *min_quotient = pass.min_quotient;
+  *min_capped = pass.min_capped;
 }
 
 CompletionPass settle_and_scan_scalar(double* remaining, const double* rate,
@@ -80,14 +81,7 @@ CompletionPass settle_and_scan_scalar(double* remaining, const double* rate,
       if (pass.due++ == 0) pass.first_due = i;
       continue;
     }
-    const double r = rate[i];
-    if (r <= 0.0) continue;
-    if (r == cap) {
-      if (rem < pass.min_capped) pass.min_capped = rem;
-    } else {
-      const double t = rem / r;
-      if (t < pass.min_quotient) pass.min_quotient = t;
-    }
+    fold_lane(pass, rem, rate[i], cap);
   }
   return pass;
 }
@@ -407,6 +401,11 @@ __attribute__((target("avx2"))) CompletionPass settle_and_scan_avx2(
   double capped_lanes[4];
   _mm256_storeu_pd(quotient_lanes, qacc);
   _mm256_storeu_pd(capped_lanes, cacc);
+  // The scalar tail is an out-of-line legacy-SSE call, and GCC emits no
+  // vzeroupper before it (nor at the return after it). Dirty upper halves
+  // would slow every SSE instruction the caller runs next until some other
+  // kernel clears them: ~900 TSC ticks per call on a small shard.
+  _mm256_zeroupper();
   return merge_tail(
       due, first_due, quotient_lanes, capped_lanes, 4,
       settle_and_scan_scalar(remaining + i, rate + i, dt, eps, cap, n - i),

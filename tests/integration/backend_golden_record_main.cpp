@@ -2,7 +2,9 @@
 // ready-to-paste C++ (hexfloat doubles, exact integers). The single-backend
 // values were recorded once against the pre-backend-seam drivers; the
 // multi-shard values pin the sharded backend's own answers at 2 and 4
-// shards (worker-count invariant, so one worker records them). Run again
+// shards (worker-count invariant, so one worker records them). It also
+// prints the barrier-reconcile expectations of flowsim_sharded_test.cpp
+// (scenarios in tests/netsim/sharded_reconcile_inputs.h). Run again
 // only after a deliberate behavior change — the suite's whole point is that
 // refactors do NOT change these values. Built as the plain
 // `backend_golden_record` executable (not a test):
@@ -10,6 +12,7 @@
 #include <cstdio>
 #include <string>
 
+#include "../netsim/sharded_reconcile_inputs.h"
 #include "backend_golden_inputs.h"
 
 namespace {
@@ -68,6 +71,25 @@ void print_fault(const char* tag, const FaultExperimentResult& r) {
   std::printf("}\n");
 }
 
+void print_reconcile(const char* tag, const golden::ReconcileOutcome& r) {
+  std::printf("{  // %s\n", tag);
+  field("e.completed", r.completed.size());
+  field("e.fct_mean_s", r.fct.mean());
+  field("e.fct_m2", r.fct.m2());
+  field("e.fct_sum_s", r.fct.sum());
+  field("e.last_finished_s", r.completed.back().finished.value());
+  std::printf("  e.events = {");
+  for (std::size_t s = 0; s < r.events.size(); ++s) {
+    std::printf("%s%llu", s == 0 ? "" : ", ",
+                static_cast<unsigned long long>(r.events[s]));
+  }
+  std::printf("};\n");
+  field("e.image_bytes", r.image.size());
+  std::printf("  e.image_crc = 0x%08x;\n",
+              static_cast<unsigned>(state::crc32(r.image.data(), r.image.size())));
+  std::printf("}\n");
+}
+
 BackendConfig sharded(std::size_t shards) {
   BackendConfig b;
   b.kind = BackendKind::kSharded;
@@ -120,6 +142,22 @@ int main() {
                   run_fault_experiment(topo, s.workload, s.schedule,
                                        s.config));
     }
+  }
+  {
+    const BuiltTopology topo = build_fat_tree(4, Gbps{100.0});
+    print_reconcile(
+        "reconcile, raised half holds the minimum",
+        golden::run_reconcile(
+            topo, golden::ReconcileScenario::kRaisedHalfHoldsMinimum, 1));
+    print_reconcile(
+        "reconcile, raised half holds the minimum, uncapped",
+        golden::run_reconcile(
+            topo, golden::ReconcileScenario::kRaisedHalfHoldsMinimumUncapped,
+            1));
+    print_reconcile(
+        "reconcile, sporadic raises",
+        golden::run_reconcile(topo, golden::ReconcileScenario::kSporadicRaises,
+                              1));
   }
   return 0;
 }

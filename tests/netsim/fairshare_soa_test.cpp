@@ -3,7 +3,8 @@
 // them) must produce bit-identical results — both at the kernel level
 // (settle, completion_scan, div_shares, fill_unfrozen compared lane by lane
 // against the forced-scalar path; the fused settle_and_scan against the
-// settle + due walk + completion_scan sequence it replaces, and find_due
+// settle + due walk + completion_scan sequence it replaces, and at
+// threshold -inf against settle + completion_scan, and find_due
 // against a scalar search) and end to end (the solver against the
 // verbatim pre-optimization reference, and the sparse solve_arena entry
 // point against the dense solve()). force_simd_level() exists for
@@ -378,6 +379,67 @@ TEST(FairShareSoa, SettleAndScanMatchesSettleWalkScan) {
           EXPECT_EQ(pass.first_due, want_first) << what;
           EXPECT_EQ(bits(pass.min_quotient), bits(want_quotient)) << what;
           EXPECT_EQ(bits(pass.min_capped), bits(want_capped)) << what;
+        }
+      }
+    }
+  }
+}
+
+// The sharded driver settles each window's collection with the fused pass
+// at threshold -inf, and reschedules from its minima instead of
+// rescanning: that pass must equal settle (skipped when dt <= 0) followed
+// by completion_scan over every lane — the same lanes bit for bit, both
+// minima bitwise, and no lane due — at every compiled level.
+TEST(FairShareSoa, SettleAndScanAtMinusInfinityMatchesSettleThenScan) {
+  constexpr double kCap = 25e9;
+  const auto levels = compiled_levels();
+  Rng rng{0x5CA7ull};
+  for (const RateMix mix : {RateMix::kMixed, RateMix::kAllCapped,
+                            RateMix::kNoneCapped, RateMix::kAllClosed}) {
+    // Cap 0 is the uncapped simulator: only zero-rate lanes equal it.
+    for (const double cap : {kCap, 0.0}) {
+      for (std::size_t n = 0; n <= 66; ++n) {
+        for (const double dt : {0.0, rng.uniform(1e-9, 2.0)}) {
+          const Lanes lanes = random_lanes(rng, n, cap, mix);
+          for (const soa::SimdLevel level : levels) {
+            ForcedLevel forced{level};
+            const std::string what = std::string{"level "} +
+                                     soa::to_string(level) + ", cap " +
+                                     std::to_string(cap) + ", n " +
+                                     std::to_string(n) + ", dt " +
+                                     std::to_string(dt);
+            std::vector<double> want = lanes.remaining;
+            if (dt > 0.0) soa::settle(want.data(), lanes.rate.data(), dt, n);
+            double want_quotient = 0.0;
+            double want_capped = 0.0;
+            soa::completion_scan(want.data(), lanes.rate.data(), cap, n,
+                                 &want_quotient, &want_capped);
+
+            std::vector<double> got = lanes.remaining;
+            const soa::CompletionPass pass = soa::settle_and_scan(
+                got.data(), lanes.rate.data(), dt, -kInf, cap, n);
+            for (std::size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(bits(got[i]), bits(want[i])) << what << ", lane " << i;
+            }
+            EXPECT_EQ(pass.due, 0u) << what;
+            EXPECT_EQ(pass.first_due, n) << what;
+            EXPECT_EQ(bits(pass.min_quotient), bits(want_quotient)) << what;
+            EXPECT_EQ(bits(pass.min_capped), bits(want_capped)) << what;
+            // The driver flags the halves whose raise would void these
+            // minima by soa::attains_minimum: each finite one is some lane's.
+            bool quotient_attained = false;
+            bool capped_attained = false;
+            for (std::size_t i = 0; i < n; ++i) {
+              if (soa::attains_minimum(got[i], lanes.rate[i], cap, pass)) {
+                (lanes.rate[i] == cap ? capped_attained : quotient_attained) =
+                    true;
+              }
+            }
+            EXPECT_EQ(quotient_attained, std::isfinite(pass.min_quotient))
+                << what;
+            EXPECT_EQ(capped_attained, std::isfinite(pass.min_capped))
+                << what;
+          }
         }
       }
     }

@@ -16,6 +16,15 @@
 //      uninterrupted run.
 //   6. A one-shard run() lands the barrier grid where stepping one barrier
 //      at a time would, in constant time however long the makespan.
+//   7. The barrier's reschedule reuses a shard's collected completion
+//      minima only when they still hold: a raised half that held its
+//      shard's earliest completion forces a rescan, at every barrier and
+//      at a shard's first raise after quiet barriers. Records, FCT stats,
+//      event counts and final save_state bytes match hexfloat goldens
+//      recorded before the shortcut existed, at 1/2/4 workers and across a
+//      snapshot cut.
+//   8. The merged metric export is byte-stable across shard and worker
+//      counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,6 +45,7 @@
 #include "netpp/topo/builders.h"
 #include "netpp/topo/pods.h"
 #include "netpp/traffic/generators.h"
+#include "sharded_reconcile_inputs.h"
 
 namespace netpp {
 namespace {
@@ -662,7 +672,118 @@ TEST(ShardedFlowSim, OneShardRunReturnsAtHugeMakespans) {
             2 * scfg.barrier_interval.value());
 }
 
-// --- Contract 7: merged-metrics export stability ---
+// --- Contract 7: reschedules from collected minima ---
+
+/// backend_golden_record's expectations for one reconcile scenario.
+struct ReconcileGolden {
+  std::size_t completed = 0;
+  double fct_mean_s = 0.0;
+  double fct_m2 = 0.0;
+  double fct_sum_s = 0.0;
+  double last_finished_s = 0.0;
+  std::vector<std::uint64_t> events;
+  std::size_t image_bytes = 0;
+  std::uint32_t image_crc = 0;
+};
+
+ReconcileGolden reconcile_golden(golden::ReconcileScenario scenario) {
+  ReconcileGolden e;
+  switch (scenario) {
+    case golden::ReconcileScenario::kRaisedHalfHoldsMinimum:
+      e.completed = 5;
+      e.fct_mean_s = 0x1.1eb851eb851edp-1;  // 0.56000000000000016
+      e.fct_m2 = 0x1.cac083126e98p-4;  // 0.1120000000000001
+      e.fct_sum_s = 0x1.6666666666668p+1;  // 2.8000000000000007
+      e.last_finished_s = 0x1.999999999999cp-1;  // 0.80000000000000027
+      e.events = {64, 8};
+      e.image_bytes = 37908;
+      e.image_crc = 0x39d1f0b4;
+      break;
+    case golden::ReconcileScenario::kRaisedHalfHoldsMinimumUncapped:
+      e.completed = 5;
+      e.fct_mean_s = 0x1.51eb851eb851fp-2;  // 0.33000000000000002
+      e.fct_m2 = 0x1.5810624dd2f1cp-3;  // 0.16800000000000004
+      e.fct_sum_s = 0x1.a666666666667p+0;  // 1.6500000000000001
+      e.last_finished_s = 0x1.3333333333334p-1;  // 0.60000000000000009
+      e.events = {51, 8};
+      e.image_bytes = 37880;
+      e.image_crc = 0xbfdcfe2d;
+      break;
+    case golden::ReconcileScenario::kSporadicRaises:
+      e.completed = 24;
+      e.fct_mean_s = 0x1.23d9018e75793p-2;  // 0.28500750000000002
+      e.fct_m2 = 0x1.09bf2ad0f37eep+3;  // 8.3045858460499993
+      e.fct_sum_s = 0x1.b5c58255b035cp+2;  // 6.8401800000000001
+      e.last_finished_s = 0x1.999999999999ap+0;  // 1.6000000000000001
+      e.events = {41, 25, 39, 22};
+      e.image_bytes = 72878;
+      e.image_crc = 0x2751b790;
+      break;
+  }
+  return e;
+}
+
+/// Runs `scenario` at 1/2/4 workers and once resumed from a cut at grid
+/// barrier `cut_barrier`: every run bit-identical to the recorded goldens
+/// and to each other.
+void expect_reconcile_matches_recorded(golden::ReconcileScenario scenario,
+                                       std::size_t cut_barrier) {
+  thread_budget::set_pool_size(4);
+  const auto topo = build_fat_tree(4, 100_Gbps);
+  const ReconcileGolden e = reconcile_golden(scenario);
+  const golden::ReconcileOutcome reference =
+      golden::run_reconcile(topo, scenario, 1);
+  // EXPECT_EQ on doubles is deliberate: the contract is bitwise identity.
+  ASSERT_EQ(reference.completed.size(), e.completed);
+  EXPECT_EQ(reference.fct.count(), e.completed);
+  EXPECT_EQ(reference.fct.mean(), e.fct_mean_s);
+  EXPECT_EQ(reference.fct.m2(), e.fct_m2);
+  EXPECT_EQ(reference.fct.sum(), e.fct_sum_s);
+  EXPECT_EQ(reference.completed.back().finished.value(), e.last_finished_s);
+  EXPECT_EQ(reference.events, e.events);
+  EXPECT_EQ(reference.image.size(), e.image_bytes);
+  EXPECT_EQ(state::crc32(reference.image.data(), reference.image.size()),
+            e.image_crc);
+
+  const auto expect_same = [&](const golden::ReconcileOutcome& run) {
+    ASSERT_EQ(run.completed.size(), reference.completed.size());
+    for (std::size_t i = 0; i < run.completed.size(); ++i) {
+      ASSERT_EQ(run.completed[i].id, reference.completed[i].id) << i;
+      EXPECT_EQ(run.completed[i].finished.value(),
+                reference.completed[i].finished.value())
+          << i;
+    }
+    EXPECT_EQ(run.fct.mean(), reference.fct.mean());
+    EXPECT_EQ(run.fct.m2(), reference.fct.m2());
+    EXPECT_EQ(run.fct.sum(), reference.fct.sum());
+    EXPECT_EQ(run.events, reference.events);
+    EXPECT_EQ(run.image, reference.image);
+  };
+  for (const std::size_t threads : {2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " workers");
+    expect_same(golden::run_reconcile(topo, scenario, threads));
+  }
+  SCOPED_TRACE(testing::Message() << "resumed at barrier " << cut_barrier);
+  expect_same(golden::run_reconcile(topo, scenario, 4, cut_barrier));
+}
+
+TEST(ShardedFlowSim, RaisedHalfHoldingTheEarliestCompletionRescans) {
+  {
+    SCOPED_TRACE("capped");
+    expect_reconcile_matches_recorded(
+        golden::ReconcileScenario::kRaisedHalfHoldsMinimum, 30);
+  }
+  SCOPED_TRACE("uncapped");
+  expect_reconcile_matches_recorded(
+      golden::ReconcileScenario::kRaisedHalfHoldsMinimumUncapped, 30);
+}
+
+TEST(ShardedFlowSim, SporadicRaisesReuseMinimaOrRescan) {
+  expect_reconcile_matches_recorded(golden::ReconcileScenario::kSporadicRaises,
+                                    21);
+}
+
+// --- Contract 8: merged-metrics export stability ---
 
 std::vector<telemetry::MetricSample> run_and_merge(const BuiltTopology& topo,
                                                    std::size_t shards,
