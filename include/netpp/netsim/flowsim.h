@@ -11,12 +11,12 @@
 // utilization/energy studies at cluster scale.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "netpp/netsim/fairshare.h"
@@ -134,8 +134,8 @@ class FlowSimulator {
   ~FlowSimulator();
 
   /// Submits a flow for injection at `spec.start` (>= now). Returns its id.
-  /// Rejects NaN/non-finite sizes and start times with
-  /// std::invalid_argument.
+  /// Rejects NaN/non-finite sizes and start times, and starts before now(),
+  /// with std::invalid_argument, before an id is taken.
   FlowId submit(const FlowSpec& spec);
 
   // --- Dynamic topology (fault injection / degraded-mode policies) ---
@@ -365,11 +365,17 @@ class FlowSimulator {
   };
 
   void admit(FlowSpec spec, FlowId id);
-  /// Injection-event body: looks up and erases the pending submission for
-  /// `id`, then admits it. The indirection (instead of capturing the spec in
-  /// the scheduled closure) is what lets save_state() serialize not-yet-
-  /// admitted flows and restore_state() re-register their injection events.
-  void admit_pending(FlowId id);
+  /// Injection-event body: takes the pending submission out of pool slot
+  /// `slot`, frees the slot, then admits the flow. The indirection (instead
+  /// of capturing the spec in the scheduled closure) is what lets
+  /// save_state() serialize not-yet-admitted flows and restore_state()
+  /// re-register their injection events.
+  void admit_pending(std::uint32_t slot);
+  /// Every check submit() makes before it takes an id or a pool slot: the
+  /// endpoints exist and differ, the size is finite and positive, and the
+  /// start is finite and not before now(). ShardedFlowSimulator runs it on
+  /// each half of a flow before it takes a flow id.
+  void check_submit(const FlowSpec& spec) const;
   /// Rejects NaN/negative rate caps, zero path budgets, and non-positive
   /// link capacities up front ("FlowSimulator::Config: constraint").
   void validate_config() const;
@@ -699,14 +705,62 @@ class FlowSimulator {
   FlowId next_id_ = 1;
   Seconds last_settle_{};
   std::optional<SimEngine::EventId> completion_event_;
-  /// Submitted flows whose injection event has not fired yet, keyed by flow
-  /// id. Tracked so snapshots can serialize them and restores re-register
-  /// the injection events with their original FIFO sequence numbers.
-  struct PendingSubmit {
-    FlowSpec spec;
-    SimEngine::EventId event = 0;
+  /// Submitted flows whose injection event has not fired yet, tracked so
+  /// snapshots can serialize them and restores re-register the injection
+  /// events with their original FIFO sequence numbers. A slot pool: each
+  /// submission takes a slot, whose index its injection closure captures,
+  /// and the admission frees it for reuse (the last freed is the first
+  /// reused). Slots sit in chunks that double from a small first one and
+  /// never move, so once the pool has grown to the largest pending
+  /// population, a submission or an admission allocates and frees nothing.
+  class PendingPool {
+   public:
+    struct Entry {
+      /// 0 marks a free slot: flow ids start at 1.
+      FlowId id = 0;
+      FlowSpec spec;
+      /// The injection event; on a free slot, the next free slot's index.
+      SimEngine::EventId event = 0;
+    };
+
+    /// A free slot (the last one freed, else a fresh one); the caller
+    /// fills its entry.
+    std::uint32_t acquire();
+    void release(std::uint32_t slot) {
+      Entry& e = (*this)[slot];
+      e.id = 0;
+      e.event = free_head_;
+      free_head_ = slot;
+    }
+    Entry& operator[](std::uint32_t slot) {
+      const std::uint32_t j = slot + kFirstChunk;
+      const int c = static_cast<int>(std::bit_width(j)) - 1 - kFirstChunkLog2;
+      return chunks_[static_cast<std::size_t>(c)][j - (kFirstChunk << c)];
+    }
+    /// Calls visit(entry) for every pending submission, in slot order.
+    template <class Visit>
+    void for_each(Visit&& visit) const {
+      for (const std::vector<Entry>& chunk : chunks_) {
+        for (const Entry& e : chunk) {
+          if (e.id != 0) visit(e);
+        }
+      }
+    }
+    /// Frees every chunk (snapshot restore).
+    void clear() { *this = PendingPool{}; }
+
+   private:
+    static constexpr int kFirstChunkLog2 = 4;
+    static constexpr std::uint32_t kFirstChunk = 1u << kFirstChunkLog2;
+    static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+    // Chunk c holds slots [kFirstChunk * (2^c - 1), kFirstChunk * (2^(c+1)
+    // - 1)); its capacity is reserved up front and its entries are built on
+    // first use, so a slot never moves and untouched capacity costs no
+    // pages.
+    std::vector<std::vector<Entry>> chunks_;
+    std::uint32_t free_head_ = kNoSlot;
   };
-  std::unordered_map<FlowId, PendingSubmit> pending_submits_;
+  PendingPool pending_;
   LoadListener listener_;
   CompletionListener completion_listener_;
 };

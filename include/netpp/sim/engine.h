@@ -13,6 +13,13 @@
 // (generation, slot); a handle goes stale as soon as its event fires or is
 // cancelled, and the generation tag keeps recycled slots from resurrecting
 // stale handles.
+//
+// Events scheduled at exactly now() (a batch of flow injections at the
+// current time, say) skip the binary heap: they go into a FIFO lane beside
+// it, in which they are already sorted by (time, seq), because they share
+// the time and take increasing sequence numbers. Each pop takes the smaller
+// of the two fronts in (time, seq), so the execution order is the one a
+// single heap gives, at O(1) per lane event.
 #pragma once
 
 #include <cstdint>
@@ -110,13 +117,27 @@ class SimEngine {
     bool live = false;
   };
 
-  bool pop_and_run();
+  /// Runs the next live event if it is due at or before `until`.
+  bool pop_and_run(double until);
   const Slot& checked_slot(EventId id) const;
-  EventId push_event(double at, std::uint64_t seq, Callback fn);
+  EventId push_event(double at, std::uint64_t seq, Callback fn, bool lane);
+  [[nodiscard]] bool live(const Entry& e) const {
+    const Slot& s = slots_[e.slot];
+    return s.live && s.gen == e.gen;
+  }
+  /// Discards cancelled entries off both fronts and returns the next live
+  /// entry, or null when none is pending; `from_lane` says which front it
+  /// is.
+  const Entry* front(bool& from_lane);
 
   Seconds now_{};
   std::uint64_t next_seq_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+  // Events scheduled at now(), in FIFO order from lane_head_; the buffer is
+  // rewound whenever the lane drains, so it never reallocates in steady
+  // state.
+  std::vector<Entry> lane_;
+  std::size_t lane_head_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;  // scheduled, not yet fired/cancelled

@@ -228,7 +228,7 @@ FlowSimulator::UtilizationTotals FlowSimulator::utilization_totals() const {
   return t;
 }
 
-FlowId FlowSimulator::submit(const FlowSpec& spec) {
+void FlowSimulator::check_submit(const FlowSpec& spec) const {
   if (spec.src >= graph_.num_nodes() || spec.dst >= graph_.num_nodes()) {
     throw std::out_of_range("FlowSpec: flow endpoint does not exist");
   }
@@ -239,18 +239,45 @@ FlowId FlowSimulator::submit(const FlowSpec& spec) {
       "size must be finite and positive");
   validation::require_finite(spec.start.value(), "FlowSpec",
                              "start time must be finite");
+  validation::require(spec.start >= engine_.now(), "FlowSpec",
+                      "start time must not precede the current time");
+}
+
+FlowId FlowSimulator::submit(const FlowSpec& spec) {
+  check_submit(spec);
   const FlowId id = next_id_++;
-  const SimEngine::EventId event =
-      engine_.schedule_at(spec.start, [this, id] { admit_pending(id); });
-  pending_submits_.emplace(id, PendingSubmit{spec, event});
+  const std::uint32_t slot = pending_.acquire();
+  PendingPool::Entry& p = pending_[slot];
+  p.id = id;
+  p.spec = spec;
+  p.event =
+      engine_.schedule_at(spec.start, [this, slot] { admit_pending(slot); });
   return id;
 }
 
-void FlowSimulator::admit_pending(FlowId id) {
-  const auto it = pending_submits_.find(id);
-  assert(it != pending_submits_.end());
-  const FlowSpec spec = it->second.spec;
-  pending_submits_.erase(it);
+std::uint32_t FlowSimulator::PendingPool::acquire() {
+  if (free_head_ != kNoSlot) {
+    const std::uint32_t slot = free_head_;
+    free_head_ = static_cast<std::uint32_t>((*this)[slot].event);
+    return slot;
+  }
+  const std::size_t built = chunks_.size();
+  if (built == 0 || chunks_.back().size() == kFirstChunk << (built - 1)) {
+    chunks_.emplace_back().reserve(std::size_t{kFirstChunk} << built);
+  }
+  const std::size_t c = chunks_.size() - 1;
+  std::vector<Entry>& chunk = chunks_.back();
+  const auto slot = static_cast<std::uint32_t>((kFirstChunk << c) -
+                                               kFirstChunk + chunk.size());
+  chunk.emplace_back();
+  return slot;
+}
+
+void FlowSimulator::admit_pending(std::uint32_t slot) {
+  const PendingPool::Entry& p = pending_[slot];
+  const FlowSpec spec = p.spec;
+  const FlowId id = p.id;
+  pending_.release(slot);
   admit(spec, id);
 }
 

@@ -226,19 +226,19 @@ void FlowSimulator::save_state(state::SnapshotWriter& w) const {
     w.put_f64(engine_.event_time(*completion_event_).value());
     w.put_u64(engine_.event_seq(*completion_event_));
   }
-  std::vector<const std::pair<const FlowId, PendingSubmit>*> pending;
-  pending.reserve(pending_submits_.size());
-  for (const auto& kv : pending_submits_) pending.push_back(&kv);
+  // Pending submissions in event order, whichever pool slots they hold.
+  std::vector<const PendingPool::Entry*> pending;
+  pending_.for_each(
+      [&pending](const PendingPool::Entry& p) { pending.push_back(&p); });
   std::sort(pending.begin(), pending.end(), [this](const auto* a, const auto* b) {
-    return engine_.event_seq(a->second.event) <
-           engine_.event_seq(b->second.event);
+    return engine_.event_seq(a->event) < engine_.event_seq(b->event);
   });
   w.put_u64(pending.size());
-  for (const auto* kv : pending) {
-    w.put_u64(kv->first);
-    put_spec(w, kv->second.spec);
-    w.put_f64(engine_.event_time(kv->second.event).value());
-    w.put_u64(engine_.event_seq(kv->second.event));
+  for (const PendingPool::Entry* p : pending) {
+    w.put_u64(p->id);
+    put_spec(w, p->spec);
+    w.put_f64(engine_.event_time(p->event).value());
+    w.put_u64(engine_.event_seq(p->event));
   }
 
   // Shared router enablement + epoch (the simulator is its primary mutator).
@@ -381,23 +381,31 @@ void FlowSimulator::restore_state(state::SnapshotReader& r) {
     completion_event_ = engine_.restore_event_at(
         at, seq, [this] { complete_due_flows(engine_.now()); });
   }
-  pending_submits_.clear();
+  pending_.clear();
   const auto num_pending = static_cast<std::size_t>(r.get_u64());
+  std::vector<FlowId> pending_ids;
   for (std::size_t i = 0; i < num_pending; ++i) {
     const FlowId id = r.get_u64();
     const FlowSpec spec = get_spec(r);
     const Seconds at{r.get_f64()};
     const std::uint64_t seq = r.get_u64();
-    if (id >= next_id_) {
+    if (id == 0 || id >= next_id_) {
       validation::fail("FlowSimulator",
-                       "snapshot pending submission postdates the id counter");
+                       "snapshot pending submission is not a submitted flow");
     }
-    const SimEngine::EventId event =
-        engine_.restore_event_at(at, seq, [this, id] { admit_pending(id); });
-    if (!pending_submits_.emplace(id, PendingSubmit{spec, event}).second) {
-      validation::fail("FlowSimulator",
-                       "snapshot holds a duplicate pending submission");
-    }
+    const std::uint32_t slot = pending_.acquire();
+    PendingPool::Entry& p = pending_[slot];
+    p.id = id;
+    p.spec = spec;
+    p.event = engine_.restore_event_at(at, seq,
+                                       [this, slot] { admit_pending(slot); });
+    pending_ids.push_back(id);
+  }
+  std::sort(pending_ids.begin(), pending_ids.end());
+  if (std::adjacent_find(pending_ids.begin(), pending_ids.end()) !=
+      pending_ids.end()) {
+    validation::fail("FlowSimulator",
+                     "snapshot holds a duplicate pending submission");
   }
 
   {

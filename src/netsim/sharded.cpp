@@ -124,32 +124,35 @@ FlowId ShardedFlowSimulator::submit(const FlowSpec& spec) {
                       "flow start must not precede the current barrier time");
   FlowEntry entry;
   entry.spec = spec;
-  entry.id = next_id_++;
   entry.src_shard = shard_of_node(spec.src);
   entry.dst_shard = shard_of_node(spec.dst);
   const std::uint64_t f = flows_.size();
-
-  if (entry.src_shard == entry.dst_shard) {
-    Shard& s = *shards_[entry.src_shard];
-    FlowSpec local = spec;
-    local.src = s.topo.local_of_global[spec.src];
-    local.dst = s.topo.local_of_global[spec.dst];
-    local.tag = 2 * f;
-    s.sim->submit(local);
+  Shard& src = *shards_[entry.src_shard];
+  Shard& dst = *shards_[entry.dst_shard];
+  // A same-shard flow runs whole in its shard; a cross flow runs as an
+  // ingress half (src -> gateway) and an egress half (gateway -> dst).
+  FlowSpec in_src = spec;
+  in_src.src = src.topo.local_of_global[spec.src];
+  FlowSpec in_dst = spec;
+  in_dst.dst = dst.topo.local_of_global[spec.dst];
+  if (entry.cross()) {
+    in_src.dst = src.topo.gateway;
+    in_src.tag = 2 * f + 1;
+    in_dst.src = dst.topo.gateway;
+    in_dst.tag = 2 * f + 1;
+    dst.sim->check_submit(in_dst);
   } else {
-    Shard& src = *shards_[entry.src_shard];
-    Shard& dst = *shards_[entry.dst_shard];
-    FlowSpec ingress = spec;
-    ingress.src = src.topo.local_of_global[spec.src];
-    ingress.dst = src.topo.gateway;
-    ingress.tag = 2 * f + 1;
-    src.sim->submit(ingress);
+    in_src.dst = in_dst.dst;
+    in_src.tag = 2 * f;
+  }
+  // Every check runs before the id is taken: restore_state rebuilds each
+  // record from flows_[id - 1], so a rejected submit must leave no gap.
+  src.sim->check_submit(in_src);
+  entry.id = next_id_++;
+  src.sim->submit(in_src);
+  if (entry.cross()) {
     ++src.live_cross_halves;
-    FlowSpec egress = spec;
-    egress.src = dst.topo.gateway;
-    egress.dst = dst.topo.local_of_global[spec.dst];
-    egress.tag = 2 * f + 1;
-    dst.sim->submit(egress);
+    dst.sim->submit(in_dst);
     ++dst.live_cross_halves;
     entry.pair = static_cast<std::uint32_t>(pairs_.size());
     pairs_.push_back(CrossPair{.dst_shard = entry.dst_shard});

@@ -55,6 +55,15 @@ TEST(FlowSimEdge, RejectsInvalidFlowSpecs) {
   EXPECT_EQ(f.sim.active_flows(), 0u);
   f.engine.run();
   EXPECT_EQ(f.sim.completed().size(), 0u);
+  // A start before now() is rejected up front too.
+  f.engine.run_until(1.0_s);
+  EXPECT_THROW(f.sim.submit(FlowSpec{h0, h1, size, 0.5_s, 0}),
+               std::invalid_argument);
+  // No rejected submit took an id.
+  EXPECT_EQ(f.sim.submit(FlowSpec{h0, h1, size, 1.0_s, 0}), 1u);
+  f.engine.run();
+  ASSERT_EQ(f.sim.completed().size(), 1u);
+  EXPECT_EQ(f.sim.completed()[0].id, 1u);
 }
 
 TEST(FlowSimEdge, ZeroCapacityResourceYieldsZeroRate) {

@@ -599,6 +599,62 @@ TEST(ShardedFlowSim, SnapshotResumeBitIdentical) {
   resumed.check_invariants();
 }
 
+TEST(ShardedFlowSim, RejectedSubmitsLeaveNoGapInIds) {
+  // ShardedFlowSimulator's ids index its flow table on restore (record
+  // id - 1), so every rejected submit must leave the id counter where it
+  // was.
+  const auto topo = build_fat_tree(4, 100_Gbps);
+  ShardedFlowSimulator::Config scfg;
+  scfg.num_shards = 2;
+  ShardedFlowSimulator sim{topo.graph, scfg};
+  const PodPartition& pods = sim.partition();
+  const std::vector<NodeId> pod0 = golden::pod_hosts(topo, pods, 0);
+  const std::vector<NodeId> pod3 = golden::pod_hosts(topo, pods, 3);
+  NodeId core = kInvalidNode;
+  for (NodeId n = 0; n < topo.graph.num_nodes() && core == kInvalidNode; ++n) {
+    if (pods.is_core(n)) core = n;
+  }
+  ASSERT_NE(core, kInvalidNode);
+  const auto gb = [](double g) { return Bits::from_gigabits(g); };
+
+  EXPECT_EQ(sim.submit(FlowSpec{pod0[0], pod3[0], gb(1.0), 0.0_s, 10}), 1u);
+  EXPECT_THROW(sim.submit(FlowSpec{core, pod0[1], gb(50.0), 0.0_s, 11}),
+               std::invalid_argument);
+  EXPECT_THROW(sim.submit(FlowSpec{pod0[1], pod0[1], gb(2.0), 0.0_s, 12}),
+               std::invalid_argument);
+  EXPECT_THROW(sim.submit(FlowSpec{pod0[1], pod3[1], Bits{0.0}, 0.0_s, 13}),
+               std::invalid_argument);
+  EXPECT_EQ(sim.submit(FlowSpec{pod0[1], pod0[0], gb(2.0), 0.0_s, 14}), 2u);
+  EXPECT_EQ(sim.submit(FlowSpec{pod3[1], pod0[1], gb(3.0), 0.0_s, 15}), 3u);
+  sim.run_until(0.5_s);
+  EXPECT_THROW(sim.submit(FlowSpec{pod0[0], pod0[1], gb(1.0), 0.25_s, 16}),
+               std::invalid_argument);
+  EXPECT_EQ(sim.submit(FlowSpec{pod3[0], pod3[1], gb(4.0), 0.5_s, 17}), 4u);
+  sim.run_until(2.0_s);
+  ASSERT_EQ(sim.completed().size(), 4u);
+  EXPECT_EQ(sim.flows_in_flight(), 0u);
+
+  // The restored records carry the submitted specs.
+  state::SnapshotWriter writer;
+  sim.save_state(writer);
+  ShardedFlowSimulator resumed{topo.graph, scfg};
+  state::SnapshotReader reader{writer.buffer()};
+  resumed.restore_state(reader);
+  ASSERT_EQ(resumed.completed().size(), sim.completed().size());
+  for (std::size_t i = 0; i < sim.completed().size(); ++i) {
+    const FlowRecord& a = resumed.completed()[i];
+    const FlowRecord& b = sim.completed()[i];
+    EXPECT_EQ(a.id, b.id) << i;
+    EXPECT_EQ(a.spec.src, b.spec.src) << i;
+    EXPECT_EQ(a.spec.dst, b.spec.dst) << i;
+    EXPECT_EQ(a.spec.size.value(), b.spec.size.value()) << i;
+    EXPECT_EQ(a.spec.tag, b.spec.tag) << i;
+    EXPECT_EQ(a.finished.value(), b.finished.value()) << i;
+  }
+  expect_identical_results(resumed, sim.completed(), sim.fct_stats());
+  resumed.check_invariants();
+}
+
 // --- Contract 6: the one-shard barrier grid after run() ---
 
 /// The grid cursor stepping one barrier at a time from zero reaches.

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "netpp/state/snapshot.h"
 #include "netpp/topo/builders.h"
 
 namespace netpp {
@@ -244,6 +249,109 @@ TEST(FlowSimulator, SimultaneousCompletionOrderOnReallocatePath) {
                       0x1.1eb851eb851ecp-4, 0x1.c28f5c28f5c2ap-4,
                       0x1.1eb851eb851ecp-3, 0x1.47ae147ae147bp-3,
                       0x1.5c28f5c28f5c3p-3});
+}
+
+// Pending submissions live in a slot pool; each admission frees its slot for
+// the next submission, the last freed first. The first batch starts in
+// shuffled order, so its admissions free slots out of slot order, and the
+// second batch, submitted once the first is admitted, takes them back out of
+// slot order. Results are pinned to goldens recorded before the pool, and a
+// run cut while recycled slots hold pending flows resumes bit-identically.
+struct SlotReuseRun {
+  BuiltTopology topo = build_leaf_spine(2, 2, 4, 100_Gbps, 100_Gbps);
+  SimEngine engine;
+  std::unique_ptr<Router> router = std::make_unique<Router>(topo.graph);
+  std::unique_ptr<FlowSimulator> sim;
+
+  SlotReuseRun() { sim = make_sim(); }
+
+  std::unique_ptr<FlowSimulator> make_sim() {
+    FlowSimulator::Config config;
+    config.flow_rate_cap = 60_Gbps;
+    return std::make_unique<FlowSimulator>(topo.graph, *router, engine,
+                                           config);
+  }
+
+  /// Submits `starts.size()` flows whose endpoints and sizes cycle through
+  /// the hosts; flow k starts at starts[k].
+  void submit_batch(const std::vector<double>& starts, std::uint64_t tag0) {
+    const auto& h = topo.hosts;
+    for (std::size_t k = 0; k < starts.size(); ++k) {
+      const std::uint64_t tag = tag0 + k;
+      sim->submit(FlowSpec{h[tag % h.size()], h[(3 * tag + 5) % h.size()],
+                           Bits::from_gigabits(
+                               4.0 * static_cast<double>(1 + (5 * tag) % 7)),
+                           Seconds{starts[k]}, tag});
+    }
+  }
+
+  /// Both batches; with `cut` the run is saved at t = 0.8 s, while four
+  /// second-batch flows still wait in recycled slots, and finished by a
+  /// fresh simulator (and router) restored from the image.
+  void run(bool cut) {
+    submit_batch({0.4, 0.1, 0.7, 0.2, 0.6, 0.3, 0.5, 0.0}, 0);
+    engine.run_until(0.75_s);
+    submit_batch({0.75, 0.9, 0.75, 1.2, 0.8, 0.75, 1.0, 0.85}, 8);
+    engine.run_until(0.8_s);
+    if (cut) {
+      state::SnapshotWriter w;
+      sim->save_state(w);
+      const Seconds now = engine.now();
+      const std::uint64_t next_seq = engine.next_seq();
+      sim.reset();
+      router = std::make_unique<Router>(topo.graph);
+      sim = make_sim();
+      engine.restore_clock(now, next_seq);
+      state::SnapshotReader r{w.buffer()};
+      sim->restore_state(r);
+    }
+    engine.run();
+  }
+
+  [[nodiscard]] std::vector<std::uint8_t> image() const {
+    state::SnapshotWriter w;
+    sim->save_state(w);
+    return w.buffer();
+  }
+};
+
+TEST(FlowSimulator, RecycledPendingSlotsKeepResultsAndSnapshots) {
+  SlotReuseRun straight;
+  straight.run(false);
+  const FlowSimulator& sim = *straight.sim;
+  // Goldens recorded before pending submissions moved into the slot pool.
+  expect_completions(
+      sim.completed(), {8, 4, 1, 2, 6, 7, 11, 14, 3, 15, 5, 9, 10, 13, 16, 12},
+      {0x1.1111111111111p-4, 0x1.5555555555556p-2, 0x1.ddddddddddddep-2,
+       0x1p-1, 0x1.4444444444444p-1, 0x1.6666666666666p-1,
+       0x1.d1eb851eb851fp-1, 0x1.e666666666666p-1, 0x1.fc962fc962fc9p-1,
+       0x1.1111111111111p+0, 0x1.1eb851eb851ebp+0, 0x1.2666666666666p+0,
+       0x1.2aaaaaaaaaaabp+0, 0x1.3333333333334p+0, 0x1.4eeeeeeeeeeefp+0,
+       0x1.aaaaaaaaaaaabp+0});
+  EXPECT_EQ(sim.realloc_stats().full_solves, 6u);
+  EXPECT_EQ(sim.fct_stats().count(), 16u);
+  EXPECT_EQ(sim.fct_stats().mean(), 0x1.1ba06d3a06d3ap-2);
+  EXPECT_EQ(sim.fct_stats().m2(), 0x1.6c489718cdb5ep-2);
+  EXPECT_EQ(sim.fct_stats().sum(), 0x1.1ba06d3a06d3ap+2);
+  const std::vector<std::uint8_t> image = straight.image();
+  EXPECT_EQ(image.size(), 18888u);
+  EXPECT_EQ(state::crc32(image.data(), image.size()), 0x76ef3a5bu);
+
+  SlotReuseRun resumed;
+  resumed.run(true);
+  const FlowSimulator& again = *resumed.sim;
+  ASSERT_EQ(again.completed().size(), sim.completed().size());
+  for (std::size_t i = 0; i < sim.completed().size(); ++i) {
+    const FlowRecord& a = again.completed()[i];
+    const FlowRecord& b = sim.completed()[i];
+    EXPECT_EQ(a.id, b.id) << i;
+    EXPECT_EQ(a.spec.tag, b.spec.tag) << i;
+    EXPECT_EQ(a.finished.value(), b.finished.value()) << i;
+  }
+  EXPECT_EQ(again.fct_stats().mean(), sim.fct_stats().mean());
+  EXPECT_EQ(again.fct_stats().m2(), sim.fct_stats().m2());
+  EXPECT_EQ(again.fct_stats().sum(), sim.fct_stats().sum());
+  EXPECT_EQ(resumed.image(), image);
 }
 
 TEST(FlowSimulator, InvalidSubmitsThrow) {
