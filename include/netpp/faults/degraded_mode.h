@@ -138,6 +138,8 @@ class DegradedModeController {
   void retailor_and_apply();
   void wake_all_parked();
   void note_power_change();
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io);
 
   SimulatorBackend& backend_;
   const BuiltTopology& topology_;

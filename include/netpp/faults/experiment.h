@@ -157,6 +157,8 @@ class FaultExperimentRun {
                      const FaultSchedule& schedule,
                      const FaultExperimentConfig& config, bool fresh);
   void wire_telemetry();
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io);
 
   const BuiltTopology& topology_;
   FaultExperimentConfig config_;

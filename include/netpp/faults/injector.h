@@ -76,6 +76,8 @@ class FaultInjector {
  private:
   void apply(std::size_t index);
   void repair(std::size_t index);
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io);
 
   /// Event bookkeeping for one fault: the scheduled handles and whether each
   /// side already fired — what a snapshot needs to re-register exactly the

@@ -83,16 +83,17 @@ class SimulatorBackend {
   virtual ControlId schedule_control_at(Seconds at, ControlFn fn) = 0;
   virtual ControlId schedule_control_after(Seconds delay, ControlFn fn) = 0;
   virtual bool cancel_control(ControlId id) = 0;
-  /// (time, seq) of a pending control event, for snapshotting. Throws
+  /// (time, seq) of a pending control event, for snapshotting (named as on
+  /// SimEngine, so state::pending_event serves both). Throws
   /// std::logic_error on a stale handle.
-  [[nodiscard]] virtual Seconds control_time(ControlId id) const = 0;
-  [[nodiscard]] virtual std::uint64_t control_seq(ControlId id) const = 0;
+  [[nodiscard]] virtual Seconds event_time(ControlId id) const = 0;
+  [[nodiscard]] virtual std::uint64_t event_seq(ControlId id) const = 0;
   /// Next control FIFO sequence number (monotone event counter).
   [[nodiscard]] virtual std::uint64_t control_next_seq() const = 0;
   /// Snapshot restore: re-registers a control event with its original
   /// (time, seq) so restored events fire in the uninterrupted run's order.
-  virtual ControlId restore_control_at(Seconds at, std::uint64_t seq,
-                                       ControlFn fn) = 0;
+  virtual ControlId restore_event_at(Seconds at, std::uint64_t seq,
+                                     ControlFn fn) = 0;
 
   // --- Flows ---
 
@@ -154,7 +155,7 @@ class SimulatorBackend {
   /// Serializes the fabric (FlowSimulator / ShardedFlowSimulator image).
   /// Control events are the *owners'* responsibility: components record
   /// their pending (time, seq) pairs and re-register via
-  /// restore_control_at(), exactly the SimEngine snapshot discipline.
+  /// restore_event_at(), exactly the SimEngine snapshot discipline.
   virtual void save_sim(state::SnapshotWriter& w) const = 0;
   virtual void restore_sim(state::SnapshotReader& r) = 0;
   /// Drops pending control events and resets the control FIFO counter (and,

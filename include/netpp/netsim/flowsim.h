@@ -45,6 +45,18 @@ struct FlowSpec {
   std::uint64_t tag = 0;
 };
 
+/// A FlowSpec's fields in snapshot walks (see state/snapshot.h):
+/// kFlowSpecBytes on the wire.
+inline constexpr std::size_t kFlowSpecBytes = 32;
+template <class Io, class Spec>
+void transfer_spec(Io& io, Spec& spec) {
+  io.field(spec.src);
+  io.field(spec.dst);
+  io.field(spec.size);
+  io.field(spec.start);
+  io.field(spec.tag);
+}
+
 /// Completion record.
 struct FlowRecord {
   FlowId id = 0;
@@ -364,6 +376,8 @@ class FlowSimulator {
     Seconds stranded_at{};
   };
 
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io);
   void admit(FlowSpec spec, FlowId id);
   /// Injection-event body: takes the pending submission out of pool slot
   /// `slot`, frees the slot, then admits the flow. The indirection (instead
@@ -546,12 +560,12 @@ class FlowSimulator {
       return slot_of_[blocks_[r].begin + pos];
     }
 
-    /// Serializes the arenas verbatim — block table (begin/count/cap, dead
-    /// space included) and the full flow/slot columns — so post-restore
+    /// The snapshot walk: the block table verbatim (begin/count/cap, dead
+    /// space included) and the full flow/slot columns, so post-restore
     /// membership iteration order and relocation timing match the
     /// uninterrupted run exactly.
-    void save_state(state::SnapshotWriter& w) const;
-    void restore_state(state::SnapshotReader& r);
+    template <class Self, class Io>
+    static void transfer(Self& self, Io& io);
 
    private:
     struct Block {

@@ -287,6 +287,8 @@ class ShardedFlowSimulator {
   /// boundary/core fault state.
   void refresh_gateway_link(std::size_t shard, std::size_t gl_index);
   void refresh_agg_of_boundary_link(LinkId global_link);
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io);
 
   const Graph& graph_;
   Config config_;

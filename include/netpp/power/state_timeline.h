@@ -194,6 +194,8 @@ class PowerStateTimeline {
     int component;
     double deadline;
   };
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io);
 
   TransitionRules rules_;
   std::vector<ComponentTrack> tracks_;

@@ -40,6 +40,9 @@ class SummaryStat {
   void restore_state(state::SnapshotReader& r);
 
  private:
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io);
+
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
@@ -77,6 +80,9 @@ class TimeWeighted {
   void restore_state(state::SnapshotReader& r);
 
  private:
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io);
+
   Seconds start_;
   Seconds last_;
   double value_;

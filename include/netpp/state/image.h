@@ -1,11 +1,11 @@
 // In-memory snapshot images: the fork facility behind warm-state serving.
 //
-// A StateImage is a captured snapshot held as bytes. Where SnapshotWriter /
-// SnapshotReader move state through files once, an image is captured once
-// (from a warm baseline: simulator workspaces, route caches, telemetry
-// registries) and then *forked* arbitrarily many times — each fork() hands
-// out a fresh SnapshotReader over a private copy of the bytes, so thousands
-// of divergent what-if restores never re-run setup and never share mutable
+// A StateImage is a captured snapshot held as bytes, and the one way
+// snapshots reach and leave files. An image is captured once (say, from a
+// warm baseline: simulator workspaces, route caches, telemetry registries)
+// and then *forked* arbitrarily many times — each fork() hands out a fresh
+// SnapshotReader over a private copy of the bytes, so thousands of
+// divergent what-if restores never re-run setup and never share mutable
 // state. Every fork revalidates the header, and section CRCs are checked on
 // open exactly as for a file read, so a damaged image is rejected with the
 // usual typed "SnapshotReader: ..." error instead of being served.

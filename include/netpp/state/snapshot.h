@@ -15,16 +15,33 @@
 //
 // The writer/reader pair is deliberately dumb: sections are written and read
 // in one fixed order per snapshot kind (the order is part of the format).
-// Components stream their state through small scalar/vector accessors; there
-// is no reflection and no schema evolution beyond the version gate.
+// There is no reflection and no schema evolution beyond the version gate.
+//
+// Field walks. Each snapshotted component lists its fields once, in one
+// private walk templated on the direction:
+//
+//   template <class Self, class Io> static void transfer(Self& self, Io& io);
+//
+// save_state() runs it as (const component, SnapshotWriter), restore_state()
+// as (component, SnapshotReader). The walk vocabulary means the same on both
+// sides: field() writes or reads one value, echo() writes a config value or
+// rejects a restore target built differently, count() writes a length or
+// reads one bounded by the bytes left in the section, check() rejects a
+// restored value (and does nothing on save). Steps that differ by nature
+// (sorting on save, re-registering events on restore) branch on
+// Io::kReading inside the walk.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "netpp/units.h"
+#include "netpp/validation.h"
 
 namespace netpp::state {
 
@@ -38,13 +55,15 @@ inline constexpr std::uint32_t kSnapshotVersion = 1;
                                   std::uint32_t seed = 0);
 
 /// Appends named, length-prefixed, CRC-protected sections to a byte buffer.
-/// Scalar puts are only legal between begin_section/end_section.
+/// Puts are only legal between open_section/close_section.
 class SnapshotWriter {
  public:
+  static constexpr bool kReading = false;
+
   SnapshotWriter();
 
-  void begin_section(std::string_view name);
-  void end_section();
+  void open_section(std::string_view name);
+  void close_section();
 
   void put_u8(std::uint8_t v) { raw(&v, 1); }
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
@@ -56,30 +75,71 @@ class SnapshotWriter {
   /// u64 length prefix + raw bytes.
   void put_string(std::string_view s);
 
-  void put_u8_vec(const std::vector<std::uint8_t>& v);
-  void put_u32_vec(const std::vector<std::uint32_t>& v);
-  void put_u64_vec(const std::vector<std::uint64_t>& v);
-  /// u64 count + little-endian u32s; works for any contiguous uint32 storage
-  /// (std::vector, AlignedVec) via pointer + count.
-  void put_u32_array(const std::uint32_t* data, std::size_t count);
-  /// Same, for uint8 storage.
-  void put_u8_array(const std::uint8_t* data, std::size_t count);
-  /// u64 count + per-element bit patterns; works for any contiguous doubles
-  /// (std::vector, AlignedVec) via pointer + count.
-  void put_f64_array(const double* data, std::size_t count);
-  void put_f64_vec(const std::vector<double>& v) {
-    put_f64_array(v.data(), v.size());
+  // --- Walk vocabulary (see the file comment) ---
+
+  void field(bool v) { put_bool(v); }
+  void field(std::uint8_t v) { put_u8(v); }
+  void field(std::uint32_t v) { put_u32(v); }
+  void field(std::uint64_t v) { put_u64(v); }
+  void field(double v) { put_f64(v); }
+  void field(Seconds v) { put_f64(v.value()); }
+  void field(Bits v) { put_f64(v.value()); }
+  void field(const std::string& s) { put_string(s); }
+  /// Any contiguous container of the scalars above (std::vector,
+  /// AlignedVec): u64 count, then each element.
+  template <class Vec>
+    requires requires(const Vec& v) { v.data(); }
+  void field(const Vec& v) {
+    put_u64(v.size());
+    put_elements(v.data(), v.size());
+  }
+  void field(const std::vector<bool>& v) {
+    put_u64(v.size());
+    for (const bool b : v) put_bool(b);
+  }
+  /// A nested component, through its own save_state().
+  template <class C>
+    requires requires(const C& c, SnapshotWriter& w) { c.save_state(w); }
+  void field(const C& c) {
+    c.save_state(*this);
+  }
+  /// An enum as its u8 value; the reader rejects values past `last`.
+  template <class E>
+  void enum_u8(E e, E /*last*/, std::string_view /*who*/,
+               std::string_view /*what*/) {
+    put_u8(static_cast<std::uint8_t>(e));
+  }
+  template <class T>
+  void echo(const T& v, std::string_view /*who*/, std::string_view /*what*/) {
+    field(v);
+  }
+  /// Writes `n`; the reader bounds it by `elem_bytes` per element.
+  std::size_t count(std::size_t n, std::size_t /*elem_bytes*/) {
+    put_u64(n);
+    return n;
+  }
+  void check(bool /*ok*/, std::string_view /*who*/, std::string_view /*what*/) {
+  }
+  /// count() then `each(element)` for every element of `v`.
+  template <class Vec, class Each>
+  void seq(const Vec& v, std::size_t elem_bytes, Each&& each) {
+    (void)count(v.size(), elem_bytes);
+    for (const auto& x : v) each(x);
   }
 
   /// Finished snapshot bytes. Must not be called with a section open.
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const;
 
-  /// Writes the finished snapshot to `path` (binary, overwrite). Throws
-  /// std::runtime_error on I/O failure.
-  void write_file(const std::string& path) const;
-
  private:
+  /// Grows the open section's payload by `len` bytes; returns the first.
+  std::uint8_t* extend(std::size_t len);
   void raw(const void* data, std::size_t len);
+  /// `n` little-endian elements, no count.
+  void put_elements(const std::uint8_t* p, std::size_t n) { raw(p, n); }
+  void put_elements(const std::uint32_t* p, std::size_t n);
+  void put_elements(const std::uint64_t* p, std::size_t n);
+  void put_elements(const double* p, std::size_t n);
+  void put_elements(const Seconds* p, std::size_t n);
 
   std::vector<std::uint8_t> buffer_;    // header + closed sections
   std::vector<std::uint8_t> payload_;   // open section under construction
@@ -93,11 +153,9 @@ class SnapshotWriter {
 /// std::invalid_argument("SnapshotReader: ...") — never UB.
 class SnapshotReader {
  public:
-  explicit SnapshotReader(std::vector<std::uint8_t> buffer);
+  static constexpr bool kReading = true;
 
-  /// Reads `path` fully and constructs a reader over it. Throws
-  /// std::invalid_argument("SnapshotReader: ...") if unreadable.
-  static SnapshotReader from_file(const std::string& path);
+  explicit SnapshotReader(std::vector<std::uint8_t> buffer);
 
   /// Opens the next section, which must be named `expected`; verifies the
   /// payload CRC up front.
@@ -115,23 +173,88 @@ class SnapshotReader {
   [[nodiscard]] double get_f64() { return std::bit_cast<double>(get_u64()); }
   [[nodiscard]] std::string get_string();
 
-  [[nodiscard]] std::vector<std::uint8_t> get_u8_vec();
-  [[nodiscard]] std::vector<std::uint32_t> get_u32_vec();
-  [[nodiscard]] std::vector<std::uint64_t> get_u64_vec();
-  /// Reads the u64 count; it must equal `count` (callers size their
-  /// destination from separately-serialized structure first).
-  void get_u32_array(std::uint32_t* out, std::size_t count);
-  void get_u8_array(std::uint8_t* out, std::size_t count);
-  /// Reads the u64 count; it must equal `count` (callers size their
-  /// destination from separately-serialized structure first).
-  void get_f64_array(double* out, std::size_t count);
-  [[nodiscard]] std::vector<double> get_f64_vec();
+  // --- Walk vocabulary (see the file comment) ---
+
+  void field(bool& v) { v = get_bool(); }
+  void field(std::uint8_t& v) { v = get_u8(); }
+  void field(std::uint32_t& v) { v = get_u32(); }
+  void field(std::uint64_t& v) { v = get_u64(); }
+  void field(double& v) { v = get_f64(); }
+  void field(Seconds& v) { v = Seconds{get_f64()}; }
+  void field(Bits& v) { v = Bits{get_f64()}; }
+  void field(std::string& s) { s = get_string(); }
+  /// Sized from a bounded count: nothing is allocated for elements the
+  /// section cannot hold.
+  template <class Vec>
+    requires requires(Vec& v) { v.data(); }
+  void field(Vec& v) {
+    using T = std::remove_cvref_t<decltype(*v.data())>;
+    v.resize(count(0, sizeof(T)));
+    get_elements(v.data(), v.size());
+  }
+  void field(std::vector<bool>& v) {
+    v.assign(count(0, 1), false);
+    for (auto&& b : v) b = get_bool();
+  }
+  /// A nested component, through its own restore_state().
+  template <class C>
+    requires requires(C& c, SnapshotReader& r) { c.restore_state(r); }
+  void field(C& c) {
+    c.restore_state(*this);
+  }
+  template <class E>
+  void enum_u8(E& e, E last, std::string_view who, std::string_view what) {
+    const std::uint8_t v = get_u8();
+    validation::require(v <= static_cast<std::uint8_t>(last), who, what);
+    e = static_cast<E>(v);
+  }
+  /// Reads a value and rejects the restore target unless it holds the same
+  /// bit pattern: "<who>: <what>".
+  template <class T>
+  void echo(const T& expected, std::string_view who, std::string_view what) {
+    T got{};
+    field(got);
+    if (!same_bits(got, expected)) validation::fail(who, what);
+  }
+  /// Reads a count and rejects it unless that many elements of at least
+  /// `elem_bytes` wire bytes each fit in the rest of the section.
+  std::size_t count(std::size_t /*n*/, std::size_t elem_bytes);
+  void check(bool ok, std::string_view who, std::string_view what) {
+    validation::require(ok, who, what);
+  }
+  /// Resizes `v` to a bounded count (value-initialized elements), then
+  /// `each(element)` for every element.
+  template <class Vec, class Each>
+  void seq(Vec& v, std::size_t elem_bytes, Each&& each) {
+    v.clear();
+    v.resize(count(0, elem_bytes));
+    for (auto& x : v) each(x);
+  }
 
   /// True once every section has been consumed.
   [[nodiscard]] bool at_end() const { return pos_ == buffer_.size(); }
 
  private:
+  template <class T>
+  static bool same_bits(const T& a, const T& b) {
+    if constexpr (std::is_same_v<T, double>) {
+      return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    } else if constexpr (std::is_same_v<T, Seconds> ||
+                         std::is_same_v<T, Bits>) {
+      return same_bits(a.value(), b.value());
+    } else {
+      return a == b;
+    }
+  }
+  /// `n` elements, no count; `n` comes from count(), so `n` times the
+  /// element width cannot wrap.
+  void get_elements(std::uint8_t* out, std::size_t n);
+  void get_elements(std::uint32_t* out, std::size_t n);
+  void get_elements(std::uint64_t* out, std::size_t n);
+  void get_elements(double* out, std::size_t n);
+  void get_elements(Seconds* out, std::size_t n);
   void need(std::size_t n, std::string_view what);
+  [[nodiscard]] std::size_t bytes_left() const;
   [[noreturn]] void fail(std::string_view constraint) const;
   std::uint32_t read_u32_at(std::size_t pos) const;
   std::uint64_t read_u64_at(std::size_t pos) const;
@@ -142,5 +265,44 @@ class SnapshotReader {
   std::string section_name_;
   bool section_open_ = false;
 };
+
+/// One pending event as its (time, FIFO seq) pair. `queue` is a SimEngine or
+/// a SimulatorBackend's control plane: writing reads the pair of `id`;
+/// reading re-registers the event with its original pair, so it fires in the
+/// uninterrupted run's order, and stores the new handle in `id`. The event
+/// calls `fire(owner)`. Only restores instantiate that call, so a walk's
+/// const save side never compiles a call to a non-const member.
+template <class Io, class Queue, class Id, class Owner, class Fire>
+void pending_event(Io& io, Queue& queue, Id& id, Owner& owner, Fire fire) {
+  if constexpr (Io::kReading) {
+    Seconds at;
+    std::uint64_t seq = 0;
+    io.field(at);
+    io.field(seq);
+    id = queue.restore_event_at(at, seq,
+                                [owner = &owner, fire] { fire(*owner); });
+  } else {
+    io.field(queue.event_time(id));
+    io.field(queue.event_seq(id));
+  }
+}
+
+/// A u32 block arena of which only each block's live prefix is ever read;
+/// `live(b)` returns block b's (begin, count). Writing zeroes every other
+/// slot: growth leaves instance-specific heap garbage there, and equal
+/// states must give equal bytes.
+template <class Io, class Arena, class Live>
+void arena(Io& io, Arena& slots, std::size_t blocks, Live&& live) {
+  if constexpr (Io::kReading) {
+    io.field(slots);
+  } else {
+    std::vector<std::uint32_t> canonical(slots.size(), 0);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const auto [begin, count] = live(b);
+      std::copy_n(slots.data() + begin, count, canonical.data() + begin);
+    }
+    io.field(canonical);
+  }
+}
 
 }  // namespace netpp::state

@@ -200,6 +200,8 @@ class MetricRegistry {
                         const std::string& unit, const std::string& help);
   [[nodiscard]] const Entry& find(const std::string& name,
                                   MetricKind kind) const;
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io);
 
   // deque: slot addresses must survive registration of later metrics.
   std::deque<Entry> entries_;

@@ -88,6 +88,8 @@ class TimeSeriesSampler {
     Gauge gauge;
     std::vector<double> values;
   };
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io);
 
   MetricRegistry& registry_;
   Seconds period_{0.0};

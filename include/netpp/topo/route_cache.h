@@ -192,6 +192,8 @@ class RouteCache {
   std::uint32_t lookup(NodeId a, NodeId b);
   void insert_key(std::uint64_t key, std::uint32_t entry_index);
   void grow_table();
+  template <class Self, class Io>
+  static void transfer(Self& self, Io& io);
 
   const Router& router_;
   Config config_;

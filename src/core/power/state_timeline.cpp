@@ -161,83 +161,54 @@ double PowerStateTimeline::next_event() const {
   return earliest;
 }
 
+template <class Self, class Io>
+void PowerStateTimeline::transfer(Self& self, Io& io) {
+  constexpr std::string_view kWho = "PowerStateTimeline";
+  constexpr std::string_view kRules =
+      "snapshot transition rules do not match this timeline";
+  io.open_section("power_timeline");
+  io.echo(self.rules_.wake_latency, kWho, kRules);
+  io.echo(self.rules_.min_dwell, kWho, kRules);
+  io.echo(self.rules_.level_hysteresis, kWho, kRules);
+  io.echo(self.tracks_.size(), kWho,
+          "snapshot component count does not match this timeline");
+  for (auto& t : self.tracks_) {
+    io.enum_u8(t.state, PowerState::kOn, kWho,
+               "snapshot holds an invalid power state");
+    io.field(t.level);
+    io.field(t.load);
+  }
+  io.field(self.dwell_anchor_);
+  io.check(self.dwell_anchor_.size() == self.tracks_.size(), kWho,
+           "snapshot dwell anchors do not match the component count");
+  io.seq(self.pending_, 12, [&self, &io, kWho](auto& p) {
+    auto component = static_cast<std::uint32_t>(p.component);
+    io.field(component);
+    io.check(component < self.tracks_.size(), kWho,
+             "snapshot pending wake references a bad component");
+    if constexpr (Io::kReading) p.component = static_cast<int>(component);
+    io.field(p.deadline);
+  });
+  io.check(self.pending_.size() <= self.tracks_.size(), kWho,
+           "snapshot has more pending wakes than components");
+  io.field(self.start_);
+  io.field(self.now_);
+  io.field(self.energy_j_);
+  io.field(self.baseline_j_);
+  for (auto& r : self.residency_) io.field(r);
+  io.field(self.level_time_);
+  io.field(self.wakes_);
+  io.field(self.parks_);
+  io.field(self.level_changes_);
+  io.close_section();
+}
+
 void PowerStateTimeline::save_state(state::SnapshotWriter& w) const {
-  w.begin_section("power_timeline");
-  w.put_f64(rules_.wake_latency.value());
-  w.put_f64(rules_.min_dwell.value());
-  w.put_f64(rules_.level_hysteresis);
-  w.put_u64(tracks_.size());
-  for (const auto& t : tracks_) {
-    w.put_u8(static_cast<std::uint8_t>(t.state));
-    w.put_f64(t.level);
-    w.put_f64(t.load);
-  }
-  w.put_f64_vec(dwell_anchor_);
-  w.put_u64(pending_.size());
-  for (const auto& p : pending_) {
-    w.put_u32(static_cast<std::uint32_t>(p.component));
-    w.put_f64(p.deadline);
-  }
-  w.put_f64(start_);
-  w.put_f64(now_);
-  w.put_f64(energy_j_);
-  w.put_f64(baseline_j_);
-  for (double r : residency_) w.put_f64(r);
-  w.put_f64(level_time_);
-  w.put_u64(wakes_);
-  w.put_u64(parks_);
-  w.put_u64(level_changes_);
-  w.end_section();
+  transfer(*this, w);
 }
 
 void PowerStateTimeline::restore_state(state::SnapshotReader& r) {
-  r.open_section("power_timeline");
-  const double wake_latency = r.get_f64();
-  const double min_dwell = r.get_f64();
-  const double hysteresis = r.get_f64();
-  validation::require(wake_latency == rules_.wake_latency.value() &&
-                          min_dwell == rules_.min_dwell.value() &&
-                          hysteresis == rules_.level_hysteresis,
-                      "PowerStateTimeline",
-                      "snapshot transition rules do not match this timeline");
-  const std::uint64_t n = r.get_u64();
-  validation::require(n == tracks_.size(), "PowerStateTimeline",
-                      "snapshot component count does not match this timeline");
-  std::vector<ComponentTrack> tracks(tracks_.size());
-  for (auto& t : tracks) {
-    const std::uint8_t s = r.get_u8();
-    validation::require(s < kNumPowerStates, "PowerStateTimeline",
-                        "snapshot holds an invalid power state");
-    t.state = static_cast<PowerState>(s);
-    t.level = r.get_f64();
-    t.load = r.get_f64();
-  }
-  std::vector<double> anchors(tracks_.size());
-  r.get_f64_array(anchors.data(), anchors.size());
-  const std::uint64_t num_pending = r.get_u64();
-  validation::require(num_pending <= tracks_.size(), "PowerStateTimeline",
-                      "snapshot has more pending wakes than components");
-  std::vector<PendingWake> pending(static_cast<std::size_t>(num_pending));
-  for (auto& p : pending) {
-    const std::uint32_t component = r.get_u32();
-    validation::require(component < tracks_.size(), "PowerStateTimeline",
-                        "snapshot pending wake references a bad component");
-    p.component = static_cast<int>(component);
-    p.deadline = r.get_f64();
-  }
-  tracks_ = std::move(tracks);
-  dwell_anchor_ = std::move(anchors);
-  pending_ = std::move(pending);
-  start_ = r.get_f64();
-  now_ = r.get_f64();
-  energy_j_ = r.get_f64();
-  baseline_j_ = r.get_f64();
-  for (double& res : residency_) res = r.get_f64();
-  level_time_ = r.get_f64();
-  wakes_ = static_cast<std::size_t>(r.get_u64());
-  parks_ = static_cast<std::size_t>(r.get_u64());
-  level_changes_ = static_cast<std::size_t>(r.get_u64());
-  r.close_section();
+  transfer(*this, r);
   check_invariants();
 }
 

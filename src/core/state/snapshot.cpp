@@ -1,8 +1,10 @@
 #include "netpp/state/snapshot.h"
 
+#include <algorithm>
 #include <array>
-#include <fstream>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "netpp/validation.h"
 
@@ -38,6 +40,14 @@ CrcTables make_crc_tables() {
 const CrcTables& crc_tables() {
   static const CrcTables tables = make_crc_tables();
   return tables;
+}
+
+/// Little-endian bytes of `v`, independent of the host's byte order.
+template <class U>
+void store_le(std::uint8_t* out, U v) {
+  for (std::size_t i = 0; i < sizeof(U); ++i) {
+    out[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu);
+  }
 }
 
 /// Little-endian u32 from bytes, independent of the host's byte order.
@@ -77,28 +87,46 @@ SnapshotWriter::SnapshotWriter() : buffer_(kMagic.begin(), kMagic.end()) {
   }
 }
 
-void SnapshotWriter::raw(const void* data, std::size_t len) {
+std::uint8_t* SnapshotWriter::extend(std::size_t len) {
   if (!section_open_) {
     throw std::logic_error("SnapshotWriter: put outside a section");
   }
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  payload_.insert(payload_.end(), bytes, bytes + len);
+  const std::size_t at = payload_.size();
+  payload_.resize(at + len);
+  return payload_.data() + at;
 }
 
-void SnapshotWriter::put_u32(std::uint32_t v) {
-  std::uint8_t le[4];
-  for (int i = 0; i < 4; ++i) {
-    le[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu);
-  }
-  raw(le, sizeof(le));
+void SnapshotWriter::raw(const void* data, std::size_t len) {
+  std::uint8_t* out = extend(len);
+  if (len > 0) std::memcpy(out, data, len);
 }
 
-void SnapshotWriter::put_u64(std::uint64_t v) {
-  std::uint8_t le[8];
-  for (int i = 0; i < 8; ++i) {
-    le[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu);
+void SnapshotWriter::put_u32(std::uint32_t v) { store_le(extend(4), v); }
+
+void SnapshotWriter::put_u64(std::uint64_t v) { store_le(extend(8), v); }
+
+void SnapshotWriter::put_elements(const std::uint32_t* p, std::size_t n) {
+  std::uint8_t* out = extend(4 * n);
+  for (std::size_t i = 0; i < n; ++i) store_le(out + 4 * i, p[i]);
+}
+
+void SnapshotWriter::put_elements(const std::uint64_t* p, std::size_t n) {
+  std::uint8_t* out = extend(8 * n);
+  for (std::size_t i = 0; i < n; ++i) store_le(out + 8 * i, p[i]);
+}
+
+void SnapshotWriter::put_elements(const double* p, std::size_t n) {
+  std::uint8_t* out = extend(8 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    store_le(out + 8 * i, std::bit_cast<std::uint64_t>(p[i]));
   }
-  raw(le, sizeof(le));
+}
+
+void SnapshotWriter::put_elements(const Seconds* p, std::size_t n) {
+  std::uint8_t* out = extend(8 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    store_le(out + 8 * i, std::bit_cast<std::uint64_t>(p[i].value()));
+  }
 }
 
 void SnapshotWriter::put_string(std::string_view s) {
@@ -106,38 +134,7 @@ void SnapshotWriter::put_string(std::string_view s) {
   raw(s.data(), s.size());
 }
 
-void SnapshotWriter::put_u8_vec(const std::vector<std::uint8_t>& v) {
-  put_u64(v.size());
-  raw(v.data(), v.size());
-}
-
-void SnapshotWriter::put_u32_vec(const std::vector<std::uint32_t>& v) {
-  put_u64(v.size());
-  for (std::uint32_t x : v) put_u32(x);
-}
-
-void SnapshotWriter::put_u64_vec(const std::vector<std::uint64_t>& v) {
-  put_u64(v.size());
-  for (std::uint64_t x : v) put_u64(x);
-}
-
-void SnapshotWriter::put_f64_array(const double* data, std::size_t count) {
-  put_u64(count);
-  for (std::size_t i = 0; i < count; ++i) put_f64(data[i]);
-}
-
-void SnapshotWriter::put_u32_array(const std::uint32_t* data,
-                                   std::size_t count) {
-  put_u64(count);
-  for (std::size_t i = 0; i < count; ++i) put_u32(data[i]);
-}
-
-void SnapshotWriter::put_u8_array(const std::uint8_t* data, std::size_t count) {
-  put_u64(count);
-  raw(data, count);
-}
-
-void SnapshotWriter::begin_section(std::string_view name) {
+void SnapshotWriter::open_section(std::string_view name) {
   if (section_open_) {
     throw std::logic_error("SnapshotWriter: section already open");
   }
@@ -149,7 +146,7 @@ void SnapshotWriter::begin_section(std::string_view name) {
   section_open_ = true;
 }
 
-void SnapshotWriter::end_section() {
+void SnapshotWriter::close_section() {
   if (!section_open_) {
     throw std::logic_error("SnapshotWriter: no section open");
   }
@@ -181,19 +178,6 @@ const std::vector<std::uint8_t>& SnapshotWriter::buffer() const {
   return buffer_;
 }
 
-void SnapshotWriter::write_file(const std::string& path) const {
-  const auto& bytes = buffer();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("SnapshotWriter: cannot open " + path);
-  }
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) {
-    throw std::runtime_error("SnapshotWriter: short write to " + path);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // SnapshotReader
 
@@ -217,23 +201,6 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> buffer)
   pos_ = kMagic.size() + 4;
 }
 
-SnapshotReader SnapshotReader::from_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    validation::fail("SnapshotReader", "cannot open " + path);
-  }
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0) {
-    in.read(reinterpret_cast<char*>(bytes.data()), size);
-    if (!in) {
-      validation::fail("SnapshotReader", "short read from " + path);
-    }
-  }
-  return SnapshotReader(std::move(bytes));
-}
-
 std::uint32_t SnapshotReader::read_u32_at(std::size_t pos) const {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
@@ -252,9 +219,12 @@ std::uint64_t SnapshotReader::read_u64_at(std::size_t pos) const {
   return v;
 }
 
+std::size_t SnapshotReader::bytes_left() const {
+  return (section_open_ ? section_end_ : buffer_.size()) - pos_;
+}
+
 void SnapshotReader::need(std::size_t n, std::string_view what) {
-  const std::size_t limit = section_open_ ? section_end_ : buffer_.size();
-  if (n > limit - pos_) {
+  if (n > bytes_left()) {
     fail("truncated snapshot reading " + std::string(what) +
          (section_open_ ? " in section '" + section_name_ + "'" : ""));
   }
@@ -335,81 +305,43 @@ std::string SnapshotReader::get_string() {
   return s;
 }
 
-std::vector<std::uint8_t> SnapshotReader::get_u8_vec() {
-  const std::uint64_t count = get_u64();
-  need(static_cast<std::size_t>(count), "u8 vector payload");
-  std::vector<std::uint8_t> v(buffer_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                              buffer_.begin() +
-                                  static_cast<std::ptrdiff_t>(pos_ + count));
-  pos_ += static_cast<std::size_t>(count);
-  return v;
+void SnapshotReader::get_elements(std::uint8_t* out, std::size_t n) {
+  need(n, "u8 elements");
+  if (n > 0) std::memcpy(out, buffer_.data() + pos_, n);
+  pos_ += n;
 }
 
-std::vector<std::uint32_t> SnapshotReader::get_u32_vec() {
-  const std::uint64_t count = get_u64();
-  need(static_cast<std::size_t>(count) * 4, "u32 vector payload");
-  std::vector<std::uint32_t> v(static_cast<std::size_t>(count));
-  for (auto& x : v) {
-    x = read_u32_at(pos_);
-    pos_ += 4;
-  }
-  return v;
+void SnapshotReader::get_elements(std::uint32_t* out, std::size_t n) {
+  need(4 * n, "u32 elements");
+  for (std::size_t i = 0; i < n; ++i, pos_ += 4) out[i] = read_u32_at(pos_);
 }
 
-std::vector<std::uint64_t> SnapshotReader::get_u64_vec() {
-  const std::uint64_t count = get_u64();
-  need(static_cast<std::size_t>(count) * 8, "u64 vector payload");
-  std::vector<std::uint64_t> v(static_cast<std::size_t>(count));
-  for (auto& x : v) {
-    x = read_u64_at(pos_);
-    pos_ += 8;
-  }
-  return v;
+void SnapshotReader::get_elements(std::uint64_t* out, std::size_t n) {
+  need(8 * n, "u64 elements");
+  for (std::size_t i = 0; i < n; ++i, pos_ += 8) out[i] = read_u64_at(pos_);
 }
 
-void SnapshotReader::get_f64_array(double* out, std::size_t count) {
-  const std::uint64_t stored = get_u64();
-  if (stored != count) {
-    fail("f64 array count mismatch in section '" + section_name_ + "'");
-  }
-  need(count * 8, "f64 array payload");
-  for (std::size_t i = 0; i < count; ++i) {
+void SnapshotReader::get_elements(double* out, std::size_t n) {
+  need(8 * n, "f64 elements");
+  for (std::size_t i = 0; i < n; ++i, pos_ += 8) {
     out[i] = std::bit_cast<double>(read_u64_at(pos_));
-    pos_ += 8;
   }
 }
 
-void SnapshotReader::get_u32_array(std::uint32_t* out, std::size_t count) {
-  const std::uint64_t stored = get_u64();
-  if (stored != count) {
-    fail("u32 array count mismatch in section '" + section_name_ + "'");
-  }
-  need(count * 4, "u32 array payload");
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = read_u32_at(pos_);
-    pos_ += 4;
+void SnapshotReader::get_elements(Seconds* out, std::size_t n) {
+  need(8 * n, "f64 elements");
+  for (std::size_t i = 0; i < n; ++i, pos_ += 8) {
+    out[i] = Seconds{std::bit_cast<double>(read_u64_at(pos_))};
   }
 }
 
-void SnapshotReader::get_u8_array(std::uint8_t* out, std::size_t count) {
-  const std::uint64_t stored = get_u64();
-  if (stored != count) {
-    fail("u8 array count mismatch in section '" + section_name_ + "'");
+std::size_t SnapshotReader::count(std::size_t /*n*/, std::size_t elem_bytes) {
+  const std::uint64_t n = get_u64();
+  if (n > bytes_left() / std::max<std::size_t>(elem_bytes, 1)) {
+    fail("count " + std::to_string(n) + " exceeds the bytes left" +
+         (section_open_ ? " in section '" + section_name_ + "'" : ""));
   }
-  need(count, "u8 array payload");
-  if (count > 0) std::memcpy(out, buffer_.data() + pos_, count);
-  pos_ += count;
-}
-
-std::vector<double> SnapshotReader::get_f64_vec() {
-  const std::uint64_t count = get_u64();
-  need(static_cast<std::size_t>(count) * 8, "f64 vector payload");
-  std::vector<double> v(static_cast<std::size_t>(count));
-  for (auto& x : v) {
-    x = std::bit_cast<double>(read_u64_at(pos_));
-    pos_ += 8;
-  }
-  return v;
+  return static_cast<std::size_t>(n);
 }
 
 }  // namespace netpp::state

@@ -220,70 +220,44 @@ double DegradedModeController::powered_switch_seconds(Seconds until) const {
   return powered_count_.integral(until);
 }
 
-namespace {
-
-void put_bool_vec(state::SnapshotWriter& w, const std::vector<bool>& v) {
-  w.put_u64(v.size());
-  for (const bool b : v) w.put_bool(b);
+template <class Self, class Io>
+void DegradedModeController::transfer(Self& self, Io& io) {
+  constexpr std::string_view kWho = "DegradedModeController";
+  const std::size_t num_nodes = self.topology_.graph.num_nodes();
+  const auto mask = [&io, kWho](auto& flags, std::size_t size,
+                                std::string_view what) {
+    io.field(flags);
+    io.check(flags.size() == size, kWho, what);
+  };
+  io.open_section("degraded_mode");
+  mask(self.failed_node_, num_nodes,
+       "snapshot failed-node mask does not match the topology");
+  mask(self.failed_link_, self.topology_.graph.num_links(),
+       "snapshot failed-link mask does not match the topology");
+  mask(self.desired_on_, num_nodes,
+       "snapshot desired-power mask does not match the topology");
+  mask(self.wake_pending_, num_nodes,
+       "snapshot wake-pending mask does not match the topology");
+  io.seq(self.pending_wakes_, 20, [&self, &io, kWho, num_nodes](auto& p) {
+    io.field(p.sw);
+    io.check(p.sw < num_nodes && self.wake_pending_[p.sw], kWho,
+             "snapshot wake event lacks a matching pending flag");
+    state::pending_event(
+        io, self.backend_, p.event, self,
+        [sw = p.sw](auto& controller) { controller.complete_wake(sw); });
+  });
+  io.field(self.powered_count_);
+  io.field(self.emergency_wakes_);
+  io.field(self.retailor_passes_);
+  io.close_section();
 }
-
-void get_bool_vec(state::SnapshotReader& r, std::vector<bool>& v,
-                  std::size_t expected, const char* what) {
-  if (static_cast<std::size_t>(r.get_u64()) != expected) {
-    validation::fail("DegradedModeController",
-                     std::string("snapshot ") + what +
-                         " mask does not match the topology");
-  }
-  v.assign(expected, false);
-  for (std::size_t i = 0; i < expected; ++i) v[i] = r.get_bool();
-}
-
-}  // namespace
 
 void DegradedModeController::save_state(state::SnapshotWriter& w) const {
-  w.begin_section("degraded_mode");
-  put_bool_vec(w, failed_node_);
-  put_bool_vec(w, failed_link_);
-  put_bool_vec(w, desired_on_);
-  put_bool_vec(w, wake_pending_);
-  w.put_u64(pending_wakes_.size());
-  for (const PendingWake& p : pending_wakes_) {
-    w.put_u32(p.sw);
-    w.put_f64(backend_.control_time(p.event).value());
-    w.put_u64(backend_.control_seq(p.event));
-  }
-  powered_count_.save_state(w);
-  w.put_u64(emergency_wakes_);
-  w.put_u64(retailor_passes_);
-  w.end_section();
+  transfer(*this, w);
 }
 
 void DegradedModeController::restore_state(state::SnapshotReader& r) {
-  r.open_section("degraded_mode");
-  const std::size_t num_nodes = topology_.graph.num_nodes();
-  get_bool_vec(r, failed_node_, num_nodes, "failed-node");
-  get_bool_vec(r, failed_link_, topology_.graph.num_links(), "failed-link");
-  get_bool_vec(r, desired_on_, num_nodes, "desired-power");
-  get_bool_vec(r, wake_pending_, num_nodes, "wake-pending");
-  const auto num_wakes = static_cast<std::size_t>(r.get_u64());
-  pending_wakes_.clear();
-  pending_wakes_.reserve(num_wakes);
-  for (std::size_t i = 0; i < num_wakes; ++i) {
-    const NodeId sw = r.get_u32();
-    if (sw >= num_nodes || !wake_pending_[sw]) {
-      validation::fail("DegradedModeController",
-                       "snapshot wake event lacks a matching pending flag");
-    }
-    const Seconds at{r.get_f64()};
-    const std::uint64_t seq = r.get_u64();
-    const SimulatorBackend::ControlId event =
-        backend_.restore_control_at(at, seq, [this, sw] { complete_wake(sw); });
-    pending_wakes_.push_back(PendingWake{sw, event});
-  }
-  powered_count_.restore_state(r);
-  emergency_wakes_ = static_cast<std::size_t>(r.get_u64());
-  retailor_passes_ = static_cast<std::size_t>(r.get_u64());
-  r.close_section();
+  transfer(*this, r);
   check_invariants();
 }
 

@@ -59,77 +59,55 @@ FaultExperimentRun::FaultExperimentRun(const BuiltTopology& topology,
                                        state::SnapshotReader& r)
     : FaultExperimentRun(topology, workload, schedule, config,
                          /*fresh=*/false) {
-  r.open_section("fault_experiment");
-  if (r.get_bool() != config_.tailor) {
-    validation::fail("FaultExperimentRun",
-                     "snapshot tailoring mode does not match the config");
-  }
-  if (static_cast<BackendKind>(r.get_u8()) != config_.backend.kind ||
-      static_cast<std::size_t>(r.get_u64()) != config_.backend.num_shards) {
-    validation::fail("FaultExperimentRun",
-                     "snapshot backend does not match the config");
-  }
-  if (static_cast<std::size_t>(r.get_u64()) != flows_submitted_) {
-    validation::fail("FaultExperimentRun",
-                     "snapshot workload size does not match");
-  }
-  const bool has_telemetry = r.get_bool();
-  if (has_telemetry != (config_.telemetry != nullptr)) {
-    validation::fail("FaultExperimentRun",
-                     "snapshot telemetry attachment does not match");
-  }
-  const bool has_sampler = r.get_bool();
-  const bool live_sampler =
-      config_.telemetry != nullptr && config_.telemetry->sampler().enabled();
-  if (has_sampler != live_sampler) {
-    validation::fail("FaultExperimentRun",
-                     "snapshot sampler attachment does not match");
-  }
-  const Seconds now{r.get_f64()};
-  const std::uint64_t next_seq = r.get_u64();
-  tailoring_.feasible = r.get_bool();
-  tailoring_.switches_off_fraction = r.get_f64();
-  tailoring_.powered_on = r.get_u32_vec();
-  tailoring_.powered_off = r.get_u32_vec();
-  r.close_section();
-
-  // Clock first: every component re-registers its pending control events
-  // against the restored (now, next_seq) bounds.
-  backend_->restore_clock(now, next_seq);
-  backend_->restore_sim(r);
-  injector_.restore_state(r);
-  controller_.restore_state(r);
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->metrics().restore_state(r);
-    if (has_sampler) config_.telemetry->sampler().restore_state(r);
-  }
+  transfer(*this, r);
   check_invariants();
 }
 
-void FaultExperimentRun::save_state(state::SnapshotWriter& w) const {
+template <class Self, class Io>
+void FaultExperimentRun::transfer(Self& self, Io& io) {
+  constexpr std::string_view kWho = "FaultExperimentRun";
+  constexpr std::string_view kBackend =
+      "snapshot backend does not match the config";
+  const FaultExperimentConfig& config = self.config_;
   const bool has_sampler =
-      config_.telemetry != nullptr && config_.telemetry->sampler().enabled();
-  w.begin_section("fault_experiment");
-  w.put_bool(config_.tailor);
-  w.put_u8(static_cast<std::uint8_t>(config_.backend.kind));
-  w.put_u64(config_.backend.num_shards);
-  w.put_u64(flows_submitted_);
-  w.put_bool(config_.telemetry != nullptr);
-  w.put_bool(has_sampler);
-  w.put_f64(backend_->now().value());
-  w.put_u64(backend_->control_next_seq());
-  w.put_bool(tailoring_.feasible);
-  w.put_f64(tailoring_.switches_off_fraction);
-  w.put_u32_vec(tailoring_.powered_on);
-  w.put_u32_vec(tailoring_.powered_off);
-  w.end_section();
-  backend_->save_sim(w);
-  injector_.save_state(w);
-  controller_.save_state(w);
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->metrics().save_state(w);
-    if (has_sampler) config_.telemetry->sampler().save_state(w);
+      config.telemetry != nullptr && config.telemetry->sampler().enabled();
+  io.open_section("fault_experiment");
+  io.echo(config.tailor, kWho,
+          "snapshot tailoring mode does not match the config");
+  io.echo(static_cast<std::uint8_t>(config.backend.kind), kWho, kBackend);
+  io.echo(config.backend.num_shards, kWho, kBackend);
+  io.echo(self.flows_submitted_, kWho,
+          "snapshot workload size does not match");
+  io.echo(config.telemetry != nullptr, kWho,
+          "snapshot telemetry attachment does not match");
+  io.echo(has_sampler, kWho, "snapshot sampler attachment does not match");
+  Seconds now = self.backend_->now();
+  std::uint64_t next_seq = self.backend_->control_next_seq();
+  io.field(now);
+  io.field(next_seq);
+  io.field(self.tailoring_.feasible);
+  io.field(self.tailoring_.switches_off_fraction);
+  io.field(self.tailoring_.powered_on);
+  io.field(self.tailoring_.powered_off);
+  io.close_section();
+  if constexpr (Io::kReading) {
+    // Clock first: every component re-registers its pending control events
+    // against the restored (now, next_seq) bounds.
+    self.backend_->restore_clock(now, next_seq);
+    self.backend_->restore_sim(io);
+  } else {
+    self.backend_->save_sim(io);
   }
+  io.field(self.injector_);
+  io.field(self.controller_);
+  if (config.telemetry != nullptr) {
+    io.field(config.telemetry->metrics());
+    if (has_sampler) io.field(config.telemetry->sampler());
+  }
+}
+
+void FaultExperimentRun::save_state(state::SnapshotWriter& w) const {
+  transfer(*this, w);
 }
 
 void FaultExperimentRun::check_invariants() const {

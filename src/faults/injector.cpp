@@ -98,101 +98,61 @@ void FaultInjector::repair(std::size_t index) {
   if (listener_) listener_(f, /*recovery=*/true);
 }
 
+template <class Self, class Io>
+void FaultInjector::transfer(Self& self, Io& io) {
+  constexpr std::string_view kWho = "FaultInjector";
+  io.open_section("fault_injector");
+  const std::size_t n = self.schedule_.faults.size();
+  io.echo(n, kWho, "snapshot fault count does not match the schedule");
+  if constexpr (Io::kReading) self.scheduled_.assign(n, Scheduled{});
+  std::size_t applied = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& s = self.scheduled_[i];
+    io.field(s.applied);
+    io.field(s.repaired);
+    io.check(s.applied || !s.repaired, kWho,
+             "snapshot marks a fault repaired before it applied");
+    applied += s.applied ? 1 : 0;
+    if (!s.applied) {
+      state::pending_event(io, self.backend_, s.apply_event, self,
+                           [i](auto& injector) { injector.apply(i); });
+    }
+    if (!s.repaired) {
+      state::pending_event(io, self.backend_, s.repair_event, self,
+                           [i](auto& injector) { injector.repair(i); });
+    }
+    bool was_enabled = self.was_enabled_[i];
+    io.field(was_enabled);
+    if constexpr (Io::kReading) self.was_enabled_[i] = was_enabled;
+    io.field(self.prior_factor_[i]);
+  }
+  io.seq(self.log_, 49, [&io, kWho](auto& o) {
+    io.enum_u8(o.spec.kind, FaultKind::kLinkDegraded, kWho,
+               "snapshot holds an invalid fault kind");
+    io.field(o.spec.node);
+    io.field(o.spec.link);
+    io.field(o.spec.at);
+    io.field(o.spec.recover_at);
+    io.field(o.spec.capacity_factor);
+    io.field(o.flows_rerouted);
+    io.field(o.flows_stranded);
+  });
+  io.check(self.log_.size() == applied, kWho,
+           "snapshot log length must match the applied faults");
+  io.close_section();
+}
+
 void FaultInjector::save_state(state::SnapshotWriter& w) const {
   if (!armed_) {
     throw std::logic_error("FaultInjector: save_state before arm()");
   }
-  w.begin_section("fault_injector");
-  w.put_u64(schedule_.faults.size());
-  for (std::size_t i = 0; i < schedule_.faults.size(); ++i) {
-    const Scheduled& s = scheduled_[i];
-    w.put_bool(s.applied);
-    w.put_bool(s.repaired);
-    if (!s.applied) {
-      w.put_f64(backend_.control_time(s.apply_event).value());
-      w.put_u64(backend_.control_seq(s.apply_event));
-    }
-    if (!s.repaired) {
-      w.put_f64(backend_.control_time(s.repair_event).value());
-      w.put_u64(backend_.control_seq(s.repair_event));
-    }
-    w.put_bool(was_enabled_[i]);
-    w.put_f64(prior_factor_[i]);
-  }
-  w.put_u64(log_.size());
-  for (const Outcome& o : log_) {
-    w.put_u8(static_cast<std::uint8_t>(o.spec.kind));
-    w.put_u32(o.spec.node);
-    w.put_u32(o.spec.link);
-    w.put_f64(o.spec.at.value());
-    w.put_f64(o.spec.recover_at.value());
-    w.put_f64(o.spec.capacity_factor);
-    w.put_u64(o.flows_rerouted);
-    w.put_u64(o.flows_stranded);
-  }
-  w.end_section();
+  transfer(*this, w);
 }
 
 void FaultInjector::restore_state(state::SnapshotReader& r) {
   validation::require(!armed_, "FaultInjector",
                       "restore must target a freshly constructed injector");
-  r.open_section("fault_injector");
-  if (static_cast<std::size_t>(r.get_u64()) != schedule_.faults.size()) {
-    validation::fail("FaultInjector",
-                     "snapshot fault count does not match the schedule");
-  }
-  scheduled_.assign(schedule_.faults.size(), Scheduled{});
-  for (std::size_t i = 0; i < schedule_.faults.size(); ++i) {
-    Scheduled& s = scheduled_[i];
-    s.applied = r.get_bool();
-    s.repaired = r.get_bool();
-    if (s.repaired && !s.applied) {
-      validation::fail("FaultInjector",
-                       "snapshot marks a fault repaired before it applied");
-    }
-    if (!s.applied) {
-      const Seconds at{r.get_f64()};
-      const std::uint64_t seq = r.get_u64();
-      s.apply_event =
-          backend_.restore_control_at(at, seq, [this, i] { apply(i); });
-    }
-    if (!s.repaired) {
-      const Seconds at{r.get_f64()};
-      const std::uint64_t seq = r.get_u64();
-      s.repair_event =
-          backend_.restore_control_at(at, seq, [this, i] { repair(i); });
-    }
-    was_enabled_[i] = r.get_bool();
-    prior_factor_[i] = r.get_f64();
-  }
-  const auto num_log = static_cast<std::size_t>(r.get_u64());
-  std::size_t applied_count = 0;
-  for (const Scheduled& s : scheduled_) {
-    if (s.applied) ++applied_count;
-  }
-  if (num_log != applied_count) {
-    validation::fail("FaultInjector",
-                     "snapshot log length must match the applied faults");
-  }
-  log_.clear();
-  log_.reserve(num_log);
-  for (std::size_t i = 0; i < num_log; ++i) {
-    Outcome o;
-    const std::uint8_t kind = r.get_u8();
-    if (kind > static_cast<std::uint8_t>(FaultKind::kLinkDegraded)) {
-      validation::fail("FaultInjector", "snapshot holds an invalid fault kind");
-    }
-    o.spec.kind = static_cast<FaultKind>(kind);
-    o.spec.node = r.get_u32();
-    o.spec.link = r.get_u32();
-    o.spec.at = Seconds{r.get_f64()};
-    o.spec.recover_at = Seconds{r.get_f64()};
-    o.spec.capacity_factor = r.get_f64();
-    o.flows_rerouted = r.get_u64();
-    o.flows_stranded = r.get_u64();
-    log_.push_back(o);
-  }
-  r.close_section();
+  transfer(*this, r);
   armed_ = true;
 }
 

@@ -38,17 +38,17 @@ class SingleSimBackend final : public SimulatorBackend {
     return engine_.schedule_after(delay, std::move(fn));
   }
   bool cancel_control(ControlId id) override { return engine_.cancel(id); }
-  [[nodiscard]] Seconds control_time(ControlId id) const override {
+  [[nodiscard]] Seconds event_time(ControlId id) const override {
     return engine_.event_time(id);
   }
-  [[nodiscard]] std::uint64_t control_seq(ControlId id) const override {
+  [[nodiscard]] std::uint64_t event_seq(ControlId id) const override {
     return engine_.event_seq(id);
   }
   [[nodiscard]] std::uint64_t control_next_seq() const override {
     return engine_.next_seq();
   }
-  ControlId restore_control_at(Seconds at, std::uint64_t seq,
-                               ControlFn fn) override {
+  ControlId restore_event_at(Seconds at, std::uint64_t seq,
+                             ControlFn fn) override {
     return engine_.restore_event_at(at, seq, std::move(fn));
   }
 
@@ -205,17 +205,17 @@ class ShardedSimBackend final : public SimulatorBackend {
     return control_.schedule_after(delay, std::move(fn));
   }
   bool cancel_control(ControlId id) override { return control_.cancel(id); }
-  [[nodiscard]] Seconds control_time(ControlId id) const override {
+  [[nodiscard]] Seconds event_time(ControlId id) const override {
     return control_.event_time(id);
   }
-  [[nodiscard]] std::uint64_t control_seq(ControlId id) const override {
+  [[nodiscard]] std::uint64_t event_seq(ControlId id) const override {
     return control_.event_seq(id);
   }
   [[nodiscard]] std::uint64_t control_next_seq() const override {
     return control_.next_seq();
   }
-  ControlId restore_control_at(Seconds at, std::uint64_t seq,
-                               ControlFn fn) override {
+  ControlId restore_event_at(Seconds at, std::uint64_t seq,
+                             ControlFn fn) override {
     return control_.restore_event_at(at, seq, std::move(fn));
   }
 

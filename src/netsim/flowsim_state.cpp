@@ -13,10 +13,11 @@
 // uninterrupted run. The only reset state is the binding-walk generation
 // stamps (restarted at zero; behaviorally identical until the 2^32-solve
 // wrap, which the walk already handles by refilling the stamp arrays).
-#include <cmath>
-#include <cstring>
-
 #include <algorithm>
+#include <cmath>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "netpp/netsim/flowsim.h"
 #include "netpp/validation.h"
@@ -31,402 +32,228 @@ namespace {
 /// without masking real corruption.
 constexpr double kAuditRelTol = 1e-6;
 
-void put_spec(state::SnapshotWriter& w, const FlowSpec& spec) {
-  w.put_u32(spec.src);
-  w.put_u32(spec.dst);
-  w.put_f64(spec.size.value());
-  w.put_f64(spec.start.value());
-  w.put_u64(spec.tag);
-}
-
-FlowSpec get_spec(state::SnapshotReader& r) {
-  FlowSpec spec;
-  spec.src = r.get_u32();
-  spec.dst = r.get_u32();
-  spec.size = Bits{r.get_f64()};
-  spec.start = Seconds{r.get_f64()};
-  spec.tag = r.get_u64();
-  return spec;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // LinkFlowPool
 
-void FlowSimulator::LinkFlowPool::save_state(state::SnapshotWriter& w) const {
-  w.put_u64(blocks_.size());
-  for (const Block& b : blocks_) {
-    w.put_u32(b.begin);
-    w.put_u32(b.count);
-    w.put_u32(b.cap);
-  }
-  // Canonicalize the arenas: only each block's live prefix [begin,
-  // begin+count) is ever read, but the AlignedVec growth path leaves heap
-  // garbage in the dead slots, which would differ between two otherwise
-  // bit-identical simulators. Serialize dead slots as zero so equal
-  // simulated states produce equal snapshots.
-  std::vector<std::uint32_t> flow_of(flow_of_.size(), 0);
-  std::vector<std::uint32_t> slot_of(slot_of_.size(), 0);
-  for (const Block& b : blocks_) {
-    for (std::uint32_t s = 0; s < b.count; ++s) {
-      flow_of[b.begin + s] = flow_of_[b.begin + s];
-      slot_of[b.begin + s] = slot_of_[b.begin + s];
+template <class Self, class Io>
+void FlowSimulator::LinkFlowPool::transfer(Self& self, Io& io) {
+  constexpr std::string_view kWho = "FlowSimulator";
+  constexpr std::string_view kSizes =
+      "snapshot link-membership arenas have mismatched sizes";
+  io.seq(self.blocks_, 12, [&io](auto& b) {
+    io.field(b.begin);
+    io.field(b.count);
+    io.field(b.cap);
+  });
+  const auto live = [&self](std::size_t b) {
+    return std::pair{self.blocks_[b].begin, self.blocks_[b].count};
+  };
+  state::arena(io, self.flow_of_, self.blocks_.size(), live);
+  state::arena(io, self.slot_of_, self.blocks_.size(), live);
+  io.echo(self.flow_of_.size(), kWho, kSizes);  // shared by both columns
+  io.check(self.slot_of_.size() == self.flow_of_.size(), kWho, kSizes);
+  io.field(self.live_);
+  if constexpr (Io::kReading) {
+    std::uint64_t counted = 0;
+    for (const Block& b : self.blocks_) {
+      io.check(b.count <= b.cap && std::uint64_t{b.begin} + b.cap <=
+                                       self.flow_of_.size(),
+               kWho, "snapshot link-membership block exceeds its arena");
+      counted += b.count;
     }
+    io.check(counted == self.live_, kWho,
+             "snapshot link-membership live count is inconsistent");
   }
-  w.put_u32_array(flow_of.data(), flow_of.size());
-  w.put_u32_array(slot_of.data(), slot_of.size());
-  w.put_u64(flow_of_.size());  // arena size (flow_of_/slot_of_ share it)
-  w.put_u64(live_);
-}
-
-void FlowSimulator::LinkFlowPool::restore_state(state::SnapshotReader& r) {
-  const std::uint64_t num_blocks = r.get_u64();
-  std::vector<Block> blocks(static_cast<std::size_t>(num_blocks));
-  for (Block& b : blocks) {
-    b.begin = r.get_u32();
-    b.count = r.get_u32();
-    b.cap = r.get_u32();
-  }
-  // The arena size is written after the columns; peek it by reading the
-  // columns into scratch first is avoided by writing the columns with their
-  // own length prefixes (put_u32_array) — read them as sized arrays.
-  // put_u32_array stores its own count, so a plain vector read works:
-  std::vector<std::uint32_t> flow_of = r.get_u32_vec();
-  std::vector<std::uint32_t> slot_of = r.get_u32_vec();
-  const std::uint64_t arena_size = r.get_u64();
-  const std::uint64_t live = r.get_u64();
-  if (flow_of.size() != arena_size || slot_of.size() != arena_size) {
-    validation::fail("FlowSimulator",
-                     "snapshot link-membership arenas have mismatched sizes");
-  }
-  std::uint64_t counted = 0;
-  for (const Block& b : blocks) {
-    if (b.count > b.cap ||
-        static_cast<std::uint64_t>(b.begin) + b.cap > arena_size) {
-      validation::fail("FlowSimulator",
-                       "snapshot link-membership block exceeds its arena");
-    }
-    counted += b.count;
-  }
-  if (counted != live) {
-    validation::fail("FlowSimulator",
-                     "snapshot link-membership live count is inconsistent");
-  }
-  blocks_ = std::move(blocks);
-  flow_of_.resize(flow_of.size());
-  slot_of_.resize(slot_of.size());
-  if (!flow_of.empty()) {
-    std::memcpy(flow_of_.data(), flow_of.data(),
-                flow_of.size() * sizeof(std::uint32_t));
-    std::memcpy(slot_of_.data(), slot_of.data(),
-                slot_of.size() * sizeof(std::uint32_t));
-  }
-  live_ = static_cast<std::size_t>(live);
 }
 
 // ---------------------------------------------------------------------------
 // FlowSimulator
 
-void FlowSimulator::save_state(state::SnapshotWriter& w) const {
-  w.begin_section("flowsim");
+template <class Self, class Io>
+void FlowSimulator::transfer(Self& self, Io& io) {
+  constexpr std::string_view kWho = "FlowSimulator";
+  constexpr std::string_view kConfig =
+      "snapshot config does not match this simulator's config";
+  constexpr std::string_view kShape =
+      "snapshot graph shape does not match this simulator";
+  const Config& config = self.config_;
+  io.open_section("flowsim");
 
   // Config + shape echo: a restore into a differently-configured simulator
   // would silently diverge, so reject it up front.
-  w.put_u64(config_.max_ecmp_paths);
-  w.put_f64(config_.flow_rate_cap.value());
-  w.put_bool(config_.use_route_cache);
-  w.put_bool(config_.incremental_reallocation);
-  w.put_bool(config_.strand_unroutable);
-  w.put_bool(config_.telemetry != nullptr);
-  w.put_u64(graph_.num_nodes());
-  w.put_u64(graph_.num_links());
+  io.echo(config.max_ecmp_paths, kWho, kConfig);
+  io.echo(config.flow_rate_cap.value(), kWho, kConfig);
+  io.echo(config.use_route_cache, kWho, kConfig);
+  io.echo(config.incremental_reallocation, kWho, kConfig);
+  io.echo(config.strand_unroutable, kWho, kConfig);
+  io.echo(config.telemetry != nullptr, kWho,
+          "snapshot telemetry attachment does not match this simulator");
+  io.echo(self.graph_.num_nodes(), kWho, kShape);
+  io.echo(self.graph_.num_links(), kWho, kShape);
 
   // Active flows + the parallel SoA columns, verbatim.
-  const std::size_t n = active_.size();
-  w.put_u64(n);
-  for (const ActiveFlow& f : active_) {
-    w.put_u64(f.id);
-    put_spec(w, f.spec);
-    w.put_f64(f.admitted.value());
-  }
-  w.put_f64_array(flow_rate_bps_.data(), n);
-  w.put_f64_array(flow_remaining_.data(), n);
-  w.put_u32_array(flow_lbegin_.data(), n);
-  w.put_u32_array(flow_lcount_.data(), n);
-  w.put_u32_array(filt_begin_.data(), n);
-  w.put_u32_array(filt_count_.data(), n);
-  w.put_u32_array(filt_cap_.data(), n);
+  io.seq(self.active_, 16 + kFlowSpecBytes, [&io](auto& f) {
+    io.field(f.id);
+    transfer_spec(io, f.spec);
+    io.field(f.admitted);
+  });
+  io.field(self.flow_rate_bps_);
+  io.field(self.flow_remaining_);
+  io.field(self.flow_lbegin_);
+  io.field(self.flow_lcount_);
+  io.field(self.filt_begin_);
+  io.field(self.filt_count_);
+  io.field(self.filt_cap_);
 
   // Arenas — layout preserved exactly (block begins/caps and dead blocks),
   // so post-restore growth, relocation, and compaction fire at the same
   // events as the uninterrupted run (compaction rewrites membership order,
   // which changes summation order, so its timing is part of the
-  // deterministic state). Contents are canonicalized: only each flow's live
-  // prefix is copied, dead slots serialize as zero — they are never read,
-  // and the AlignedVec growth path leaves instance-specific heap garbage in
-  // them that would break snapshot-bytes equality between equal states.
-  {
-    std::vector<std::uint32_t> filt(filt_arena_.size(), 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::uint32_t s = 0; s < filt_count_[i]; ++s) {
-        filt[filt_begin_[i] + s] = filt_arena_[filt_begin_[i] + s];
-      }
-    }
-    w.put_u32_array(filt.data(), filt.size());
-  }
-  w.put_u64(filt_live_);
-  w.put_u32_vec(flow_links_);
-  w.put_u32_vec(flow_adj_pos_);
-  w.put_u64(live_hops_);
-  link_flows_.save_state(w);
-  w.put_u32_vec(touched_links_);
-  w.put_u32_vec(touched_pos_);
-  w.put_u8_vec(flag_lt_cap_);
+  // deterministic state).
+  state::arena(io, self.filt_arena_, self.active_.size(),
+               [&self](std::size_t i) {
+                 return std::pair{self.filt_begin_[i], self.filt_count_[i]};
+               });
+  io.field(self.filt_live_);
+  io.field(self.flow_links_);
+  io.field(self.flow_adj_pos_);
+  io.field(self.live_hops_);
+  LinkFlowPool::transfer(self.link_flows_, io);
+  io.field(self.touched_links_);
+  io.field(self.touched_pos_);
+  io.field(self.flag_lt_cap_);
 
   // Completion / strand history (feeds results and resilience metrics).
-  w.put_u64(completed_.size());
-  for (const FlowRecord& rec : completed_) {
-    w.put_u64(rec.id);
-    put_spec(w, rec.spec);
-    w.put_f64(rec.finished.value());
-  }
-  w.put_u64(stranded_.size());
-  for (const StrandedFlow& s : stranded_) {
-    w.put_u64(s.id);
-    put_spec(w, s.spec);
-    w.put_f64(s.remaining_bits);
-    w.put_f64(s.stranded_at.value());
-  }
-  w.put_f64_vec(strand_durations_);
-  w.put_f64(stranded_bit_seconds_done_);
+  io.seq(self.completed_, 16 + kFlowSpecBytes, [&io](auto& rec) {
+    io.field(rec.id);
+    transfer_spec(io, rec.spec);
+    io.field(rec.finished);
+  });
+  io.seq(self.stranded_, 24 + kFlowSpecBytes, [&io](auto& s) {
+    io.field(s.id);
+    transfer_spec(io, s.spec);
+    io.field(s.remaining_bits);
+    io.field(s.stranded_at);
+  });
+  io.field(self.strand_durations_);
+  io.field(self.stranded_bit_seconds_done_);
 
   // Per-directed-link capacity/rate state.
-  w.put_f64_vec(directed_capacity_bps_);
-  w.put_f64_vec(link_factor_);
-  w.put_f64_vec(carried_bps_);
-  w.put_u64(directed_rate_bps_.size());
-  for (const TimeWeighted& tw : directed_rate_bps_) tw.save_state(w);
+  const std::size_t directed = self.graph_.num_links() * 2;
+  io.field(self.directed_capacity_bps_);
+  io.field(self.link_factor_);
+  io.field(self.carried_bps_);
+  io.check(self.directed_capacity_bps_.size() == directed &&
+               self.carried_bps_.size() == directed &&
+               self.link_factor_.size() == self.graph_.num_links(),
+           kWho, "snapshot link arrays do not match the graph");
+  io.echo(self.directed_rate_bps_.size(), kWho,
+          "snapshot rate histories do not match the graph");
+  for (auto& tw : self.directed_rate_bps_) io.field(tw);
 
-  // Solver + seed state.
-  w.put_u64(solver_.stats().solves);
-  w.put_u64(solver_.stats().flows_solved);
-  w.put_u32_vec(seed_links_);
-  w.put_bool(seed_valid_);
+  // The solver's two counters (its workspaces are rebuilt on demand), and
+  // the seed links of the next reallocation.
+  MaxMinSolver::SolveStats solver_stats = self.solver_.stats();
+  io.field(solver_stats.solves);
+  io.field(solver_stats.flows_solved);
+  if constexpr (Io::kReading) self.solver_.restore_stats(solver_stats);
+  io.field(self.seed_links_);
+  io.field(self.seed_valid_);
 
-  // Scalars.
-  fct_.save_state(w);
-  w.put_u64(unroutable_);
-  w.put_u64(next_id_);
-  w.put_f64(last_settle_.value());
+  io.field(self.fct_);
+  io.field(self.unroutable_);
+  io.field(self.next_id_);
+  io.field(self.last_settle_);
 
-  // Pending events, as (time, FIFO seq) pairs the restore re-registers.
-  w.put_bool(completion_event_.has_value());
-  if (completion_event_.has_value()) {
-    w.put_f64(engine_.event_time(*completion_event_).value());
-    w.put_u64(engine_.event_seq(*completion_event_));
+  // Pending events, as (time, FIFO seq) pairs the restore re-registers. The
+  // engine clock must already be restored; restore_event_at validates both
+  // the time and the sequence bound.
+  bool completion = self.completion_event_.has_value();
+  io.field(completion);
+  if constexpr (Io::kReading) {
+    self.completion_event_.reset();
+    if (completion) self.completion_event_.emplace();
+  }
+  if (completion) {
+    state::pending_event(io, self.engine_, *self.completion_event_, self,
+                         [](auto& sim) {
+                           sim.complete_due_flows(sim.engine_.now());
+                         });
   }
   // Pending submissions in event order, whichever pool slots they hold.
-  std::vector<const PendingPool::Entry*> pending;
-  pending_.for_each(
-      [&pending](const PendingPool::Entry& p) { pending.push_back(&p); });
-  std::sort(pending.begin(), pending.end(), [this](const auto* a, const auto* b) {
-    return engine_.event_seq(a->event) < engine_.event_seq(b->event);
-  });
-  w.put_u64(pending.size());
-  for (const PendingPool::Entry* p : pending) {
-    w.put_u64(p->id);
-    put_spec(w, p->spec);
-    w.put_f64(engine_.event_time(p->event).value());
-    w.put_u64(engine_.event_seq(p->event));
+  using Entry = PendingPool::Entry;
+  std::vector<const Entry*> by_seq;
+  if constexpr (Io::kReading) {
+    self.pending_.clear();
+  } else {
+    self.pending_.for_each(
+        [&by_seq](const Entry& p) { by_seq.push_back(&p); });
+    const SimEngine& engine = self.engine_;
+    std::sort(by_seq.begin(), by_seq.end(),
+              [&engine](const Entry* a, const Entry* b) {
+                return engine.event_seq(a->event) < engine.event_seq(b->event);
+              });
   }
+  const std::size_t num_pending =
+      io.count(by_seq.size(), 24 + kFlowSpecBytes);
+  std::vector<FlowId> pending_ids;
+  for (std::size_t i = 0; i < num_pending; ++i) {
+    Entry restored;
+    std::conditional_t<Io::kReading, Entry, const Entry>* p = &restored;
+    if constexpr (!Io::kReading) p = by_seq[i];
+    io.field(p->id);
+    transfer_spec(io, p->spec);
+    io.check(p->id != 0 && p->id < self.next_id_, kWho,
+             "snapshot pending submission is not a submitted flow");
+    std::uint32_t slot = 0;
+    if constexpr (Io::kReading) {
+      slot = self.pending_.acquire();
+      self.pending_[slot] = restored;
+      p = &self.pending_[slot];
+      pending_ids.push_back(p->id);
+    }
+    state::pending_event(io, self.engine_, p->event, self,
+                         [slot](auto& sim) { sim.admit_pending(slot); });
+  }
+  std::sort(pending_ids.begin(), pending_ids.end());
+  io.check(std::adjacent_find(pending_ids.begin(), pending_ids.end()) ==
+               pending_ids.end(),
+           kWho, "snapshot holds a duplicate pending submission");
 
   // Shared router enablement + epoch (the simulator is its primary mutator).
-  w.put_u8_vec(router_.node_mask());
-  w.put_u8_vec(router_.link_mask());
-  w.put_u64(router_.topology_epoch());
+  std::vector<std::uint8_t> nodes = self.router_.node_mask();
+  std::vector<std::uint8_t> links = self.router_.link_mask();
+  std::uint64_t epoch = self.router_.topology_epoch();
+  io.field(nodes);
+  io.field(links);
+  io.field(epoch);
+  if constexpr (Io::kReading) {
+    self.router_.restore_enablement(nodes, links, epoch);
+  }
+  io.close_section();
 
-  w.end_section();
-
-  route_cache_.save_state(w);
+  io.field(self.route_cache_);
   // Detached simulators own their counter registry; serialize it inline so
   // realloc_stats() and metric exports match bitwise after restore. Attached
   // simulators share the orchestrator's registry, which the orchestrator
   // snapshots itself.
-  if (local_metrics_ != nullptr) local_metrics_->save_state(w);
+  if (self.local_metrics_ != nullptr) io.field(*self.local_metrics_);
+}
+
+void FlowSimulator::save_state(state::SnapshotWriter& w) const {
+  transfer(*this, w);
 }
 
 void FlowSimulator::restore_state(state::SnapshotReader& r) {
-  r.open_section("flowsim");
-
-  if (r.get_u64() != config_.max_ecmp_paths ||
-      std::bit_cast<std::uint64_t>(r.get_f64()) !=
-          std::bit_cast<std::uint64_t>(config_.flow_rate_cap.value()) ||
-      r.get_bool() != config_.use_route_cache ||
-      r.get_bool() != config_.incremental_reallocation ||
-      r.get_bool() != config_.strand_unroutable) {
-    validation::fail("FlowSimulator",
-                     "snapshot config does not match this simulator's config");
-  }
-  if (r.get_bool() != (config_.telemetry != nullptr)) {
-    validation::fail(
-        "FlowSimulator",
-        "snapshot telemetry attachment does not match this simulator");
-  }
-  if (r.get_u64() != graph_.num_nodes() || r.get_u64() != graph_.num_links()) {
-    validation::fail("FlowSimulator",
-                     "snapshot graph shape does not match this simulator");
-  }
-
-  const auto n = static_cast<std::size_t>(r.get_u64());
-  std::vector<ActiveFlow> active(n);
-  for (ActiveFlow& f : active) {
-    f.id = r.get_u64();
-    f.spec = get_spec(r);
-    f.admitted = Seconds{r.get_f64()};
-  }
-  active_ = std::move(active);
-  flow_rate_bps_.resize(n);
-  flow_remaining_.resize(n);
-  flow_lbegin_.resize(n);
-  flow_lcount_.resize(n);
-  filt_begin_.resize(n);
-  filt_count_.resize(n);
-  filt_cap_.resize(n);
-  r.get_f64_array(flow_rate_bps_.data(), n);
-  r.get_f64_array(flow_remaining_.data(), n);
-  r.get_u32_array(flow_lbegin_.data(), n);
-  r.get_u32_array(flow_lcount_.data(), n);
-  r.get_u32_array(filt_begin_.data(), n);
-  r.get_u32_array(filt_count_.data(), n);
-  r.get_u32_array(filt_cap_.data(), n);
-
-  {
-    std::vector<std::uint32_t> filt = r.get_u32_vec();
-    filt_arena_.resize(filt.size());
-    if (!filt.empty()) {
-      std::memcpy(filt_arena_.data(), filt.data(),
-                  filt.size() * sizeof(std::uint32_t));
-    }
-  }
-  filt_live_ = static_cast<std::size_t>(r.get_u64());
-  flow_links_ = r.get_u32_vec();
-  flow_adj_pos_ = r.get_u32_vec();
-  live_hops_ = static_cast<std::size_t>(r.get_u64());
-  link_flows_.restore_state(r);
-  touched_links_ = r.get_u32_vec();
-  touched_pos_ = r.get_u32_vec();
-  flag_lt_cap_ = r.get_u8_vec();
-
-  const auto num_completed = static_cast<std::size_t>(r.get_u64());
-  completed_.clear();
-  completed_.reserve(num_completed);
-  for (std::size_t i = 0; i < num_completed; ++i) {
-    FlowRecord rec;
-    rec.id = r.get_u64();
-    rec.spec = get_spec(r);
-    rec.finished = Seconds{r.get_f64()};
-    completed_.push_back(rec);
-  }
-  const auto num_stranded = static_cast<std::size_t>(r.get_u64());
-  stranded_.clear();
-  stranded_.reserve(num_stranded);
-  for (std::size_t i = 0; i < num_stranded; ++i) {
-    StrandedFlow s;
-    s.id = r.get_u64();
-    s.spec = get_spec(r);
-    s.remaining_bits = r.get_f64();
-    s.stranded_at = Seconds{r.get_f64()};
-    stranded_.push_back(s);
-  }
-  strand_durations_ = r.get_f64_vec();
-  stranded_bit_seconds_done_ = r.get_f64();
-
-  directed_capacity_bps_ = r.get_f64_vec();
-  link_factor_ = r.get_f64_vec();
-  carried_bps_ = r.get_f64_vec();
-  const std::size_t directed = graph_.num_links() * 2;
-  if (directed_capacity_bps_.size() != directed ||
-      carried_bps_.size() != directed ||
-      link_factor_.size() != graph_.num_links()) {
-    validation::fail("FlowSimulator",
-                     "snapshot link arrays do not match the graph");
-  }
-  const auto num_tw = static_cast<std::size_t>(r.get_u64());
-  if (num_tw != directed) {
-    validation::fail("FlowSimulator",
-                     "snapshot rate histories do not match the graph");
-  }
-  for (TimeWeighted& tw : directed_rate_bps_) tw.restore_state(r);
-
-  MaxMinSolver::SolveStats solver_stats;
-  solver_stats.solves = r.get_u64();
-  solver_stats.flows_solved = r.get_u64();
-  solver_.restore_stats(solver_stats);
-  seed_links_ = r.get_u32_vec();
-  seed_valid_ = r.get_bool();
-
-  fct_.restore_state(r);
-  unroutable_ = static_cast<std::size_t>(r.get_u64());
-  next_id_ = r.get_u64();
-  last_settle_ = Seconds{r.get_f64()};
-
-  // Re-register the pending events with their original FIFO sequence
-  // numbers. The engine clock must already be restored; restore_event_at
-  // validates both the time and the sequence bound.
-  completion_event_.reset();
-  if (r.get_bool()) {
-    const Seconds at{r.get_f64()};
-    const std::uint64_t seq = r.get_u64();
-    completion_event_ = engine_.restore_event_at(
-        at, seq, [this] { complete_due_flows(engine_.now()); });
-  }
-  pending_.clear();
-  const auto num_pending = static_cast<std::size_t>(r.get_u64());
-  std::vector<FlowId> pending_ids;
-  for (std::size_t i = 0; i < num_pending; ++i) {
-    const FlowId id = r.get_u64();
-    const FlowSpec spec = get_spec(r);
-    const Seconds at{r.get_f64()};
-    const std::uint64_t seq = r.get_u64();
-    if (id == 0 || id >= next_id_) {
-      validation::fail("FlowSimulator",
-                       "snapshot pending submission is not a submitted flow");
-    }
-    const std::uint32_t slot = pending_.acquire();
-    PendingPool::Entry& p = pending_[slot];
-    p.id = id;
-    p.spec = spec;
-    p.event = engine_.restore_event_at(at, seq,
-                                       [this, slot] { admit_pending(slot); });
-    pending_ids.push_back(id);
-  }
-  std::sort(pending_ids.begin(), pending_ids.end());
-  if (std::adjacent_find(pending_ids.begin(), pending_ids.end()) !=
-      pending_ids.end()) {
-    validation::fail("FlowSimulator",
-                     "snapshot holds a duplicate pending submission");
-  }
-
-  {
-    const std::vector<std::uint8_t> nodes = r.get_u8_vec();
-    const std::vector<std::uint8_t> links = r.get_u8_vec();
-    const std::uint64_t epoch = r.get_u64();
-    router_.restore_enablement(nodes, links, epoch);
-  }
-
-  r.close_section();
-
-  route_cache_.restore_state(r);
-  if (local_metrics_ != nullptr) local_metrics_->restore_state(r);
-
+  transfer(*this, r);
   // Binding-walk generation stamps restart from scratch (see file comment):
   // clearing makes the lazily-resized stamp arrays re-zero themselves.
   bind_gen_ = 0;
   bind_link_seen_.clear();
   bind_flow_seen_.clear();
   bind_sub_seen_.clear();
-
   check_invariants();
 }
 

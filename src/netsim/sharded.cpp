@@ -649,182 +649,135 @@ std::vector<telemetry::MetricSample> ShardedFlowSimulator::merged_metrics()
 
 // --- Snapshot / restore ---
 
-void ShardedFlowSimulator::save_state(state::SnapshotWriter& w) const {
-  w.begin_section("sharded");
+template <class Self, class Io>
+void ShardedFlowSimulator::transfer(Self& self, Io& io) {
+  const Config& config = self.config_;
+  io.open_section("sharded");
   // Config echo: restore targets must be built identically.
-  w.put_u64(config_.num_shards);
-  w.put_f64(config_.barrier_interval.value());
-  w.put_u64(config_.shard.max_ecmp_paths);
-  w.put_f64(config_.shard.flow_rate_cap.value());
-  w.put_bool(config_.shard.use_route_cache);
-  w.put_bool(config_.shard.incremental_reallocation);
-  w.put_bool(config_.shard.strand_unroutable);
+  io.echo(config.num_shards, kName, "restored num_shards must match");
+  io.echo(config.barrier_interval, kName,
+          "restored barrier_interval must match");
+  io.echo(config.shard.max_ecmp_paths, kName,
+          "restored max_ecmp_paths must match");
+  io.echo(config.shard.flow_rate_cap.value(), kName,
+          "restored flow_rate_cap must match");
+  io.echo(config.shard.use_route_cache, kName,
+          "restored use_route_cache must match");
+  io.echo(config.shard.incremental_reallocation, kName,
+          "restored incremental_reallocation must match");
+  io.echo(config.shard.strand_unroutable, kName,
+          "restored strand_unroutable must match");
 
-  w.put_f64(now_.value());
-  w.put_u64(grid_cursor_);
-  w.put_u64(next_id_);
-  fct_.save_state(w);
+  io.field(self.now_);
+  io.field(self.grid_cursor_);
+  io.field(self.next_id_);
+  io.field(self.fct_);
 
-  w.put_u64(flows_.size());
-  for (const FlowEntry& e : flows_) {
-    w.put_u32(e.spec.src);
-    w.put_u32(e.spec.dst);
-    w.put_f64(e.spec.size.value());
-    w.put_f64(e.spec.start.value());
-    w.put_u64(e.spec.tag);
-    w.put_u64(e.id);
-    w.put_u32(e.src_shard);
-    w.put_u32(e.dst_shard);
-    w.put_f64(e.finished_src);
-    w.put_f64(e.finished_dst);
-    w.put_bool(e.completed);
+  io.seq(self.flows_, 33 + kFlowSpecBytes, [&io](auto& e) {
+    transfer_spec(io, e.spec);
+    io.field(e.id);
+    io.field(e.src_shard);
+    io.field(e.dst_shard);
+    io.field(e.finished_src);
+    io.field(e.finished_dst);
+    io.field(e.completed);
+  });
+  if constexpr (Io::kReading) {
+    // The cross-pair table is derived: one entry per cross flow, in order.
+    self.pairs_.clear();
+    for (FlowEntry& e : self.flows_) {
+      if (!e.cross()) continue;
+      e.pair = static_cast<std::uint32_t>(self.pairs_.size());
+      self.pairs_.push_back(CrossPair{.dst_shard = e.dst_shard});
+    }
   }
   // Records rebuild their specs from the flow table: driver ids are
   // assigned sequentially from 1, so id - 1 indexes flows_.
-  w.put_u64(completed_.size());
-  for (const FlowRecord& r : completed_) {
-    w.put_u64(r.id);
-    w.put_f64(r.finished.value());
-  }
+  io.seq(self.completed_, 16, [&self, &io](auto& rec) {
+    io.field(rec.id);
+    io.check(rec.id >= 1 && rec.id <= self.flows_.size(), kName,
+             "restored completion references an unknown flow");
+    if constexpr (Io::kReading) rec.spec = self.flows_[rec.id - 1].spec;
+    io.field(rec.finished);
+  });
 
   // Fault state, sorted by id for a canonical image.
-  std::vector<std::pair<LinkId, BoundaryState>> boundary(
-      boundary_state_.begin(), boundary_state_.end());
-  std::sort(boundary.begin(), boundary.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.put_u64(boundary.size());
-  for (const auto& [link, bs] : boundary) {
-    w.put_u32(link);
-    w.put_bool(bs.enabled);
-    w.put_f64(bs.factor);
-  }
-  std::vector<std::pair<NodeId, bool>> cores(core_enabled_.begin(),
-                                             core_enabled_.end());
-  std::sort(cores.begin(), cores.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.put_u64(cores.size());
-  for (const auto& [node, enabled] : cores) {
-    w.put_u32(node);
-    w.put_bool(enabled);
-  }
+  const auto fault_map = [&io](auto& map, std::size_t entry_bytes,
+                               auto&& entry) {
+    using Map = std::remove_cvref_t<decltype(map)>;
+    std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>>
+        entries;
+    if constexpr (!Io::kReading) {
+      entries.assign(map.begin(), map.end());
+      std::sort(entries.begin(), entries.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+    }
+    io.seq(entries, entry_bytes, entry);
+    if constexpr (Io::kReading) map = Map(entries.begin(), entries.end());
+  };
+  fault_map(self.boundary_state_, 13, [&io](auto& e) {
+    io.field(e.first);
+    io.field(e.second.enabled);
+    io.field(e.second.factor);
+  });
+  fault_map(self.core_enabled_, 5, [&io](auto& e) {
+    io.field(e.first);
+    io.field(e.second);
+  });
   std::vector<std::uint64_t> disabled;
-  disabled.reserve(gateway_link_disabled_.size());
-  for (const auto& [key, value] : gateway_link_disabled_) {
-    (void)value;
-    disabled.push_back(key);
+  if constexpr (!Io::kReading) {
+    disabled.reserve(self.gateway_link_disabled_.size());
+    for (const auto& entry : self.gateway_link_disabled_) {
+      disabled.push_back(entry.first);
+    }
+    std::sort(disabled.begin(), disabled.end());
   }
-  std::sort(disabled.begin(), disabled.end());
-  w.put_u64_vec(disabled);
-
-  for (const auto& shard : shards_) {
-    w.put_u64(shard->completed_cursor);
-    w.put_u64(shard->live_cross_halves);
-    w.put_f64(shard->engine->now().value());
-    w.put_u64(shard->engine->next_seq());
-  }
-  w.end_section();
-
-  for (const auto& shard : shards_) {
-    shard->sim->save_state(w);
-    // Attached shard sims keep their counters (realloc stats, solver
-    // stats) in the shard's private registry, which the attached-sim
-    // snapshot skips — the orchestrator owns it, so serialize it here.
-    shard->sim->flush_metrics();
-    shard->telemetry->metrics().save_state(w);
-  }
-}
-
-void ShardedFlowSimulator::restore_state(state::SnapshotReader& r) {
-  r.open_section("sharded");
-  validation::require(r.get_u64() == config_.num_shards, kName,
-                      "restored num_shards must match");
-  validation::require(r.get_f64() == config_.barrier_interval.value(), kName,
-                      "restored barrier_interval must match");
-  validation::require(r.get_u64() == config_.shard.max_ecmp_paths, kName,
-                      "restored max_ecmp_paths must match");
-  validation::require(r.get_f64() == config_.shard.flow_rate_cap.value(),
-                      kName, "restored flow_rate_cap must match");
-  validation::require(r.get_bool() == config_.shard.use_route_cache, kName,
-                      "restored use_route_cache must match");
-  validation::require(
-      r.get_bool() == config_.shard.incremental_reallocation, kName,
-      "restored incremental_reallocation must match");
-  validation::require(r.get_bool() == config_.shard.strand_unroutable, kName,
-                      "restored strand_unroutable must match");
-
-  now_ = Seconds{r.get_f64()};
-  grid_cursor_ = r.get_u64();
-  next_id_ = r.get_u64();
-  fct_.restore_state(r);
-
-  flows_.clear();
-  flows_.resize(r.get_u64());
-  for (FlowEntry& e : flows_) {
-    e.spec.src = r.get_u32();
-    e.spec.dst = r.get_u32();
-    e.spec.size = Bits{r.get_f64()};
-    e.spec.start = Seconds{r.get_f64()};
-    e.spec.tag = r.get_u64();
-    e.id = r.get_u64();
-    e.src_shard = r.get_u32();
-    e.dst_shard = r.get_u32();
-    e.finished_src = r.get_f64();
-    e.finished_dst = r.get_f64();
-    e.completed = r.get_bool();
-  }
-  pairs_.clear();
-  for (FlowEntry& e : flows_) {
-    if (!e.cross()) continue;
-    e.pair = static_cast<std::uint32_t>(pairs_.size());
-    pairs_.push_back(CrossPair{.dst_shard = e.dst_shard});
-  }
-  completed_.clear();
-  completed_.resize(r.get_u64());
-  for (FlowRecord& rec : completed_) {
-    rec.id = r.get_u64();
-    validation::require(rec.id >= 1 && rec.id <= flows_.size(), kName,
-                        "restored completion references an unknown flow");
-    rec.spec = flows_[rec.id - 1].spec;
-    rec.finished = Seconds{r.get_f64()};
-  }
-
-  boundary_state_.clear();
-  for (std::uint64_t i = 0, n = r.get_u64(); i < n; ++i) {
-    const LinkId link = r.get_u32();
-    BoundaryState bs;
-    bs.enabled = r.get_bool();
-    bs.factor = r.get_f64();
-    boundary_state_.emplace(link, bs);
-  }
-  core_enabled_.clear();
-  for (std::uint64_t i = 0, n = r.get_u64(); i < n; ++i) {
-    const NodeId node = r.get_u32();
-    core_enabled_[node] = r.get_bool();
-  }
-  gateway_link_disabled_.clear();
-  for (const std::uint64_t key : r.get_u64_vec()) {
-    gateway_link_disabled_.emplace(key, true);
+  io.field(disabled);
+  if constexpr (Io::kReading) {
+    self.gateway_link_disabled_.clear();
+    for (const std::uint64_t key : disabled) {
+      self.gateway_link_disabled_.emplace(key, true);
+    }
   }
 
   struct Clock {
-    double now;
-    std::uint64_t seq;
+    Seconds now;
+    std::uint64_t seq = 0;
   };
-  std::vector<Clock> clocks(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->completed_cursor = r.get_u64();
-    shards_[s]->live_cross_halves = r.get_u64();
-    clocks[s].now = r.get_f64();
-    clocks[s].seq = r.get_u64();
+  std::vector<Clock> clocks(self.shards_.size());
+  for (std::size_t s = 0; s < self.shards_.size(); ++s) {
+    Shard& shard = *self.shards_[s];
+    io.field(shard.completed_cursor);
+    io.field(shard.live_cross_halves);
+    if constexpr (!Io::kReading) {
+      clocks[s] = Clock{shard.engine->now(), shard.engine->next_seq()};
+    }
+    io.field(clocks[s].now);
+    io.field(clocks[s].seq);
   }
-  r.close_section();
+  io.close_section();
 
-  barrier_gen_ = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->engine->restore_clock(Seconds{clocks[s].now}, clocks[s].seq);
-    shards_[s]->sim->restore_state(r);
-    shards_[s]->telemetry->metrics().restore_state(r);
+  if constexpr (Io::kReading) self.barrier_gen_ = 0;
+  for (std::size_t s = 0; s < self.shards_.size(); ++s) {
+    Shard& shard = *self.shards_[s];
+    if constexpr (Io::kReading) {
+      shard.engine->restore_clock(clocks[s].now, clocks[s].seq);
+    }
+    io.field(*shard.sim);
+    // Attached shard sims keep their counters (realloc stats, solver
+    // stats) in the shard's private registry, which the attached-sim
+    // snapshot skips — the orchestrator owns it, so serialize it here.
+    if constexpr (!Io::kReading) shard.sim->flush_metrics();
+    io.field(shard.telemetry->metrics());
   }
+}
+
+void ShardedFlowSimulator::save_state(state::SnapshotWriter& w) const {
+  transfer(*this, w);
+}
+
+void ShardedFlowSimulator::restore_state(state::SnapshotReader& r) {
+  transfer(*this, r);
   check_invariants();
 }
 

@@ -24,22 +24,22 @@ double SummaryStat::variance() const {
 
 double SummaryStat::stddev() const { return std::sqrt(variance()); }
 
+template <class Self, class Io>
+void SummaryStat::transfer(Self& self, Io& io) {
+  io.field(self.n_);
+  io.field(self.mean_);
+  io.field(self.m2_);
+  io.field(self.sum_);
+  io.field(self.min_);
+  io.field(self.max_);
+}
+
 void SummaryStat::save_state(state::SnapshotWriter& w) const {
-  w.put_u64(n_);
-  w.put_f64(mean_);
-  w.put_f64(m2_);
-  w.put_f64(sum_);
-  w.put_f64(min_);
-  w.put_f64(max_);
+  transfer(*this, w);
 }
 
 void SummaryStat::restore_state(state::SnapshotReader& r) {
-  n_ = r.get_u64();
-  mean_ = r.get_f64();
-  m2_ = r.get_f64();
-  sum_ = r.get_f64();
-  min_ = r.get_f64();
-  max_ = r.get_f64();
+  transfer(*this, r);
 }
 
 TimeWeighted::TimeWeighted(double initial, Seconds start)
@@ -66,18 +66,20 @@ double TimeWeighted::average(Seconds until) const {
   return span > 0.0 ? integral(until) / span : value_;
 }
 
+template <class Self, class Io>
+void TimeWeighted::transfer(Self& self, Io& io) {
+  io.field(self.start_);
+  io.field(self.last_);
+  io.field(self.value_);
+  io.field(self.integral_);
+}
+
 void TimeWeighted::save_state(state::SnapshotWriter& w) const {
-  w.put_f64(start_.value());
-  w.put_f64(last_.value());
-  w.put_f64(value_);
-  w.put_f64(integral_);
+  transfer(*this, w);
 }
 
 void TimeWeighted::restore_state(state::SnapshotReader& r) {
-  start_ = Seconds{r.get_f64()};
-  last_ = Seconds{r.get_f64()};
-  value_ = r.get_f64();
-  integral_ = r.get_f64();
+  transfer(*this, r);
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

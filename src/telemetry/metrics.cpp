@@ -118,76 +118,61 @@ std::vector<MetricSample> MetricRegistry::snapshot() const {
   return out;
 }
 
-void MetricRegistry::save_state(state::SnapshotWriter& w) const {
-  w.begin_section("metrics");
-  w.put_u64(entries_.size());
-  for (const Entry& entry : entries_) {
-    w.put_string(entry.name);
-    w.put_string(entry.unit);
-    w.put_string(entry.help);
-    w.put_u8(static_cast<std::uint8_t>(entry.kind));
-    switch (entry.kind) {
+template <class Self, class Io>
+void MetricRegistry::transfer(Self& self, Io& io) {
+  constexpr std::string_view kWho = "MetricRegistry";
+  using EntryT = std::conditional_t<Io::kReading, Entry, const Entry>;
+  io.open_section("metrics");
+  // Per metric: three strings (u64 length each) and the kind byte at least.
+  const std::size_t n = io.count(self.entries_.size(), 25);
+  for (std::size_t i = 0; i < n; ++i) {
+    Entry saved{};
+    EntryT* e = &saved;
+    if constexpr (!Io::kReading) e = &self.entries_[i];
+    io.field(e->name);
+    io.field(e->unit);
+    io.field(e->help);
+    io.enum_u8(e->kind, MetricKind::kHistogram, kWho,
+               "snapshot holds an invalid metric kind");
+    if (e->kind == MetricKind::kHistogram) io.field(e->histogram.bounds);
+    if constexpr (Io::kReading) {
+      // Find-or-create by name, so instruments registered before the
+      // restore keep their slots. histogram() validates the bounds and
+      // rejects a re-registration with different ones.
+      if (e->kind == MetricKind::kHistogram) {
+        (void)self.histogram(e->name, e->histogram.bounds, e->unit, e->help);
+      }
+      e = &self.find_or_create(e->name, e->kind, e->unit, e->help);
+    }
+    switch (e->kind) {
       case MetricKind::kCounter:
-        w.put_u64(entry.counter.value);
+        io.field(e->counter.value);
         break;
       case MetricKind::kGauge:
-        w.put_f64(entry.gauge.value);
+        io.field(e->gauge.value);
         break;
-      case MetricKind::kHistogram:
-        w.put_f64_vec(entry.histogram.bounds);
-        w.put_u64_vec(entry.histogram.buckets);
-        w.put_u64(entry.histogram.count);
-        w.put_f64(entry.histogram.sum);
-        w.put_f64(entry.histogram.min);
-        w.put_f64(entry.histogram.max);
+      case MetricKind::kHistogram: {
+        const std::size_t buckets = e->histogram.buckets.size();
+        io.field(e->histogram.buckets);
+        io.check(e->histogram.buckets.size() == buckets, kWho,
+                 "snapshot histogram bucket count mismatch");
+        io.field(e->histogram.count);
+        io.field(e->histogram.sum);
+        io.field(e->histogram.min);
+        io.field(e->histogram.max);
         break;
+      }
     }
   }
-  w.end_section();
+  io.close_section();
+}
+
+void MetricRegistry::save_state(state::SnapshotWriter& w) const {
+  transfer(*this, w);
 }
 
 void MetricRegistry::restore_state(state::SnapshotReader& r) {
-  r.open_section("metrics");
-  const std::uint64_t n = r.get_u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::string name = r.get_string();
-    const std::string unit = r.get_string();
-    const std::string help = r.get_string();
-    const std::uint8_t kind = r.get_u8();
-    validation::require(
-        kind <= static_cast<std::uint8_t>(MetricKind::kHistogram),
-        "MetricRegistry", "snapshot holds an invalid metric kind");
-    switch (static_cast<MetricKind>(kind)) {
-      case MetricKind::kCounter: {
-        Entry& entry = find_or_create(name, MetricKind::kCounter, unit, help);
-        entry.counter.value = r.get_u64();
-        break;
-      }
-      case MetricKind::kGauge: {
-        Entry& entry = find_or_create(name, MetricKind::kGauge, unit, help);
-        entry.gauge.value = r.get_f64();
-        break;
-      }
-      case MetricKind::kHistogram: {
-        auto bounds = r.get_f64_vec();
-        // Route through histogram() so bound validation and the
-        // re-registration mismatch check both apply.
-        (void)histogram(name, bounds, unit, help);
-        Entry& entry = find_or_create(name, MetricKind::kHistogram, unit, help);
-        auto buckets = r.get_u64_vec();
-        validation::require(buckets.size() == entry.histogram.buckets.size(),
-                            "MetricRegistry",
-                            "snapshot histogram bucket count mismatch");
-        entry.histogram.buckets = std::move(buckets);
-        entry.histogram.count = r.get_u64();
-        entry.histogram.sum = r.get_f64();
-        entry.histogram.min = r.get_f64();
-        entry.histogram.max = r.get_f64();
-        break;
-      }
-    }
-  }
-  r.close_section();
+  transfer(*this, r);
 }
 
 std::uint64_t MetricRegistry::counter_value(const std::string& name) const {

@@ -37,50 +37,33 @@ void TimeSeriesSampler::sample(Seconds now) {
   next_due_ = now.value() + period_.value();
 }
 
+template <class Self, class Io>
+void TimeSeriesSampler::transfer(Self& self, Io& io) {
+  constexpr std::string_view kWho = "TimeSeriesSampler";
+  io.open_section("sampler");
+  io.field(self.period_);
+  io.check(std::isfinite(self.period_.value()) && self.period_.value() >= 0.0,
+           kWho, "snapshot period must be finite and non-negative");
+  io.field(self.next_due_);
+  io.field(self.times_);
+  // Per series: its name and its values (a u64 length each) at least.
+  io.seq(self.series_, 16, [&self, &io, kWho](auto& s) {
+    io.field(s.name);
+    // Re-track the series by name against the registry.
+    if constexpr (Io::kReading) s.gauge = self.registry_.gauge(s.name);
+    io.field(s.values);
+    io.check(s.values.size() == self.times_.size(), kWho,
+             "snapshot series rows must align with the time axis");
+  });
+  io.close_section();
+}
+
 void TimeSeriesSampler::save_state(state::SnapshotWriter& w) const {
-  w.begin_section("sampler");
-  w.put_f64(period_.value());
-  w.put_f64(next_due_);
-  w.put_u64(times_.size());
-  for (Seconds t : times_) w.put_f64(t.value());
-  w.put_u64(series_.size());
-  for (const Series& s : series_) {
-    w.put_string(s.name);
-    w.put_f64_vec(s.values);
-  }
-  w.end_section();
+  transfer(*this, w);
 }
 
 void TimeSeriesSampler::restore_state(state::SnapshotReader& r) {
-  r.open_section("sampler");
-  const double period = r.get_f64();
-  validation::require(std::isfinite(period) && period >= 0.0,
-                      "TimeSeriesSampler",
-                      "snapshot period must be finite and non-negative");
-  const double next_due = r.get_f64();
-  const std::uint64_t num_times = r.get_u64();
-  std::vector<Seconds> times;
-  times.reserve(static_cast<std::size_t>(num_times));
-  for (std::uint64_t i = 0; i < num_times; ++i) {
-    times.emplace_back(r.get_f64());
-  }
-  const std::uint64_t num_series = r.get_u64();
-  std::vector<Series> series;
-  series.reserve(static_cast<std::size_t>(num_series));
-  for (std::uint64_t i = 0; i < num_series; ++i) {
-    Series s;
-    s.name = r.get_string();
-    s.gauge = registry_.gauge(s.name);
-    s.values = r.get_f64_vec();
-    validation::require(s.values.size() == times.size(), "TimeSeriesSampler",
-                        "snapshot series rows must align with the time axis");
-    series.push_back(std::move(s));
-  }
-  period_ = Seconds{period};
-  next_due_ = next_due;
-  times_ = std::move(times);
-  series_ = std::move(series);
-  r.close_section();
+  transfer(*this, r);
 }
 
 void TimeSeriesSampler::arm(SimEngine& engine, Seconds until) {

@@ -188,78 +188,56 @@ RouteResult RouteCache::find_paths_copy(NodeId src, NodeId dst) {
   return out;
 }
 
-void RouteCache::save_state(state::SnapshotWriter& w) const {
-  w.begin_section("route_cache");
-  w.put_u64(static_cast<std::uint64_t>(config_.max_paths));
-  w.put_bool(config_.symmetry);
-  w.put_u64_vec(keys_);
-  w.put_u32_vec(slots_);
-  w.put_u64(occupied_);
-  w.put_u64(entries_.size());
-  for (const Entry& e : entries_) {
-    w.put_u32(e.begin);
-    w.put_u32(e.num_paths);
-    w.put_u32(e.hops);
-    w.put_u8(static_cast<std::uint8_t>(e.status));
+template <class Self, class Io>
+void RouteCache::transfer(Self& self, Io& io) {
+  constexpr std::string_view kWho = "RouteCache";
+  constexpr std::string_view kConfig =
+      "snapshot config does not match this cache's config";
+  io.open_section("route_cache");
+  io.echo(self.config_.max_paths, kWho, kConfig);
+  io.echo(self.config_.symmetry, kWho, kConfig);
+  io.field(self.keys_);
+  io.field(self.slots_);
+  io.field(self.occupied_);
+  const std::size_t keys = self.keys_.size();
+  io.check(keys != 0 && (keys & (keys - 1)) == 0 &&
+               keys == self.slots_.size() && self.occupied_ <= keys,
+           kWho, "corrupt snapshot hash table");
+  io.seq(self.entries_, 13, [&io, kWho](auto& e) {
+    io.field(e.begin);
+    io.field(e.num_paths);
+    io.field(e.hops);
+    io.enum_u8(e.status, RouteStatus::kDisconnected, kWho,
+               "corrupt snapshot route status");
+  });
+  io.field(self.pool_);
+  if constexpr (Io::kReading) {
+    const std::size_t pool = self.pool_.size();
+    for (const Entry& e : self.entries_) {
+      const std::uint64_t span =
+          static_cast<std::uint64_t>(e.num_paths) * e.hops;
+      io.check(e.begin <= pool && span <= pool - e.begin, kWho,
+               "snapshot entry spans past the path pool");
+    }
+    for (std::size_t i = 0; i < keys; ++i) {
+      io.check(self.keys_[i] == kEmptyKey ||
+                   self.slots_[i] < self.entries_.size(),
+               kWho, "snapshot slot points past the entries");
+    }
   }
-  w.put_u32_vec(pool_);
-  w.put_u64(epoch_);
-  w.put_u64(hits_);
-  w.put_u64(misses_);
-  w.put_u64(epoch_flushes_);
-  w.end_section();
+  io.field(self.epoch_);
+  io.field(self.hits_);
+  io.field(self.misses_);
+  io.field(self.epoch_flushes_);
+  io.close_section();
+}
+
+void RouteCache::save_state(state::SnapshotWriter& w) const {
+  transfer(*this, w);
 }
 
 void RouteCache::restore_state(state::SnapshotReader& r) {
-  r.open_section("route_cache");
-  const auto max_paths = static_cast<std::size_t>(r.get_u64());
-  const bool symmetry = r.get_bool();
-  if (max_paths != config_.max_paths || symmetry != config_.symmetry) {
-    validation::fail("RouteCache",
-                     "snapshot config does not match this cache's config");
-  }
-  auto keys = r.get_u64_vec();
-  auto slots = r.get_u32_vec();
-  const std::uint64_t occupied = r.get_u64();
-  if (keys.empty() || (keys.size() & (keys.size() - 1)) != 0 ||
-      keys.size() != slots.size() || occupied > keys.size()) {
-    validation::fail("RouteCache", "corrupt snapshot hash table");
-  }
-  const std::uint64_t num_entries = r.get_u64();
-  std::vector<Entry> entries(static_cast<std::size_t>(num_entries));
-  for (Entry& e : entries) {
-    e.begin = r.get_u32();
-    e.num_paths = r.get_u32();
-    e.hops = r.get_u32();
-    const std::uint8_t status = r.get_u8();
-    if (status > static_cast<std::uint8_t>(RouteStatus::kDisconnected)) {
-      validation::fail("RouteCache", "corrupt snapshot route status");
-    }
-    e.status = static_cast<RouteStatus>(status);
-  }
-  auto pool = r.get_u32_vec();
-  for (const Entry& e : entries) {
-    const std::uint64_t span =
-        static_cast<std::uint64_t>(e.num_paths) * e.hops;
-    if (e.begin > pool.size() || span > pool.size() - e.begin) {
-      validation::fail("RouteCache", "snapshot entry spans past the path pool");
-    }
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (keys[i] != kEmptyKey && slots[i] >= entries.size()) {
-      validation::fail("RouteCache", "snapshot slot points past the entries");
-    }
-  }
-  keys_ = std::move(keys);
-  slots_ = std::move(slots);
-  occupied_ = static_cast<std::size_t>(occupied);
-  entries_ = std::move(entries);
-  pool_ = std::move(pool);
-  epoch_ = r.get_u64();
-  hits_ = r.get_u64();
-  misses_ = r.get_u64();
-  epoch_flushes_ = r.get_u64();
-  r.close_section();
+  transfer(*this, r);
 }
 
 void RouteCache::check_agreement() const {

@@ -42,10 +42,10 @@ TEST(SummaryStat, SnapshotRoundTripKeepsEveryAccumulator) {
   SummaryStat filled;
   for (double x : {3.0, -1.5, 7.25}) filled.add(x);
   state::SnapshotWriter w;
-  w.begin_section("stats");
+  w.open_section("stats");
   empty.save_state(w);
   filled.save_state(w);
-  w.end_section();
+  w.close_section();
 
   state::SnapshotReader r{w.buffer()};
   r.open_section("stats");
@@ -77,9 +77,9 @@ TEST(TimeWeighted, SnapshotRoundTripContinuesTheIntegral) {
   TimeWeighted original{1.0, Seconds{0.5}};
   original.set(Seconds{1.5}, 4.0);
   state::SnapshotWriter w;
-  w.begin_section("signal");
+  w.open_section("signal");
   original.save_state(w);
-  w.end_section();
+  w.close_section();
 
   state::SnapshotReader r{w.buffer()};
   r.open_section("signal");

@@ -1,8 +1,8 @@
 // Snapshot format contract: exact round-tripping (doubles bitwise, arrays,
 // strings), and typed "SnapshotReader: constraint" rejection of every
 // malformed input — truncation, corruption, version skew, wrong section
-// order, unconsumed payload — never UB. Plus the InvariantAuditor's
-// check-registry semantics.
+// order, unconsumed payload, counts the section cannot hold — never UB.
+// Plus the InvariantAuditor's check-registry semantics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "netpp/state/auditor.h"
+#include "netpp/state/image.h"
 #include "netpp/state/snapshot.h"
 
 namespace netpp::state {
@@ -22,17 +23,17 @@ namespace {
 
 std::vector<std::uint8_t> one_section_snapshot() {
   SnapshotWriter w;
-  w.begin_section("demo");
+  w.open_section("demo");
   w.put_u32(7);
   w.put_f64(3.25);
   w.put_string("hello");
-  w.end_section();
+  w.close_section();
   return w.buffer();
 }
 
 TEST(Snapshot, ScalarsRoundTripBitwise) {
   SnapshotWriter w;
-  w.begin_section("scalars");
+  w.open_section("scalars");
   w.put_u8(0xab);
   w.put_bool(true);
   w.put_bool(false);
@@ -40,7 +41,7 @@ TEST(Snapshot, ScalarsRoundTripBitwise) {
   w.put_u64(0x0123456789abcdefULL);
   w.put_i64(-42);
   w.put_string("§unicode✓");
-  w.end_section();
+  w.close_section();
 
   SnapshotReader r{w.buffer()};
   r.open_section("scalars");
@@ -72,9 +73,9 @@ TEST(Snapshot, DoublesRoundTripEveryBitPattern) {
       1.0 / 3.0,
   };
   SnapshotWriter w;
-  w.begin_section("doubles");
+  w.open_section("doubles");
   for (double v : values) w.put_f64(v);
-  w.end_section();
+  w.close_section();
 
   SnapshotReader r{w.buffer()};
   r.open_section("doubles");
@@ -91,53 +92,113 @@ TEST(Snapshot, VectorsAndArraysRoundTrip) {
   const std::vector<std::uint32_t> u32s{0, 42, 0xffffffffu};
   const std::vector<std::uint64_t> u64s{1ULL << 63, 7};
   const std::vector<double> f64s{-1.5, 2.5e300, -0.0};
+  const std::vector<bool> flags{true, false, true};
+  const std::vector<Seconds> times{Seconds{0.5}, Seconds{-0.0}};
+  const std::vector<std::uint8_t> empty;
   SnapshotWriter w;
-  w.begin_section("vecs");
-  w.put_u8_vec(u8s);
-  w.put_u32_vec(u32s);
-  w.put_u64_vec(u64s);
-  w.put_f64_vec(f64s);
-  w.put_u32_array(u32s.data(), u32s.size());
-  w.put_u8_array(u8s.data(), u8s.size());
-  w.put_u8_array(nullptr, 0);  // empty arrays are legal
-  w.end_section();
+  w.open_section("vecs");
+  w.field(u8s);
+  w.field(u32s);
+  w.field(u64s);
+  w.field(f64s);
+  w.field(flags);
+  w.field(times);
+  w.field(empty);  // empty vectors are legal
+  w.close_section();
 
   SnapshotReader r{w.buffer()};
   r.open_section("vecs");
-  EXPECT_EQ(r.get_u8_vec(), u8s);
-  EXPECT_EQ(r.get_u32_vec(), u32s);
-  EXPECT_EQ(r.get_u64_vec(), u64s);
-  EXPECT_EQ(r.get_f64_vec(), f64s);
-  std::vector<std::uint32_t> u32_out(u32s.size());
-  r.get_u32_array(u32_out.data(), u32_out.size());
-  EXPECT_EQ(u32_out, u32s);
-  std::vector<std::uint8_t> u8_out(u8s.size());
-  r.get_u8_array(u8_out.data(), u8_out.size());
+  std::vector<std::uint8_t> u8_out;
+  std::vector<std::uint32_t> u32_out;
+  std::vector<std::uint64_t> u64_out;
+  std::vector<double> f64_out;
+  std::vector<bool> flags_out;
+  std::vector<Seconds> times_out;
+  std::vector<std::uint8_t> empty_out{9};
+  r.field(u8_out);
+  r.field(u32_out);
+  r.field(u64_out);
+  r.field(f64_out);
+  r.field(flags_out);
+  r.field(times_out);
+  r.field(empty_out);
   EXPECT_EQ(u8_out, u8s);
-  r.get_u8_array(nullptr, 0);
+  EXPECT_EQ(u32_out, u32s);
+  EXPECT_EQ(u64_out, u64s);
+  ASSERT_EQ(f64_out.size(), f64s.size());
+  for (std::size_t i = 0; i < f64s.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(f64_out[i]),
+              std::bit_cast<std::uint64_t>(f64s[i]));
+  }
+  EXPECT_EQ(flags_out, flags);
+  ASSERT_EQ(times_out.size(), 2u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(times_out[1].value()),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_TRUE(empty_out.empty());
   r.close_section();
 }
 
 TEST(Snapshot, ArrayCountMismatchIsTyped) {
+  // A restore target whose own shape fixes a count rejects a different
+  // stored one through echo(), with the target's "Type: constraint" error.
   SnapshotWriter w;
-  w.begin_section("s");
-  const std::uint32_t three[] = {1, 2, 3};
-  w.put_u32_array(three, 3);
-  w.end_section();
+  w.open_section("s");
+  w.field(std::vector<std::uint32_t>{1, 2, 3});
+  w.close_section();
   SnapshotReader r{w.buffer()};
   r.open_section("s");
-  std::uint32_t out[2];
-  EXPECT_THROW(r.get_u32_array(out, 2), std::invalid_argument);
+  try {
+    r.echo(std::uint64_t{2}, "Demo", "array count does not match");
+    FAIL() << "a mismatched count was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "Demo: array count does not match");
+  }
+}
+
+TEST(Snapshot, CountBeyondTheSectionRejectedBeforeSizing) {
+  // 2^62 + 1 four-byte elements wrap to 4 bytes when multiplied by the
+  // element width; the bound divides instead, so the count is rejected
+  // before anything is sized from it.
+  SnapshotWriter w;
+  w.open_section("s");
+  w.put_u64((std::uint64_t{1} << 62) + 1);
+  w.put_u32(7);
+  w.close_section();
+  SnapshotReader r{w.buffer()};
+  r.open_section("s");
+  std::vector<std::uint32_t> v;
+  try {
+    r.field(v);
+    FAIL() << "an oversized count was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("SnapshotReader:"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(v.empty());
+
+  // A count of structured elements is bounded by their smallest wire size.
+  SnapshotWriter w2;
+  w2.open_section("s");
+  (void)w2.count(3, 16);
+  for (int i = 0; i < 5; ++i) w2.put_u64(0);
+  w2.close_section();
+  SnapshotReader ok{w2.buffer()};
+  ok.open_section("s");
+  EXPECT_EQ(ok.count(0, 8), 3u);
+  SnapshotReader tight{w2.buffer()};
+  tight.open_section("s");
+  EXPECT_THROW((void)tight.count(0, 16), std::invalid_argument);
 }
 
 TEST(Snapshot, MultipleSectionsReadInOrder) {
   SnapshotWriter w;
-  w.begin_section("first");
+  w.open_section("first");
   w.put_u32(1);
-  w.end_section();
-  w.begin_section("second");
+  w.close_section();
+  w.open_section("second");
   w.put_u32(2);
-  w.end_section();
+  w.close_section();
 
   SnapshotReader r{w.buffer()};
   r.open_section("first");
@@ -240,23 +301,23 @@ TEST(Snapshot, ReadingPastSectionEndRejected) {
 TEST(Snapshot, WriterMisuseIsLogicError) {
   SnapshotWriter w;
   EXPECT_THROW(w.put_u32(1), std::logic_error);  // no section open
-  w.begin_section("s");
-  EXPECT_THROW(w.begin_section("t"), std::logic_error);  // nested
+  w.open_section("s");
+  EXPECT_THROW(w.open_section("t"), std::logic_error);  // nested
   EXPECT_THROW((void)w.buffer(), std::logic_error);      // still open
-  w.end_section();
-  EXPECT_THROW(w.end_section(), std::logic_error);  // nothing open
+  w.close_section();
+  EXPECT_THROW(w.close_section(), std::logic_error);  // nothing open
 }
 
 TEST(Snapshot, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/snapshot_test.nppsnap";
   SnapshotWriter w;
-  w.begin_section("file");
+  w.open_section("file");
   w.put_f64(-0.0);
   w.put_u64(99);
-  w.end_section();
-  w.write_file(path);
+  w.close_section();
+  StateImage{w.buffer()}.write_file(path);
 
-  SnapshotReader r = SnapshotReader::from_file(path);
+  SnapshotReader r = StateImage::from_file(path).fork();
   r.open_section("file");
   EXPECT_EQ(std::bit_cast<std::uint64_t>(r.get_f64()),
             std::bit_cast<std::uint64_t>(-0.0));
@@ -266,8 +327,14 @@ TEST(Snapshot, FileRoundTrip) {
 }
 
 TEST(Snapshot, MissingFileRejected) {
-  EXPECT_THROW(SnapshotReader::from_file("/nonexistent/path.nppsnap"),
-               std::invalid_argument);
+  try {
+    (void)StateImage::from_file("/nonexistent/path.nppsnap");
+    FAIL() << "a missing file was read";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("SnapshotReader:"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Snapshot, Crc32MatchesKnownVector) {

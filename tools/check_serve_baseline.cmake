@@ -7,7 +7,9 @@
 #   * snapcorrupt then produces truncated / bit-flipped / section-damaged
 #     copies for the serve_error_baseline_* tests, which assert that forking
 #     a damaged image yields a typed corrupt_baseline rejection instead of
-#     taking the server down.
+#     taking the server down. serve_baseline_count.snap passes every CRC: its
+#     flowsim active-flow count (payload offset 36) is 2^61, which the reader
+#     must reject before sizing anything from it.
 #
 # Usage: cmake -DSERVE=<netpp_serve> -DCORRUPT=<snapcorrupt> -DOUT_DIR=<dir>
 #              -P check_serve_baseline.cmake
@@ -49,10 +51,12 @@ endif()
 foreach(damage
     "truncate;64;serve_baseline_truncated.snap"
     "flip;100;serve_baseline_flipped.snap"
-    "flip-section;fault_experiment;serve_baseline_badsection.snap")
+    "flip-section;fault_experiment;serve_baseline_badsection.snap"
+    "set-u64;flowsim 36 2305843009213693952;serve_baseline_count.snap")
   list(GET damage 0 mode)
   list(GET damage 1 arg)
   list(GET damage 2 name)
+  separate_arguments(arg)
   execute_process(
     COMMAND ${CORRUPT} ${baseline} ${OUT_DIR}/${name} ${mode} ${arg}
     RESULT_VARIABLE exit_code

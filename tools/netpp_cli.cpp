@@ -40,7 +40,7 @@
 #include "netpp/mech/composite.h"
 #include "netpp/serve/query.h"
 #include "netpp/serve/scenarios.h"
-#include "netpp/state/snapshot.h"
+#include "netpp/state/image.h"
 #include "netpp/telemetry/export.h"
 #include "netpp/telemetry/telemetry.h"
 
@@ -282,16 +282,16 @@ int cmd_faults(const Options& opt) {
                               : s.fault_horizon.value() / 2.0};
     FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config};
     run.run_until(save_at);
-    state::SnapshotWriter w;
-    run.save_state(w);
-    w.write_file(opt.save_state);
+    state::StateImage::capture([&run](state::SnapshotWriter& w) {
+      run.save_state(w);
+    }).write_file(opt.save_state);
     std::printf("saved state at t=%s to %s\n", to_string(save_at).c_str(),
                 opt.save_state.c_str());
     return 0;
   }
   FaultExperimentResult result;
   if (!opt.load_state.empty()) {
-    auto r = state::SnapshotReader::from_file(opt.load_state);
+    auto r = state::StateImage::from_file(opt.load_state).fork();
     result = serve::resume_fault_run(s, r);
   } else {
     result = run_fault_experiment(s.topo, s.workload, s.schedule, s.config);
@@ -350,7 +350,7 @@ int cmd_mech(const Options& opt) {
     // Offline restore: load a saved metric registry into a fresh bundle and
     // re-export it, without re-running the simulation.
     telemetry::MetricRegistry metrics;
-    auto r = state::SnapshotReader::from_file(opt.load_state);
+    auto r = state::StateImage::from_file(opt.load_state).fork();
     metrics.restore_state(r);
     if (!r.at_end()) {
       throw std::invalid_argument(
@@ -385,9 +385,9 @@ int cmd_mech(const Options& opt) {
       run_composite(s.topo, s.workload, s.demands, s.horizon, s.config);
   print_table(serve::mech_summary_table(opt.scenario.stack, report), opt.csv);
   if (!opt.save_state.empty()) {
-    state::SnapshotWriter w;
-    tel->metrics().save_state(w);
-    w.write_file(opt.save_state);
+    state::StateImage::capture([&tel](state::SnapshotWriter& w) {
+      tel->metrics().save_state(w);
+    }).write_file(opt.save_state);
     std::printf("saved metric registry to %s\n", opt.save_state.c_str());
   }
   if (tel != nullptr) return write_telemetry_outputs(opt, *tel);

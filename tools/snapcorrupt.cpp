@@ -6,6 +6,7 @@
 //   snapcorrupt <in> <out> truncate <byte-count>
 //   snapcorrupt <in> <out> flip <byte-offset>
 //   snapcorrupt <in> <out> flip-section <section-name>
+//   snapcorrupt <in> <out> set-u64 <section-name> <payload-offset> <value>
 //
 // flip-section walks the snapshot's section framing (u32 name length, name,
 // u64 payload length, u32 CRC, payload) and flips the middle payload byte of
@@ -13,6 +14,11 @@
 // baseline image (say, the simulator workspaces) while leaving the header
 // and every other section intact, so the reader's per-section CRC check is
 // what must catch it.
+//
+// set-u64 overwrites the little-endian u64 at a payload offset of the named
+// section and recomputes that section's CRC: a crafted image that passes
+// every CRC, so the values themselves must be validated (a count, say,
+// that the section cannot hold).
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
@@ -21,6 +27,8 @@
 #include <iterator>
 #include <string>
 #include <vector>
+
+#include "netpp/state/snapshot.h"
 
 namespace {
 
@@ -73,10 +81,11 @@ bool find_section_payload(const std::vector<char>& bytes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 5) {
+  const bool set_u64 = argc == 7 && std::string{argv[3]} == "set-u64";
+  if (argc != 5 && !set_u64) {
     std::fprintf(stderr,
                  "usage: snapcorrupt <in> <out> truncate <n> | flip <pos> |"
-                 " flip-section <name>\n");
+                 " flip-section <name> | set-u64 <name> <offset> <value>\n");
     return 2;
   }
   std::ifstream in{argv[1], std::ios::binary};
@@ -114,6 +123,26 @@ int main(int argc, char** argv) {
     }
     const std::size_t target = begin + length / 2;
     bytes[target] = static_cast<char>(bytes[target] ^ 0x20);
+  } else if (set_u64) {
+    std::size_t begin = 0;
+    std::size_t length = 0;
+    if (!find_section_payload(bytes, argv[4], begin, length)) return 2;
+    const auto offset =
+        static_cast<std::size_t>(std::strtoull(argv[5], nullptr, 10));
+    if (length < 8 || offset > length - 8) {
+      std::fprintf(stderr, "snapcorrupt: offset past section '%s'\n",
+                   argv[4]);
+      return 2;
+    }
+    std::uint64_t value = std::strtoull(argv[6], nullptr, 10);
+    for (int i = 0; i < 8; ++i, value >>= 8) {
+      bytes[begin + offset + i] = static_cast<char>(value & 0xffu);
+    }
+    // The section's CRC is the u32 right before its payload.
+    std::uint32_t crc = netpp::state::crc32(bytes.data() + begin, length);
+    for (int i = 0; i < 4; ++i, crc >>= 8) {
+      bytes[begin - 4 + i] = static_cast<char>(crc & 0xffu);
+    }
   } else {
     std::fprintf(stderr, "snapcorrupt: unknown mode '%s'\n", mode.c_str());
     return 2;
