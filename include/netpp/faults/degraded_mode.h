@@ -57,7 +57,9 @@ struct DegradedModeConfig {
 class DegradedModeController {
  public:
   /// All references must outlive the controller. `demands` is the job's
-  /// steady-state demand matrix (the tailoring input).
+  /// steady-state demand matrix (the tailoring input). Throws
+  /// std::invalid_argument for an invalid config (`config.tailor` included)
+  /// or demand.
   DegradedModeController(SimulatorBackend& backend,
                          const BuiltTopology& topology,
                          std::vector<TrafficDemand> demands,
@@ -118,16 +120,14 @@ class DegradedModeController {
   void check_invariants() const;
 
  private:
-  /// Demands scaled by (1 + min_headroom).
-  [[nodiscard]] std::vector<TrafficDemand> inflated_demands() const;
-  /// A router with exactly the failed devices masked (parked switches
+  /// `surviving_` with exactly the failed devices masked (parked switches
   /// enabled), i.e. the hardware that could be powered right now.
-  [[nodiscard]] Router surviving_router() const;
-  /// A router mirroring the backend's live enablement (failures + parks).
-  [[nodiscard]] Router live_router() const;
+  const Router& surviving_router();
+  /// `live_` mirroring the backend's live enablement (failures + parks).
+  const Router& live_router();
   /// Whether the live fabric (failures + parked switches + degraded links)
   /// still satisfies the headroom-inflated demands.
-  [[nodiscard]] bool live_fabric_satisfiable() const;
+  [[nodiscard]] bool live_fabric_satisfiable();
   void park_now(NodeId sw);
   void wake_later(NodeId sw);
   /// Wake-event body: clears the pending record for `sw` and powers it on
@@ -143,8 +143,17 @@ class DegradedModeController {
 
   SimulatorBackend& backend_;
   const BuiltTopology& topology_;
+  /// The job's demands scaled by (1 + min_headroom), once.
   std::vector<TrafficDemand> demands_;
   DegradedModeConfig config_;
+  /// Every tailoring pass and satisfiability check of the run runs here and
+  /// on these two routers, whose masks are rewritten in place before each
+  /// use; `capacity_factors_` likewise mirrors the backend's link factors.
+  /// All are refilled from the state below, so none is snapshotted.
+  TailorWorkspace workspace_;
+  Router surviving_;
+  Router live_;
+  std::vector<double> capacity_factors_;
 
   std::vector<bool> failed_node_;
   std::vector<bool> failed_link_;

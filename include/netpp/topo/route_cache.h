@@ -210,6 +210,7 @@ class RouteCache {
 
   std::vector<Entry> entries_;
   std::vector<LinkId> pool_;  ///< flat arena: entries' paths back to back
+  std::vector<std::size_t> path_ends_;  ///< path ends of the last miss
 
   std::uint64_t epoch_ = 0;
   std::uint64_t hits_ = 0;

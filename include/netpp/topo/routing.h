@@ -135,6 +135,16 @@ class Router {
   [[nodiscard]] RouteResult find_paths(NodeId src, NodeId dst,
                                        std::size_t max_paths = 16) const;
 
+  /// The one ECMP enumeration behind `find_paths`, `ecmp_paths` and
+  /// RouteCache's pool, writing into caller-owned buffers so a warm caller
+  /// allocates nothing: appends the links of each path, in `find_paths`'
+  /// order, to `links` back to back, and after each path its end offset in
+  /// `links` to `ends`. Returns `find_paths`' status; appends nothing unless
+  /// it is kOk (src == dst appends one empty path).
+  RouteStatus enumerate_paths(NodeId src, NodeId dst, std::size_t max_paths,
+                              std::vector<LinkId>& links,
+                              std::vector<std::size_t>& ends) const;
+
   /// Whether any enabled path connects src and dst (false for invalid ids).
   [[nodiscard]] bool connected(NodeId src, NodeId dst) const;
 
@@ -166,6 +176,8 @@ class Router {
   mutable std::vector<std::uint32_t> dist_;
   mutable std::vector<NodeId> queue_;   // flat FIFO, head index walks forward
   mutable std::vector<LinkId> stack_;   // DFS link stack for enumeration
+  mutable std::vector<LinkId> path_links_;       // find_paths' flat set
+  mutable std::vector<std::size_t> path_ends_;
 };
 
 }  // namespace netpp

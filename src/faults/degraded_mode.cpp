@@ -16,6 +16,10 @@ DegradedModeController::DegradedModeController(
       topology_(topology),
       demands_(std::move(demands)),
       config_(config),
+      workspace_(topology.graph),
+      surviving_(topology.graph),
+      live_(topology.graph),
+      capacity_factors_(topology.graph.num_links()),
       failed_node_(topology.graph.num_nodes(), false),
       failed_link_(topology.graph.num_links(), false),
       desired_on_(topology.graph.num_nodes(), true),
@@ -30,50 +34,44 @@ DegradedModeController::DegradedModeController(
     throw std::invalid_argument(
         "DegradedModeConfig: wake_latency must be non-negative");
   }
-  for (const auto& d : demands_) d.validate(topology.graph);
+  config_.tailor.validate();
+  for (auto& d : demands_) {
+    d.validate(topology.graph);
+    d.rate *= 1.0 + config_.min_headroom;
+  }
 }
 
-std::vector<TrafficDemand> DegradedModeController::inflated_demands() const {
-  std::vector<TrafficDemand> inflated = demands_;
-  for (auto& d : inflated) d.rate *= 1.0 + config_.min_headroom;
-  return inflated;
-}
-
-Router DegradedModeController::surviving_router() const {
-  Router router{topology_.graph};
+const Router& DegradedModeController::surviving_router() {
   for (NodeId n = 0; n < topology_.graph.num_nodes(); ++n) {
-    if (failed_node_[n]) router.set_node_enabled(n, false);
+    surviving_.set_node_enabled(n, !failed_node_[n]);
   }
   for (LinkId l = 0; l < topology_.graph.num_links(); ++l) {
-    if (failed_link_[l]) router.set_link_enabled(l, false);
+    surviving_.set_link_enabled(l, !failed_link_[l]);
   }
-  return router;
+  return surviving_;
 }
 
-Router DegradedModeController::live_router() const {
-  Router router{topology_.graph};
+const Router& DegradedModeController::live_router() {
   for (NodeId n = 0; n < topology_.graph.num_nodes(); ++n) {
-    if (!backend_.node_enabled(n)) router.set_node_enabled(n, false);
+    live_.set_node_enabled(n, backend_.node_enabled(n));
   }
   for (LinkId l = 0; l < topology_.graph.num_links(); ++l) {
-    if (!backend_.link_enabled(l)) router.set_link_enabled(l, false);
+    live_.set_link_enabled(l, backend_.link_enabled(l));
   }
-  return router;
+  return live_;
 }
 
-bool DegradedModeController::live_fabric_satisfiable() const {
-  std::vector<double> factors;
-  factors.reserve(topology_.graph.num_links());
+bool DegradedModeController::live_fabric_satisfiable() {
   for (LinkId l = 0; l < topology_.graph.num_links(); ++l) {
-    factors.push_back(backend_.link_capacity_factor(l));
+    capacity_factors_[l] = backend_.link_capacity_factor(l);
   }
-  return demands_satisfiable(live_router(), inflated_demands(),
-                             config_.tailor, factors);
+  return workspace_.satisfiable(live_router(), demands_, config_.tailor,
+                                capacity_factors_);
 }
 
 TailorResult DegradedModeController::tailor_initial() {
-  const TailorResult tailored = tailor_topology_on(
-      surviving_router(), topology_, inflated_demands(), config_.tailor);
+  const TailorResult tailored = workspace_.tailor(
+      surviving_router(), topology_, demands_, config_.tailor);
   if (tailored.feasible) {
     for (NodeId sw : tailored.powered_off) park_now(sw);
   }
@@ -138,8 +136,8 @@ void DegradedModeController::retailor_and_apply() {
   if (events_) {
     events_->instant("degraded_mode", "retailor", backend_.now());
   }
-  const TailorResult tailored = tailor_topology_on(
-      surviving_router(), topology_, inflated_demands(), config_.tailor);
+  const TailorResult tailored = workspace_.tailor(
+      surviving_router(), topology_, demands_, config_.tailor);
   if (!tailored.feasible) {
     // The surviving fabric cannot satisfy the demands even fully powered:
     // wake everything we have (best effort).

@@ -114,20 +114,22 @@ std::uint32_t RouteCache::lookup(NodeId a, NodeId b) {
     slot = (slot + 1) & mask;
   }
 
-  // Miss: run the real enumeration and append the set to the pool.
+  // Miss: run the real enumeration straight into the pool.
   ++misses_;
-  auto result = router_.find_paths(a, b, config_.max_paths);
   Entry entry;
-  entry.status = result.status;
   entry.begin = static_cast<std::uint32_t>(pool_.size());
-  entry.num_paths = static_cast<std::uint32_t>(result.paths.size());
-  entry.hops = result.paths.empty()
+  path_ends_.clear();
+  entry.status =
+      router_.enumerate_paths(a, b, config_.max_paths, pool_, path_ends_);
+  entry.num_paths = static_cast<std::uint32_t>(path_ends_.size());
+  entry.hops = path_ends_.empty()
                    ? 0
-                   : static_cast<std::uint32_t>(result.paths.front().hops());
-  for (const Path& p : result.paths) {
-    assert(p.hops() == entry.hops);  // ECMP sets are equal-cost
-    pool_.insert(pool_.end(), p.links.begin(), p.links.end());
-  }
+                   : static_cast<std::uint32_t>(path_ends_.front() -
+                                                entry.begin);
+  // ECMP sets are equal-cost, so the pool's fixed stride holds.
+  assert(path_ends_.empty() ||
+         path_ends_.back() - entry.begin ==
+             std::size_t{entry.num_paths} * entry.hops);
   const auto index = static_cast<std::uint32_t>(entries_.size());
   entries_.push_back(entry);
   if ((occupied_ + 1) * 4 >= keys_.size() * 3) grow_table();

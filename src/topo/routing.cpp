@@ -112,29 +112,51 @@ std::vector<Path> Router::ecmp_paths(NodeId src, NodeId dst,
 
 RouteResult Router::find_paths(NodeId src, NodeId dst,
                                std::size_t max_paths) const {
-  if (src >= graph_.num_nodes() || dst >= graph_.num_nodes()) {
-    return RouteResult{RouteStatus::kInvalidEndpoint, {}};
+  path_links_.clear();
+  path_ends_.clear();
+  RouteResult result;
+  result.status =
+      enumerate_paths(src, dst, max_paths, path_links_, path_ends_);
+  result.paths.reserve(path_ends_.size());
+  std::size_t begin = 0;
+  for (const std::size_t end : path_ends_) {
+    result.paths.push_back(Path{
+        src, dst,
+        {path_links_.begin() + static_cast<std::ptrdiff_t>(begin),
+         path_links_.begin() + static_cast<std::ptrdiff_t>(end)}});
+    begin = end;
   }
-  if (src == dst) return RouteResult{RouteStatus::kOk, {Path{src, dst, {}}}};
-  if (max_paths == 0) return RouteResult{RouteStatus::kOk, {}};
+  return result;
+}
+
+RouteStatus Router::enumerate_paths(NodeId src, NodeId dst,
+                                    std::size_t max_paths,
+                                    std::vector<LinkId>& links,
+                                    std::vector<std::size_t>& ends) const {
+  if (src >= graph_.num_nodes() || dst >= graph_.num_nodes()) {
+    return RouteStatus::kInvalidEndpoint;
+  }
+  if (src == dst) {
+    ends.push_back(links.size());
+    return RouteStatus::kOk;
+  }
+  if (max_paths == 0) return RouteStatus::kOk;
 
   // BFS from src recording hop distances; transit through disabled nodes or
   // links is forbidden, but src/dst themselves are always usable.
-  if (!bfs(src, dst, /*stop_at_dst=*/false)) {
-    return RouteResult{RouteStatus::kDisconnected, {}};
-  }
+  if (!bfs(src, dst, /*stop_at_dst=*/false)) return RouteStatus::kDisconnected;
 
   // Enumerate shortest paths by DFS along strictly-decreasing distances
   // from dst back to src; deterministic by adjacency order.
-  std::vector<Path> out;
+  const std::size_t first = ends.size();
+  const auto found = [&] { return ends.size() - first; };
   stack_.clear();
   // Depth-first from dst towards src over predecessors.
   auto dfs = [&](auto&& self, NodeId at) -> void {
-    if (out.size() >= max_paths) return;
+    if (found() >= max_paths) return;
     if (at == src) {
-      Path p{src, dst, {}};
-      p.links.assign(stack_.rbegin(), stack_.rend());
-      out.push_back(std::move(p));
+      links.insert(links.end(), stack_.rbegin(), stack_.rend());
+      ends.push_back(links.size());
       return;
     }
     for (const auto& adj : graph_.neighbors(at)) {
@@ -145,11 +167,11 @@ RouteResult Router::find_paths(NodeId src, NodeId dst,
       stack_.push_back(adj.link);
       self(self, prev);
       stack_.pop_back();
-      if (out.size() >= max_paths) return;
+      if (found() >= max_paths) return;
     }
   };
   dfs(dfs, dst);
-  return RouteResult{RouteStatus::kOk, std::move(out)};
+  return RouteStatus::kOk;
 }
 
 bool Router::connected(NodeId src, NodeId dst) const {

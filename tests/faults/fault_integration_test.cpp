@@ -4,6 +4,11 @@
 // that the no-fault configuration is bit-identical to a plain simulation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "netpp/faults/degraded_mode.h"
 #include "netpp/faults/experiment.h"
 #include "netpp/faults/injector.h"
@@ -194,6 +199,31 @@ TEST(DegradedMode, ExcessHeadroomKeepsWholeFabricPowered) {
   EXPECT_FALSE(tailored.feasible);
   EXPECT_TRUE(tailored.powered_off.empty());
   EXPECT_EQ(controller.powered_switches(), topo.switches.size());
+}
+
+TEST(DegradedMode, InvalidTailorConfigIsRejected) {
+  // The controller validates its tailoring config up front, before any
+  // pass could park switches on a NaN or negative satisfaction.
+  const auto topo = build_fat_tree(4, 100_Gbps);
+  FlowSimulator::Config sim_config;
+  sim_config.strand_unroutable = true;
+  const auto backend = make_backend(topo.graph, BackendConfig{}, sim_config);
+  std::vector<DegradedModeConfig> invalid(4);
+  invalid[0].tailor.satisfaction = std::nan("");
+  invalid[1].tailor.satisfaction = -1.0;
+  invalid[2].tailor.satisfaction = 2.0;
+  invalid[3].tailor.max_ecmp_paths = 0;
+  for (const DegradedModeConfig& degraded : invalid) {
+    try {
+      DegradedModeController controller{
+          *backend, topo, ring_demands(topo, 90_Gbps), degraded};
+      ADD_FAILURE() << "accepted satisfaction " << degraded.tailor.satisfaction
+                    << ", max_ecmp_paths " << degraded.tailor.max_ecmp_paths;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string{e.what()}.rfind("TailorConfig: ", 0), 0u)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "netpp/topo/builders.h"
 
@@ -170,6 +173,85 @@ TEST(Routing, LongerEquallyCheapPathsOnRing) {
   const auto paths =
       router.ecmp_paths(topo.switches[0], topo.switches[3], 16);
   EXPECT_EQ(paths.size(), 2u);
+}
+
+TEST(Routing, FlatEnumerationMatchesEcmpPaths) {
+  // enumerate_paths against ecmp_paths (same paths, order and count) and
+  // find_paths' status over random node and link masks, ECMP truncation,
+  // disconnected pairs and src == dst. The buffers start with a sentinel
+  // each: the enumeration appends, with ends as offsets into `links`. The
+  // first path must also be shortest_path's early-exit walkback.
+  const std::vector<BuiltTopology> fabrics = {
+      build_fat_tree(4, 100_Gbps), build_fat_tree(6, 100_Gbps),
+      build_leaf_spine(4, 4, 4, 100_Gbps, 100_Gbps)};
+  constexpr std::size_t kMaxPaths[] = {1, 2, 8, 16};
+  std::mt19937_64 rng{0xf1a7};
+  auto uniform = [&] {
+    return std::uniform_real_distribution<double>{0.0, 1.0}(rng);
+  };
+  auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>{0, n - 1}(rng);
+  };
+  int disconnected = 0;
+  int self = 0;
+  int truncated = 0;
+  int multipath = 0;
+  std::vector<LinkId> links;
+  std::vector<std::size_t> ends;
+  for (const BuiltTopology& topo : fabrics) {
+    const Graph& g = topo.graph;
+    for (int trial = 0; trial < 40; ++trial) {
+      Router router{g};
+      const double fail_p = 0.1 * (trial % 4);
+      for (NodeId n = 0; n < g.num_nodes(); ++n) {
+        if (uniform() < fail_p) router.set_node_enabled(n, false);
+      }
+      for (LinkId l = 0; l < g.num_links(); ++l) {
+        if (uniform() < fail_p / 2.0) router.set_link_enabled(l, false);
+      }
+      for (int query = 0; query < 40; ++query) {
+        const NodeId src = static_cast<NodeId>(pick(g.num_nodes()));
+        const NodeId dst =
+            query % 8 == 0 ? src : static_cast<NodeId>(pick(g.num_nodes()));
+        const std::size_t max_paths = kMaxPaths[pick(4)];
+        SCOPED_TRACE(std::to_string(src) + " -> " + std::to_string(dst) +
+                     ", max_paths " + std::to_string(max_paths));
+        const std::vector<Path> want = router.ecmp_paths(src, dst, max_paths);
+        links.assign(1, kInvalidLink);
+        ends.assign(1, 7);
+        const RouteStatus status =
+            router.enumerate_paths(src, dst, max_paths, links, ends);
+        EXPECT_EQ(status, router.find_paths(src, dst, max_paths).status);
+        EXPECT_EQ(links.front(), kInvalidLink);
+        EXPECT_EQ(ends.front(), 7u);
+        ASSERT_EQ(ends.size() - 1, want.size());
+        std::size_t begin = 1;
+        for (std::size_t p = 0; p < want.size(); ++p) {
+          const std::vector<LinkId> got(
+              links.begin() + static_cast<std::ptrdiff_t>(begin),
+              links.begin() + static_cast<std::ptrdiff_t>(ends[p + 1]));
+          EXPECT_EQ(got, want[p].links) << "path " << p;
+          begin = ends[p + 1];
+        }
+        EXPECT_EQ(begin, links.size());
+        if (!want.empty()) {
+          const auto first = router.shortest_path(src, dst);
+          ASSERT_TRUE(first.has_value());
+          EXPECT_EQ(first->links, want.front().links);
+        }
+        self += src == dst;
+        disconnected += status == RouteStatus::kDisconnected;
+        multipath += want.size() > 1;
+        truncated += want.size() == max_paths && max_paths > 1 &&
+                     router.ecmp_paths(src, dst, max_paths + 1).size() >
+                         max_paths;
+      }
+    }
+  }
+  EXPECT_GT(self, 300);
+  EXPECT_GT(disconnected, 300);
+  EXPECT_GT(multipath, 300);
+  EXPECT_GT(truncated, 100);
 }
 
 }  // namespace

@@ -4,15 +4,15 @@
 //
 // N clients connect concurrently and each sends M rounds of the same mixed
 // query set (analytics; faults on the single and sharded backends and under
-// the re-tailor and wake-all policies; mech; one deliberately-invalid
-// query), so cold baseline builds race each other and concurrent
-// re-tailoring runs on both backends. The driver asserts the protocol
-// invariants that matter under concurrency: every request gets exactly one
-// well-formed response envelope, ids echo back, the invalid query fails
-// with its documented typed code, and — because the engine's warm state is
-// shared across clients — every client receives byte-identical payloads
-// for identical queries. Exit 0 on success; one diagnostic line and exit 1
-// on the first violation.
+// the re-tailor and wake-all policies, one of them at a 2 s MTBF on 4
+// shards; mech; one deliberately-invalid query), so cold baseline builds
+// race each other and concurrent re-tailoring runs on both backends. It
+// asserts the protocol invariants that matter under concurrency: every
+// request gets exactly one well-formed response envelope, ids echo back,
+// the invalid query fails with its documented typed code, and — because
+// the engine's warm state is shared across clients — every client receives
+// byte-identical payloads for identical queries. Exit 0 on success; one
+// diagnostic line and exit 1 on the first violation.
 //
 // The CI concurrent-client job runs this under ASan/UBSan against a live
 // server; it doubles as the protocol-level determinism test.
@@ -54,6 +54,10 @@ constexpr CannedQuery kQueries[] = {
     {R"({"command":"faults","seed":7,"backend":"sharded","shards":2,"output":"csv","id":6})",
      ""},
     {R"({"command":"faults","seed":7,"policy":"wake-all","output":"csv","id":7})",
+     ""},
+    // Frequent faults on 4 shards: many feasible and infeasible re-tailor
+    // passes per answer, each on its fork's own tailoring workspace.
+    {R"({"command":"faults","seed":7,"mtbf_s":2,"backend":"sharded","shards":4,"policy":"re-tailor","output":"csv","id":8})",
      ""},
 };
 constexpr std::size_t kNumQueries = sizeof(kQueries) / sizeof(kQueries[0]);
