@@ -140,7 +140,7 @@ class FaultExperimentRun {
   [[nodiscard]] SimulatorBackend& backend() { return *backend_; }
   [[nodiscard]] const SimulatorBackend& backend() const { return *backend_; }
   /// Shard 0's simulator — the whole fabric on the single backend (the
-  /// pre-seam accessor the tests and the state auditor use).
+  /// pre-seam accessor the tests use).
   [[nodiscard]] FlowSimulator& sim() { return backend_->shard_sim(0); }
   [[nodiscard]] DegradedModeController& controller() { return controller_; }
   [[nodiscard]] FaultInjector& injector() { return injector_; }

@@ -38,17 +38,8 @@ struct LoadTrace {
   /// after the last segment start; plus per-channel arity and load range.
   void validate() const;
 
-  /// Piecewise-constant resampling onto a fixed step: segment boundaries at
-  /// start + k*step, each new segment holding the load at its start time.
-  /// `step` must be positive; the final partial segment is kept (explicit
-  /// end-time handling, no silent truncation).
-  [[nodiscard]] LoadTrace resampled(Seconds step) const;
-
   /// Load of `channel` at time `t` (clamped into [start, end)).
   [[nodiscard]] double load_at(Seconds t, int channel) const;
-  /// Across-channel mean load at time `t` — the whole-device fraction when
-  /// channels have equal capacity.
-  [[nodiscard]] double aggregate_at(Seconds t) const;
 };
 
 }  // namespace netpp

@@ -11,9 +11,9 @@
 // structure-of-arrays buffer (soa.h aligned vectors, 32-bit indices), the
 // resource->flow incidence is the reverse CSR of the caller's rows, and the
 // "find the tightest link / smallest cap" steps run over lazy-delete
-// min-heaps instead of per-round linear scans. The share-seeding and bulk
-// cap-freeze loops dispatch to the soa.h kernels (scalar or, with
-// NETPP_SIMD, SSE2/AVX2). Results are bit-identical across dispatch paths,
+// min-heaps instead of per-round linear scans. The bulk cap-freeze
+// dispatches to the soa.h fill_unfrozen kernel (scalar or, with NETPP_SIMD,
+// AVX2). Results are bit-identical across dispatch paths,
 // and to the textbook scan-based implementation (kept as a reference in the
 // tests and the scale bench) on the randomized problems the tests draw:
 // shares are computed with the same IEEE-exact expressions in the same
@@ -132,7 +132,6 @@ class MaxMinSolver {
   soa::AlignedVec<double> residual_;        // remaining capacity
   soa::AlignedVec<std::uint32_t> active_on_;  // unfrozen-flow degree
   soa::AlignedVec<std::uint32_t> res_ver_;    // bumped on every freeze touch
-  soa::AlignedVec<double> share_;             // seed shares (dense solves)
   // Reverse CSR: resource -> flows, grouped in flow order.
   soa::AlignedVec<std::uint32_t> csr_start_;   // per-resource group start
   soa::AlignedVec<std::uint32_t> csr_cursor_;  // fill cursor / group end

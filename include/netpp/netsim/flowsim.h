@@ -303,12 +303,13 @@ class FlowSimulator {
   // a simulator callback).
   friend class ShardedFlowSimulator;
 
-  /// Settles flow progress to the engine's current time and takes
-  /// completion_scan's two minima over the settled columns: one
+  /// Settles flow progress to the engine's current time and takes the
+  /// completion scan's two minima over the settled columns: one
   /// soa::settle_and_scan pass at threshold -inf, so no lane counts as due
   /// and the minima cover every lane. Idempotent: a second call at the same
   /// time writes nothing, so barrier settles compose with the simulator's
-  /// own event-driven settles.
+  /// own event-driven settles, and schedule_next_completion() takes its
+  /// rescan through it.
   soa::CompletionPass settle_and_scan_to_now();
 
   /// Whether active flow `index` attains one of `minima`
@@ -405,8 +406,10 @@ class FlowSimulator {
   /// reallocate() can confine the writeback. See reallocate() for why this
   /// is the same allocation.
   bool reallocate_binding_subset(double cap_bps);
-  /// A full completion scan, then reschedule_completion from its minima.
-  /// `retry` marks the nothing-due guard (see schedule_completion).
+  /// A full completion scan (settle_and_scan_to_now() over columns its
+  /// callers already settled to now, so it writes nothing), then
+  /// reschedule_completion from its minima. `retry` marks the nothing-due
+  /// guard (see schedule_completion).
   void schedule_next_completion(bool retry = false);
   /// Schedules the completion event at the earliest finish implied by a
   /// completion scan's minima (none when no flow progresses). A `retry` that
@@ -588,8 +591,9 @@ class FlowSimulator {
   // swap-and-pop: rate and remaining feed the soa kernels as dense
   // 64-byte-aligned double streams — one fused soa::settle_and_scan pass
   // plus soa::find_due searches per completion event, soa::settle at
-  // admissions and topology changes, soa::completion_scan after every
-  // reallocation; begin/count are flow i's block in the flow_links_ arena.
+  // admissions and topology changes, and the same fused pass, reading only,
+  // after every reallocation; begin/count are flow i's block in the
+  // flow_links_ arena.
   soa::AlignedVec<double> flow_rate_bps_;
   soa::AlignedVec<double> flow_remaining_;
   soa::AlignedVec<std::uint32_t> flow_lbegin_;

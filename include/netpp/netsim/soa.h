@@ -10,17 +10,17 @@
 //     the bulk of the range) and never value-initializes on resize, so
 //     re-using a workspace across solves costs exactly the bytes written.
 //
-//   - Branch-light kernels with an optional explicit SSE2/AVX2
-//     implementation behind NETPP_SIMD, selected at runtime from CPUID: the
-//     solver's div_shares and fill_unfrozen, and the flow simulator's
-//     column passes (settle, completion_scan, and the completion event's
-//     fused settle_and_scan plus its find_due search). Every path is
-//     bit-identical to the scalar loop: the kernels use only IEEE-exact
-//     operations (correctly-rounded vdivpd, separate multiply and subtract,
-//     blends, min/max, integer->double conversion), so results do not
-//     depend on the dispatch level. tests/netsim/fairshare_soa_test.cpp
-//     pins each compiled path against the scalar kernels and the reference
-//     solver; force_simd_level() exists for exactly that sweep.
+//   - Four branch-light kernels, each with a scalar body and, behind
+//     NETPP_SIMD, an AVX2 body selected at runtime from CPUID: the solver's
+//     fill_unfrozen and the flow simulator's column passes (settle at
+//     admissions and topology changes, the fused settle_and_scan at every
+//     completion event and rescan, and its find_due search). Both bodies
+//     are bit-identical: the kernels use only IEEE-exact operations
+//     (correctly-rounded vdivpd, separate multiply and subtract, blends,
+//     min/max), so results do not depend on the dispatch level.
+//     tests/netsim/fairshare_soa_test.cpp pins the AVX2 body against the
+//     scalar one and against straight-line references;
+//     force_simd_level() exists for exactly that sweep.
 #pragma once
 
 #include <cstddef>
@@ -137,18 +137,20 @@ class AlignedVec {
 // Runtime-dispatched kernels.
 // ---------------------------------------------------------------------------
 
-/// Dispatch levels, ordered by capability. kScalar is always available; the
-/// others exist when compiled in (NETPP_SIMD on x86-64) AND the CPU reports
-/// support. All levels produce bit-identical results.
+/// Dispatch levels, ordered by capability. kScalar is always available and
+/// is the only level of non-x86 and NETPP_SIMD=OFF builds; kAvx2 exists
+/// when NETPP_SIMD is compiled in on x86-64 AND the CPU reports AVX2. A CPU
+/// without AVX2 runs the scalar bodies. Both levels produce bit-identical
+/// results. The values order the levels for force_simd_level's clamp, and
+/// fairshare_soa_test derives its per-level seeds from them.
 enum class SimdLevel : int {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
 };
 
 [[nodiscard]] const char* to_string(SimdLevel level);
 
-/// Best level this binary + CPU supports (kScalar when NETPP_SIMD is off).
+/// Best level this binary + CPU supports: kAvx2 or kScalar.
 [[nodiscard]] SimdLevel detected_simd_level();
 
 /// Level the kernels currently run at: detected, unless capped by
@@ -156,19 +158,13 @@ enum class SimdLevel : int {
 [[nodiscard]] SimdLevel active_simd_level();
 
 /// Caps the dispatch at `level` (clamped to detected_simd_level()) and
-/// returns the level actually applied. Test hook for sweeping every
-/// compiled path; not intended for concurrent use with running solvers.
+/// returns the level actually applied. Test hook for sweeping both
+/// dispatch levels; not intended for concurrent use with running solvers.
 SimdLevel force_simd_level(SimdLevel level);
 
-/// out[i] = residual[i] / double(active[i]) for i in [0, n).
-/// active[i] == 0 divides by zero and yields +inf (callers skip those
-/// lanes); the division is IEEE-exact on every path.
-void div_shares(const double* residual, const std::uint32_t* active,
-                double* out, std::size_t n);
-
 /// The bulk cap-freeze: for i in [0, n), if !frozen[i] { rate[i] = value;
-/// frozen[i] = 1; }. `frozen` must hold 0/1 flags (the vector paths store 1
-/// unconditionally). Pure blend — bit-identical on every path.
+/// frozen[i] = 1; }. `frozen` must hold 0/1 flags (the AVX2 body stores 1
+/// unconditionally). Pure blend — bit-identical on both paths.
 void fill_unfrozen(double* rate, std::uint8_t* frozen, double value,
                    std::size_t n);
 
@@ -176,19 +172,8 @@ void fill_unfrozen(double* rate, std::uint8_t* frozen, double value,
 /// for i in [0, n). The multiply and subtract stay separate operations
 /// (soa.cpp builds with -ffp-contract=off, so no path fuses them into an
 /// FMA) and max matches the scalar `next > 0.0 ? next : 0.0` on every edge
-/// (NaN, signed zero) — bit-identical on every path.
+/// (NaN, signed zero) — bit-identical on both paths.
 void settle(double* remaining, const double* rate, double dt, std::size_t n);
-
-/// The completion scan, over lanes with rate[i] > 0.0:
-///   *min_quotient = min(remaining[i] / rate[i])  where rate[i] != cap
-///   *min_capped   = min(remaining[i])            where rate[i] == cap
-/// Both are +inf when no lane qualifies. Qualifying lanes produce no NaN
-/// (rate > 0) so the min reductions are order-independent — the vector
-/// accumulators match the scalar scan bit for bit. The vector paths divide
-/// only in blocks holding a below-cap lane, so an all-capped array costs no
-/// division at all.
-void completion_scan(const double* remaining, const double* rate, double cap,
-                     std::size_t n, double* min_quotient, double* min_capped);
 
 /// What one settle_and_scan pass found.
 struct CompletionPass {
@@ -196,17 +181,19 @@ struct CompletionPass {
   std::size_t due = 0;
   /// Lowest due index; n when no lane is due.
   std::size_t first_due = 0;
-  /// completion_scan's two minima, over the lanes that stay above eps.
+  /// The completion scan's two minima over the lanes that stay above eps,
+  /// each lane folded under completion_key's rule; +inf when no lane
+  /// qualifies.
   double min_quotient = std::numeric_limits<double>::infinity();
   double min_capped = std::numeric_limits<double>::infinity();
 };
 
-/// completion_scan's rule for one lane: the minimum it competes for and its
-/// value there. A lane at the cap competes for min_capped with its
+/// The completion scan's rule for one lane: the minimum it competes for and
+/// its value there. A lane at the cap competes for min_capped with its
 /// remaining volume, any other lane for min_quotient with remaining / rate,
 /// and a stalled lane (!(rate > 0.0)) for neither (minimum == nullptr). The
-/// scalar kernels fold every lane through it; the vector bodies reproduce
-/// it bit for bit.
+/// scalar kernels fold every lane through it; the AVX2 body reproduces it
+/// bit for bit.
 struct LaneKey {
   double CompletionPass::*minimum = nullptr;
   double value = 0.0;
@@ -231,12 +218,15 @@ struct LaneKey {
 ///   - settles every lane exactly as settle() does, and writes nothing when
 ///     dt <= 0;
 ///   - counts the due lanes, !(remaining[i] > eps), and reports the lowest;
-///   - takes completion_scan()'s minima over the lanes above eps.
-/// Each lane goes through the same IEEE operations as settle() followed by
-/// completion_scan() over the surviving lanes, so every path is
-/// bit-identical to that sequence. The vector paths divide only in blocks
-/// holding a below-cap lane, and a block whose lanes all stay above eps at
-/// a positive cap costs one min. Allocation-free.
+///   - folds every lane above eps into the two minima by completion_key.
+/// Qualifying lanes produce no NaN (rate > 0), so the min reductions are
+/// order-independent and the AVX2 accumulators match the scalar fold bit
+/// for bit. At eps = -inf no lane is due unless it holds NaN or -inf (no
+/// simulator column does), and at dt <= 0 the pass writes nothing: the
+/// completion scan every reallocation and barrier rescan reschedules from.
+/// The AVX2 body divides only in blocks holding a below-cap lane, and a
+/// block whose lanes all stay above eps at a positive cap costs one min.
+/// Allocation-free.
 [[nodiscard]] CompletionPass settle_and_scan(double* remaining,
                                              const double* rate, double dt,
                                              double eps, double cap,

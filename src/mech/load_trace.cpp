@@ -1,7 +1,6 @@
 #include "netpp/mech/load_trace.h"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "netpp/validation.h"
 
@@ -31,36 +30,10 @@ void LoadTrace::validate() const {
   }
 }
 
-LoadTrace LoadTrace::resampled(Seconds step) const {
-  validate();
-  if (!std::isfinite(step.value()) || step.value() <= 0.0) {
-    throw std::invalid_argument(
-        "LoadTrace: resampling step must be finite and positive");
-  }
-  LoadTrace out;
-  out.end = end;
-  const double start = times.front().value();
-  std::size_t seg = 0;
-  for (double t = start; t < end.value(); t += step.value()) {
-    while (seg + 1 < times.size() && times[seg + 1].value() <= t) ++seg;
-    out.times.push_back(Seconds{t});
-    out.loads.push_back(loads[seg]);
-  }
-  return out;
-}
-
 double LoadTrace::load_at(Seconds t, int channel) const {
   std::size_t seg = 0;
   while (seg + 1 < times.size() && times[seg + 1] <= t) ++seg;
   return loads[seg][static_cast<std::size_t>(channel)];
-}
-
-double LoadTrace::aggregate_at(Seconds t) const {
-  std::size_t seg = 0;
-  while (seg + 1 < times.size() && times[seg + 1] <= t) ++seg;
-  double sum = 0.0;
-  for (double load : loads[seg]) sum += load;
-  return sum / static_cast<double>(loads[seg].size());
 }
 
 }  // namespace netpp

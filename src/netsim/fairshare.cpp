@@ -188,20 +188,22 @@ std::span<const double> MaxMinSolver::run(
   // Grouping per resource preserves flow order, matching the reference's
   // adjacency lists. csr_cursor_ doubles as the fill cursor and lands
   // exactly on the group end.
+  //
+  // Both this pass and the heap seeding below visit the solve's resources:
+  // every one when dense, else `touched`.
+  const auto for_each_resource = [&](auto&& visit) {
+    if (dense) {
+      for (std::uint32_t r = 0; r < num_res; ++r) visit(r);
+    } else {
+      for (std::uint32_t r : touched) visit(r);
+    }
+  };
   std::uint32_t cum = 0;
-  if (dense) {
-    for (std::size_t r = 0; r < num_res; ++r) {
-      csr_start_[r] = cum;
-      csr_cursor_[r] = cum;
-      cum += active_on_[r];
-    }
-  } else {
-    for (std::uint32_t r : touched) {
-      csr_start_[r] = cum;
-      csr_cursor_[r] = cum;
-      cum += active_on_[r];
-    }
-  }
+  for_each_resource([&](std::uint32_t r) {
+    csr_start_[r] = cum;
+    csr_cursor_[r] = cum;
+    cum += active_on_[r];
+  });
   csr_flows_.resize(cum);
   {
     const std::uint32_t* fres = fres_;
@@ -215,30 +217,18 @@ std::span<const double> MaxMinSolver::run(
     }
   }
 
-  // Seed the link heap: every populated resource's initial share. Dense
-  // solves compute the whole share array with one branch-free vector kernel
-  // first. The heap's internal layout depends on the seeding order, but
-  // every decision below reads only the front — the minimum under a strict
-  // total (key, idx) order — so the freeze sequence (and every computed
-  // double) is independent of the order `touched` lists the resources in.
+  // Seed the link heap: every populated resource's initial share. The
+  // heap's internal layout depends on the seeding order, but every decision
+  // below reads only the front — the minimum under a strict total (key, idx)
+  // order — so the freeze sequence (and every computed double) is
+  // independent of the order `touched` lists the resources in.
   link_heap_.clear();
-  if (dense) {
-    share_.resize(num_res);
-    soa::div_shares(residual_.data(), active_on_.data(), share_.data(),
-                    num_res);
-    for (std::size_t r = 0; r < num_res; ++r) {
-      if (active_on_[r] > 0) {
-        link_heap_.push_back({share_[r], static_cast<std::uint32_t>(r), 0});
-      }
+  for_each_resource([&](std::uint32_t r) {
+    if (active_on_[r] > 0) {
+      link_heap_.push_back(
+          {residual_[r] / static_cast<double>(active_on_[r]), r, 0});
     }
-  } else {
-    for (std::uint32_t r : touched) {
-      if (active_on_[r] > 0) {
-        link_heap_.push_back(
-            {residual_[r] / static_cast<double>(active_on_[r]), r, 0});
-      }
-    }
-  }
+  });
   std::make_heap(link_heap_.begin(), link_heap_.end(), EntryGreater{});
 
   // Cap bookkeeping: a heap of (cap, flow) in the general case; with a

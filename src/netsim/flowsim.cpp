@@ -1039,12 +1039,11 @@ bool FlowSimulator::reallocate_binding_subset(double cap_bps) {
 }
 
 void FlowSimulator::schedule_next_completion(bool retry) {
-  // A dense pass over the rate/remaining SoA columns (vectorized kernel).
-  soa::CompletionPass pass;
-  soa::completion_scan(flow_remaining_.data(), flow_rate_bps_.data(),
-                       config_.flow_rate_cap.bits_per_second(),
-                       active_.size(), &pass.min_quotient, &pass.min_capped);
-  reschedule_completion(pass, retry);
+  // Every caller has settled the columns to now(), so the fused pass writes
+  // nothing: a settle here would split one remaining -= rate * dt step in
+  // two and move bits.
+  assert(last_settle_ == engine_.now());
+  reschedule_completion(settle_and_scan_to_now(), retry);
 }
 
 void FlowSimulator::reschedule_completion(const soa::CompletionPass& minima,

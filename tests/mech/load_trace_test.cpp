@@ -1,6 +1,5 @@
 // Tests for LoadTrace, the one trace type every mechanism consumes:
-// validation (the "TypeName: constraint" error style), lookups, and
-// resampling.
+// validation (the "TypeName: constraint" error style) and lookups.
 #include "netpp/mech/load_trace.h"
 
 #include <gtest/gtest.h>
@@ -86,7 +85,7 @@ TEST(LoadTrace, ValidationErrorsNameTheType) {
             "LoadTrace: needs at least one channel");
 }
 
-TEST(LoadTrace, LoadAtAndAggregateAt) {
+TEST(LoadTrace, LoadAtPicksTheSegment) {
   const LoadTrace trace = make_trace();
   EXPECT_DOUBLE_EQ(trace.load_at(0.0_s, 0), 0.2);
   EXPECT_DOUBLE_EQ(trace.load_at(0.5_s, 1), 0.4);
@@ -95,53 +94,6 @@ TEST(LoadTrace, LoadAtAndAggregateAt) {
   EXPECT_DOUBLE_EQ(trace.load_at(3.5_s, 1), 0.3);
   // Past-the-end queries clamp to the final segment.
   EXPECT_DOUBLE_EQ(trace.load_at(99.0_s, 0), 0.1);
-
-  EXPECT_DOUBLE_EQ(trace.aggregate_at(0.0_s), (0.2 + 0.4) / 2.0);
-  EXPECT_DOUBLE_EQ(trace.aggregate_at(2.0_s), (0.8 + 0.6) / 2.0);
-}
-
-TEST(LoadTrace, ResampledHitsFixedBoundaries) {
-  const LoadTrace trace = make_trace();
-  const LoadTrace fine = trace.resampled(0.5_s);
-  ASSERT_EQ(fine.num_segments(), 8u);
-  EXPECT_DOUBLE_EQ(fine.times.front().value(), 0.0);
-  EXPECT_DOUBLE_EQ(fine.times.back().value(), 3.5);
-  EXPECT_DOUBLE_EQ(fine.end.value(), 4.0);
-  // Each resampled segment carries the load active at its start.
-  EXPECT_DOUBLE_EQ(fine.loads[1][0], 0.2);  // [0.5, 1.0) still segment 0
-  EXPECT_DOUBLE_EQ(fine.loads[2][0], 0.8);  // [1.0, 1.5) is segment 1
-  EXPECT_DOUBLE_EQ(fine.loads[7][1], 0.3);  // [3.5, 4.0) is segment 2
-  EXPECT_NO_THROW(fine.validate());
-}
-
-TEST(LoadTrace, ResampledKeepsPartialFinalSegment) {
-  LoadTrace trace = make_trace();
-  trace.end = 3.75_s;
-  const LoadTrace fine = trace.resampled(1.5_s);
-  // Boundaries at 0, 1.5, 3.0 — the [3.0, 3.75) remainder is explicit, not
-  // silently truncated.
-  ASSERT_EQ(fine.num_segments(), 3u);
-  EXPECT_DOUBLE_EQ(fine.times.back().value(), 3.0);
-  EXPECT_DOUBLE_EQ(fine.end.value(), 3.75);
-  EXPECT_DOUBLE_EQ(fine.loads.back()[0], 0.1);
-}
-
-TEST(LoadTrace, ResampledRejectsBadStep) {
-  const LoadTrace trace = make_trace();
-  EXPECT_THROW((void)trace.resampled(0.0_s), std::invalid_argument);
-  EXPECT_THROW((void)trace.resampled(Seconds{-1.0}), std::invalid_argument);
-  EXPECT_THROW(
-      (void)trace.resampled(Seconds{std::numeric_limits<double>::infinity()}),
-      std::invalid_argument);
-}
-
-TEST(LoadTrace, AggregateFromMultiChannelAverages) {
-  // The whole-device view of a per-pipeline trace is the channel mean,
-  // segment by segment.
-  const LoadTrace trace = make_trace();
-  EXPECT_DOUBLE_EQ(trace.aggregate_at(trace.times[0]), (0.2 + 0.4) / 2.0);
-  EXPECT_DOUBLE_EQ(trace.aggregate_at(trace.times[1]), (0.8 + 0.6) / 2.0);
-  EXPECT_DOUBLE_EQ(trace.aggregate_at(trace.times[2]), (0.1 + 0.3) / 2.0);
 }
 
 }  // namespace

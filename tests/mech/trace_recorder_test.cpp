@@ -188,9 +188,11 @@ TEST(NodeLoadRecorder, SingleChannelMatchesAggregateTrace) {
   const LoadTrace whole = recorder.load_trace(rig.leaf, 1, 3.0_s);
   const LoadTrace split = recorder.load_trace(rig.leaf, 2, 3.0_s);
   EXPECT_EQ(whole.end.value(), split.end.value());
+  ASSERT_EQ(split.channels(), 2);
   for (const LoadTrace* trace : {&whole, &split}) {
     for (const Seconds t : trace->times) {
-      EXPECT_NEAR(whole.load_at(t, 0), split.aggregate_at(t), 1e-12);
+      const double mean = (split.load_at(t, 0) + split.load_at(t, 1)) / 2.0;
+      EXPECT_NEAR(whole.load_at(t, 0), mean, 1e-12);
     }
   }
 }

@@ -1,14 +1,15 @@
-// SoA/SIMD bit-identity sweep: every compiled dispatch path of the soa.h
-// kernels (scalar, and with NETPP_SIMD also SSE2/AVX2 when the CPU has
-// them) must produce bit-identical results — both at the kernel level
-// (settle, completion_scan, div_shares, fill_unfrozen compared lane by lane
-// against the forced-scalar path; the fused settle_and_scan against the
-// settle + due walk + completion_scan sequence it replaces, and at
-// threshold -inf against settle + completion_scan, and find_due
-// against a scalar search) and end to end (the solver against the
+// SoA/SIMD bit-identity sweep: both dispatch paths of the soa.h kernels
+// (scalar, and with NETPP_SIMD also AVX2 when the CPU has it) must produce
+// bit-identical results — both at the kernel level (settle and
+// fill_unfrozen compared lane by lane against the forced-scalar path; the
+// fused settle_and_scan against the settle + due walk + straight-line
+// completion scan sequence it replaces, at threshold -inf against settle +
+// that scan, and at dt 0 and threshold -inf against a hand-written scan;
+// find_due against a scalar search) and end to end (the solver against the
 // verbatim pre-optimization reference, and the sparse solve_arena entry
-// point against the dense solve()). force_simd_level() exists for
-// exactly this sweep; the suite runs under ASan/UBSan and TSan in CI.
+// point against the dense solve()). force_simd_level() exists for exactly
+// this sweep; the suite runs under ASan/UBSan and TSan in CI. It also pins
+// the dispatch rule and the AlignedVec workspace buffer.
 //
 // Comparisons use the raw double bits (std::bit_cast), not ==: the contract
 // is "same IEEE operations in the same order", which also pins signed
@@ -23,6 +24,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fairshare_reference.h"
@@ -50,17 +52,29 @@ class ForcedLevel {
   soa::SimdLevel applied_;
 };
 
-/// Every level this binary + CPU can actually run.
+/// Every level this binary + CPU can actually run: scalar, plus AVX2 when
+/// it is detected.
 std::vector<soa::SimdLevel> compiled_levels() {
   std::vector<soa::SimdLevel> levels{soa::SimdLevel::kScalar};
-  const int best = static_cast<int>(soa::detected_simd_level());
-  if (best >= static_cast<int>(soa::SimdLevel::kSse2)) {
-    levels.push_back(soa::SimdLevel::kSse2);
-  }
-  if (best >= static_cast<int>(soa::SimdLevel::kAvx2)) {
+  if (soa::detected_simd_level() == soa::SimdLevel::kAvx2) {
     levels.push_back(soa::SimdLevel::kAvx2);
   }
   return levels;
+}
+
+/// The straight-line completion scan: both minima over the lanes, each lane
+/// folded in index order under soa::completion_key's rule.
+soa::CompletionPass straight_line_scan(const std::vector<double>& remaining,
+                                       const std::vector<double>& rate,
+                                       double cap) {
+  soa::CompletionPass pass;
+  for (std::size_t i = 0; i < remaining.size(); ++i) {
+    const soa::LaneKey key = soa::completion_key(remaining[i], rate[i], cap);
+    if (key.minimum != nullptr && key.value < pass.*key.minimum) {
+      pass.*key.minimum = key.value;
+    }
+  }
+  return pass;
 }
 
 // ---------------------------------------------------------------------------
@@ -250,7 +264,7 @@ TEST(FairShareSoa, SettleKernelBitIdenticalAcrossPaths) {
   const auto levels = compiled_levels();
   Rng rng{0x5E77ull};
   for (int trial = 0; trial < 40; ++trial) {
-    // Sizes 0..66 sweep every SSE2/AVX2 main-loop + tail combination.
+    // Sizes 0..66 sweep every AVX2 main-loop + tail combination.
     const auto n = static_cast<std::size_t>(rng.uniform_int(0, 66));
     const Lanes lanes = random_lanes(rng, n, kCap);
     const double dt = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 2.0);
@@ -299,26 +313,35 @@ TEST(FairShareSoa, CompletionScanBitIdenticalAcrossPaths) {
       }
     }
 
+    // At dt 0 and threshold -inf the fused pass is the read-only scan
+    // every reallocation reschedules from.
     for (const soa::SimdLevel level : levels) {
       ForcedLevel forced{level};
-      double min_quotient = 0.0;
-      double min_capped = 0.0;
-      soa::completion_scan(lanes.remaining.data(), lanes.rate.data(), kCap, n,
-                           &min_quotient, &min_capped);
-      EXPECT_EQ(bits(min_quotient), bits(want_quotient))
-          << "completion_scan quotient, level " << soa::to_string(level)
+      std::vector<double> got = lanes.remaining;
+      const soa::CompletionPass pass = soa::settle_and_scan(
+          got.data(), lanes.rate.data(), 0.0, -kInf, kCap, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bits(got[i]), bits(lanes.remaining[i]))
+            << "completion scan wrote lane " << i << ", level "
+            << soa::to_string(level) << ", trial " << trial;
+      }
+      EXPECT_EQ(pass.due, 0u) << "level " << soa::to_string(level)
+                              << ", trial " << trial;
+      EXPECT_EQ(bits(pass.min_quotient), bits(want_quotient))
+          << "completion scan quotient, level " << soa::to_string(level)
           << ", trial " << trial;
-      EXPECT_EQ(bits(min_capped), bits(want_capped))
-          << "completion_scan capped, level " << soa::to_string(level)
+      EXPECT_EQ(bits(pass.min_capped), bits(want_capped))
+          << "completion scan capped, level " << soa::to_string(level)
           << ", trial " << trial;
     }
   }
 }
 
 // The completion event's fused pass must equal the sequence it replaces:
-// settle (skipped when dt <= 0), a scalar due walk, then completion_scan
-// over the lanes that stayed above the threshold — bit for bit, including
-// every remaining lane it writes (or, for dt <= 0, leaves alone).
+// settle (skipped when dt <= 0), a scalar due walk, then the straight-line
+// completion scan over the lanes that stayed above the threshold — bit for
+// bit, including every remaining lane it writes (or, for dt <= 0, leaves
+// alone).
 TEST(FairShareSoa, SettleAndScanMatchesSettleWalkScan) {
   constexpr double kCap = 25e9;
   constexpr double kEps = 1.0;  // FlowSimulator's completion threshold
@@ -340,27 +363,24 @@ TEST(FairShareSoa, SettleAndScanMatchesSettleWalkScan) {
         std::vector<double> want_remaining = lanes.remaining;
         std::size_t want_due = 0;
         std::size_t want_first = n;
-        double want_quotient = 0.0;
-        double want_capped = 0.0;
+        std::vector<double> live_remaining;
+        std::vector<double> live_rate;
         {
           ForcedLevel forced{soa::SimdLevel::kScalar};
           if (dt > 0.0) {
             soa::settle(want_remaining.data(), lanes.rate.data(), dt, n);
           }
-          std::vector<double> live_remaining;
-          std::vector<double> live_rate;
-          for (std::size_t i = 0; i < n; ++i) {
-            if (!(want_remaining[i] > kEps)) {
-              if (want_due++ == 0) want_first = i;
-            } else {
-              live_remaining.push_back(want_remaining[i]);
-              live_rate.push_back(lanes.rate[i]);
-            }
-          }
-          soa::completion_scan(live_remaining.data(), live_rate.data(), cap,
-                               live_remaining.size(), &want_quotient,
-                               &want_capped);
         }
+        for (std::size_t i = 0; i < n; ++i) {
+          if (!(want_remaining[i] > kEps)) {
+            if (want_due++ == 0) want_first = i;
+          } else {
+            live_remaining.push_back(want_remaining[i]);
+            live_rate.push_back(lanes.rate[i]);
+          }
+        }
+        const soa::CompletionPass want =
+            straight_line_scan(live_remaining, live_rate, cap);
 
         for (const soa::SimdLevel level : levels) {
           ForcedLevel forced{level};
@@ -377,8 +397,8 @@ TEST(FairShareSoa, SettleAndScanMatchesSettleWalkScan) {
           }
           EXPECT_EQ(pass.due, want_due) << what;
           EXPECT_EQ(pass.first_due, want_first) << what;
-          EXPECT_EQ(bits(pass.min_quotient), bits(want_quotient)) << what;
-          EXPECT_EQ(bits(pass.min_capped), bits(want_capped)) << what;
+          EXPECT_EQ(bits(pass.min_quotient), bits(want.min_quotient)) << what;
+          EXPECT_EQ(bits(pass.min_capped), bits(want.min_capped)) << what;
         }
       }
     }
@@ -388,8 +408,8 @@ TEST(FairShareSoa, SettleAndScanMatchesSettleWalkScan) {
 // The sharded driver settles each window's collection with the fused pass
 // at threshold -inf, and reschedules from its minima instead of
 // rescanning: that pass must equal settle (skipped when dt <= 0) followed
-// by completion_scan over every lane — the same lanes bit for bit, both
-// minima bitwise, and no lane due — at every compiled level.
+// by the straight-line completion scan over every lane — the same lanes bit
+// for bit, both minima bitwise, and no lane due — at every compiled level.
 TEST(FairShareSoa, SettleAndScanAtMinusInfinityMatchesSettleThenScan) {
   constexpr double kCap = 25e9;
   const auto levels = compiled_levels();
@@ -410,10 +430,8 @@ TEST(FairShareSoa, SettleAndScanAtMinusInfinityMatchesSettleThenScan) {
                                      std::to_string(dt);
             std::vector<double> want = lanes.remaining;
             if (dt > 0.0) soa::settle(want.data(), lanes.rate.data(), dt, n);
-            double want_quotient = 0.0;
-            double want_capped = 0.0;
-            soa::completion_scan(want.data(), lanes.rate.data(), cap, n,
-                                 &want_quotient, &want_capped);
+            const soa::CompletionPass want_pass =
+                straight_line_scan(want, lanes.rate, cap);
 
             std::vector<double> got = lanes.remaining;
             const soa::CompletionPass pass = soa::settle_and_scan(
@@ -423,8 +441,10 @@ TEST(FairShareSoa, SettleAndScanAtMinusInfinityMatchesSettleThenScan) {
             }
             EXPECT_EQ(pass.due, 0u) << what;
             EXPECT_EQ(pass.first_due, n) << what;
-            EXPECT_EQ(bits(pass.min_quotient), bits(want_quotient)) << what;
-            EXPECT_EQ(bits(pass.min_capped), bits(want_capped)) << what;
+            EXPECT_EQ(bits(pass.min_quotient), bits(want_pass.min_quotient))
+                << what;
+            EXPECT_EQ(bits(pass.min_capped), bits(want_pass.min_capped))
+                << what;
             // The driver flags the halves whose raise would void these
             // minima by soa::attains_minimum: each finite one is some lane's.
             bool quotient_attained = false;
@@ -479,30 +499,11 @@ TEST(FairShareSoa, FindDueMatchesScalarSearchFromEveryStart) {
   }
 }
 
-TEST(FairShareSoa, DivSharesAndFillUnfrozenBitIdenticalAcrossPaths) {
+TEST(FairShareSoa, FillUnfrozenBitIdenticalAcrossPaths) {
   const auto levels = compiled_levels();
   Rng rng{0xD1Full};
   for (int trial = 0; trial < 40; ++trial) {
     const auto n = static_cast<std::size_t>(rng.uniform_int(0, 66));
-    std::vector<double> residual(n);
-    std::vector<std::uint32_t> active(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      residual[i] = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 100e9);
-      // Zero-active lanes divide to +inf; callers skip them.
-      active[i] = static_cast<std::uint32_t>(rng.uniform_int(0, 9));
-    }
-    for (const soa::SimdLevel level : levels) {
-      ForcedLevel forced{level};
-      std::vector<double> out(n, -1.0);
-      soa::div_shares(residual.data(), active.data(), out.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double want = residual[i] / static_cast<double>(active[i]);
-        ASSERT_EQ(bits(out[i]), bits(want))
-            << "div_shares, level " << soa::to_string(level) << ", trial "
-            << trial << ", lane " << i;
-      }
-    }
-
     std::vector<double> rate(n);
     std::vector<std::uint8_t> frozen(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -524,6 +525,138 @@ TEST(FairShareSoa, DivSharesAndFillUnfrozenBitIdenticalAcrossPaths) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The dispatch rule and the AlignedVec workspace buffer.
+// ---------------------------------------------------------------------------
+
+// AVX2 exactly when its bodies are compiled in (NETPP_SIMD, which the root
+// CMake file defines for every target, on x86-64 with GCC or Clang) and the
+// CPU reports AVX2; scalar otherwise. force_simd_level clamps to that.
+TEST(FairShareSoa, DispatchIsAvx2ExactlyWhenCompiledInAndSupported) {
+#if defined(NETPP_SIMD) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+  const bool avx2 = __builtin_cpu_supports("avx2");
+#else
+  const bool avx2 = false;
+#endif
+  const soa::SimdLevel detected = soa::detected_simd_level();
+  EXPECT_EQ(detected, avx2 ? soa::SimdLevel::kAvx2 : soa::SimdLevel::kScalar);
+  EXPECT_EQ(soa::active_simd_level(), detected);
+  EXPECT_STREQ(soa::to_string(soa::SimdLevel::kScalar), "scalar");
+  EXPECT_STREQ(soa::to_string(soa::SimdLevel::kAvx2), "avx2");
+  {
+    ForcedLevel forced{soa::SimdLevel::kScalar};
+    EXPECT_EQ(forced.applied(), soa::SimdLevel::kScalar);
+    EXPECT_EQ(soa::active_simd_level(), soa::SimdLevel::kScalar);
+  }
+  EXPECT_EQ(soa::active_simd_level(), detected);
+  {
+    ForcedLevel forced{soa::SimdLevel::kAvx2};
+    EXPECT_EQ(forced.applied(), detected);
+    EXPECT_EQ(soa::active_simd_level(), detected);
+  }
+}
+
+bool aligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % soa::kAlignment == 0;
+}
+
+TEST(FairShareSoa, AlignedVecKeepsAlignmentAndContentsAcrossGrowth) {
+  soa::AlignedVec<std::uint32_t> pushed;
+  EXPECT_TRUE(pushed.empty());
+  int growths = 0;
+  const std::uint32_t* storage = nullptr;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    pushed.push_back(i * 7U);
+    ASSERT_EQ(pushed.size(), i + 1);
+    if (pushed.data() == storage) continue;
+    ++growths;
+    storage = pushed.data();
+    ASSERT_TRUE(aligned(storage)) << "push_back growth " << growths;
+    for (std::uint32_t j = 0; j <= i; ++j) {
+      ASSERT_EQ(pushed[j], j * 7U) << "push_back growth " << growths;
+    }
+  }
+  EXPECT_GE(growths, 3);
+  EXPECT_EQ(pushed.back(), 999U * 7U);
+
+  soa::AlignedVec<double> resized;
+  const double kept[] = {1.5, -0.0, kInf};
+  resized.resize(3);
+  for (std::size_t i = 0; i < 3; ++i) resized[i] = kept[i];
+  for (const std::size_t n : {20, 300, 5000}) {
+    resized.resize(n);
+    ASSERT_EQ(resized.size(), n);
+    ASSERT_TRUE(aligned(resized.data())) << "resize to " << n;
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(bits(resized[i]), bits(kept[i])) << "resize to " << n;
+    }
+  }
+}
+
+TEST(FairShareSoa, AlignedVecNeverShrinksItsStorage) {
+  soa::AlignedVec<double> v;
+  v.resize(100);
+  for (std::size_t i = 0; i < 100; ++i) v[i] = static_cast<double>(i);
+  const double* storage = v.data();
+  v.resize(10);
+  EXPECT_EQ(v.size(), 10U);
+  EXPECT_EQ(v.data(), storage);
+  v.pop_back();
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.data(), storage);
+  v.reserve(50);
+  EXPECT_EQ(v.data(), storage);
+  // Regrowing within the capacity keeps the storage, and resize never
+  // initializes: the lanes still hold what was written before the shrink.
+  v.resize(100);
+  EXPECT_EQ(v.data(), storage);
+  for (std::size_t i = 0; i < 100; ++i) {
+    ASSERT_EQ(v[i], static_cast<double>(i)) << "lane " << i;
+  }
+}
+
+TEST(FairShareSoa, AlignedVecAssignFillsEveryLane) {
+  soa::AlignedVec<std::uint8_t> v;
+  for (const std::size_t n : {37, 5, 200, 0}) {
+    const auto value = static_cast<std::uint8_t>(n % 251 + 1);
+    v.assign(n, value);
+    ASSERT_EQ(v.size(), n);
+    ASSERT_TRUE(v.empty() || aligned(v.data()));
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(v[i], value) << "assign " << n << ", lane " << i;
+    }
+  }
+}
+
+TEST(FairShareSoa, AlignedVecMoveLeavesTheSourceEmpty) {
+  soa::AlignedVec<std::uint32_t> a;
+  for (std::uint32_t i = 0; i < 40; ++i) a.push_back(i);
+  const std::uint32_t* storage = a.data();
+
+  soa::AlignedVec<std::uint32_t> b{std::move(a)};
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(b.size(), 40U);
+  EXPECT_EQ(b.data(), storage);
+
+  soa::AlignedVec<std::uint32_t> c;
+  c.push_back(99);
+  c = std::move(b);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.data(), nullptr);
+  ASSERT_EQ(c.size(), 40U);
+  EXPECT_EQ(c.data(), storage);
+  for (std::uint32_t i = 0; i < 40; ++i) EXPECT_EQ(c[i], i);
+
+  // A moved-from vector is empty and reusable.
+  a.push_back(5);
+  ASSERT_EQ(a.size(), 1U);
+  EXPECT_EQ(a[0], 5U);
+  EXPECT_TRUE(aligned(a.data()));
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // strings), and typed "SnapshotReader: constraint" rejection of every
 // malformed input — truncation, corruption, version skew, wrong section
 // order, unconsumed payload, counts the section cannot hold — never UB.
-// Plus the InvariantAuditor's check-registry semantics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "netpp/state/auditor.h"
 #include "netpp/state/image.h"
 #include "netpp/state/snapshot.h"
 
@@ -392,35 +390,6 @@ TEST(Snapshot, Crc32MatchesBytewiseLoop) {
   }
   EXPECT_EQ(crc32(buf.data() + 3, 1000, 0x12345678u),
             crc32_bytewise(buf.data() + 3, 1000, 0x12345678u));
-}
-
-TEST(InvariantAuditor, RunsChecksInOrderAndCounts) {
-  InvariantAuditor auditor;
-  std::vector<int> order;
-  auditor.add("a", [&order] { order.push_back(1); });
-  auditor.add("b", [&order] { order.push_back(2); });
-  EXPECT_EQ(auditor.num_checks(), 2u);
-  EXPECT_EQ(auditor.check_names(), (std::vector<std::string>{"a", "b"}));
-  auditor.audit();
-  auditor.audit();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 1, 2}));
-  EXPECT_EQ(auditor.audits_passed(), 2u);
-}
-
-TEST(InvariantAuditor, FailurePropagatesAndDoesNotCountAsPassed) {
-  InvariantAuditor auditor;
-  auditor.add("ok", [] {});
-  auditor.add("bad", [] {
-    throw std::invalid_argument("Component: books must balance");
-  });
-  EXPECT_THROW(auditor.audit(), std::invalid_argument);
-  EXPECT_EQ(auditor.audits_passed(), 0u);
-}
-
-TEST(InvariantAuditor, RejectsUncallableCheck) {
-  InvariantAuditor auditor;
-  EXPECT_THROW(auditor.add("null", std::function<void()>{}),
-               std::invalid_argument);
 }
 
 }  // namespace
