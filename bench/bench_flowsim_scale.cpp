@@ -249,7 +249,7 @@ void BM_EcmpRouteCached(benchmark::State& state) {
   const auto pairs =
       bench::make_host_pairs(static_cast<std::size_t>(state.range(0)));
   Router router{topo.graph};
-  RouteCache cache{router, RouteCache::Config{}};
+  RouteCache cache{router};
   for (auto _ : state) {
     std::size_t hops = 0;
     for (std::size_t i = 0; i < pairs.size(); ++i) {

@@ -1,23 +1,9 @@
 // The perf scoreboard runner: measures the fixed scenario suite from
 // bench/workloads.h and scores it against reference numbers with the
-// scoreboard library (scoreboard.h). Rows and their reference keys:
-//
-//   solver_capped/100k    <-> scoreboard_solver_capped_100k_ms
-//   solver_uncapped/100k  <-> scoreboard_solver_uncapped_100k_ms
-//   poisson_e2e/10k       <-> scoreboard_poisson_e2e_10k_ms
-//   route_churn/100k      <-> scoreboard_route_churn_100k_ms
-//   fault_storm           <-> scoreboard_fault_storm_ms
-//   composite_stack       <-> scoreboard_composite_stack_ms
-//   sharded_composite_smoke <-> scoreboard_sharded_composite_smoke_ms
-//   sharded_1m_smoke      <-> scoreboard_sharded_1m_smoke_ms
-//   serve_qps             <-> scoreboard_serve_qps_ms
-//   telemetry_idle        absolute gate (< 2%), reference display-only
-//   sharded_overhead      absolute gate (< 150%), reference display-only:
-//                         100 x (sharded_composite_smoke / composite_stack
-//                         - 1), both from the same measure_suite() pass —
-//                         the price of the 4-shard barrier loop over the
-//                         single backend on one scenario, compared across
-//                         paths rather than with its own past
+// scoreboard library (scoreboard.h). kSuite below is the one row table:
+// each row's table name, reference key, kind, limit and measure function.
+// Everything else (the suite pass, --record, --write-reference, the scored
+// rows and the re-measure passes) walks it.
 //
 // Reference numbers MUST come from this binary (--write-reference in CI,
 // --record context injection in tools/record_bench.sh): two binaries
@@ -41,11 +27,13 @@
 //                           (gbench schema) for tools/check_scoreboard.cmake
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -99,6 +87,14 @@ double measure_solver(int rounds, double cap_bps) {
   });
 }
 
+double measure_solver_capped(int rounds) {
+  return measure_solver(rounds, 25e9);
+}
+
+double measure_solver_uncapped(int rounds) {
+  return measure_solver(rounds, 0.0);
+}
+
 double measure_poisson(int rounds) {
   const auto flows = bench::make_poisson_workload(10000);
   return best_of_ms(rounds, [&] {
@@ -111,7 +107,7 @@ double measure_route_churn(int rounds) {
   const auto& topo = bench::pod_topology();
   const auto pairs = bench::make_host_pairs(100000);
   Router router{topo.graph};
-  RouteCache cache{router, RouteCache::Config{}};
+  RouteCache cache{router};
   // The cache persists across rounds like it does across benchmark
   // iterations: after the warm-up pass every lookup is a hash probe.
   return best_of_ms(rounds, [&] {
@@ -156,15 +152,6 @@ double measure_sharded_composite(int rounds) {
         run_composite(sc.topo, sc.workload, sc.demands, sc.horizon, sc.config);
     benchmark::DoNotOptimize(report.combined_savings);
   });
-}
-
-// The sharded_overhead row: what the 4-shard backend costs over the single
-// one on the composite scenario, in percent. Both times must come from the
-// same pass so host noise hits the two sides alike.
-constexpr double kShardedOverheadGatePct = 150.0;
-
-double sharded_overhead_pct(double sharded_ms, double single_ms) {
-  return 100.0 * (sharded_ms / single_ms - 1.0);
 }
 
 // CI-sized cut of the bench_flowsim_sharded 1M gate: the same standing-
@@ -212,38 +199,97 @@ double measure_serve_qps(int rounds) {
   });
 }
 
-/// One measurement of every suite row, in a fixed order. Both sides of
-/// every gate ratio come from this function (in different processes of the
-/// same binary), so the statistic and the code layout match by construction.
-struct SuiteMeasurements {
-  double solver_capped_ms;
-  double solver_uncapped_ms;
-  double poisson_ms;
-  double route_churn_ms;
-  double fault_storm_ms;
-  double composite_stack_ms;
-  double sharded_composite_ms;
-  double sharded_smoke_ms;
-  double serve_qps_ms;
-  double telemetry_idle_pct;
-  double sharded_overhead_pct;
+/// One measurement pass: each scenario is timed at most once, so a row
+/// derived from other rows' times (sharded_overhead) reads the very times
+/// its pass took for them, and host noise hits both sides alike.
+class Pass {
+ public:
+  explicit Pass(int rounds) : rounds_(rounds) {}
+
+  double time(double (*measure)(int rounds)) {
+    const auto [it, fresh] = times_.try_emplace(measure, 0.0);
+    if (fresh) it->second = measure(rounds_);
+    return it->second;
+  }
+
+ private:
+  int rounds_;
+  std::map<double (*)(int), double> times_;
 };
 
-SuiteMeasurements measure_suite(int rounds) {
-  SuiteMeasurements m{};
-  m.solver_capped_ms = measure_solver(rounds, 25e9);
-  m.solver_uncapped_ms = measure_solver(rounds, 0.0);
-  m.poisson_ms = measure_poisson(rounds);
-  m.route_churn_ms = measure_route_churn(rounds);
-  m.fault_storm_ms = measure_fault_storm(rounds);
-  m.composite_stack_ms = measure_composite_stack(rounds);
-  m.sharded_composite_ms = measure_sharded_composite(rounds);
-  m.sharded_smoke_ms = measure_sharded_smoke(rounds);
-  m.serve_qps_ms = measure_serve_qps(rounds);
-  m.telemetry_idle_pct = bench::measure_idle_overhead_pct(rounds);
-  m.sharded_overhead_pct =
-      sharded_overhead_pct(m.sharded_composite_ms, m.composite_stack_ms);
-  return m;
+/// A row timed by a scenario of its own.
+template <double (*Measure)(int rounds)>
+double timed(Pass& pass) {
+  return pass.time(Measure);
+}
+
+/// The sharded_overhead row: what the 4-shard backend costs over the single
+/// one on the composite scenario, in percent — the price of the barrier
+/// loop, compared across paths rather than with its own past.
+double sharded_overhead_pct(Pass& pass) {
+  const double single_ms = pass.time(measure_composite_stack);
+  return 100.0 * (pass.time(measure_sharded_composite) / single_ms - 1.0);
+}
+
+struct SuiteRow {
+  const char* name;  // shown in the table
+  const char* key;   // benchmark name or context key in the reference
+  bench::RowKind kind;
+  double limit;  // ratio cap (kRatio) or percent cap (kAbsolutePct)
+  /// ms per iteration (kRatio) or a percentage (kAbsolutePct).
+  double (*measure)(Pass& pass);
+  /// Printed by --record. telemetry_idle's context value is recorded from
+  /// bench_telemetry_overhead instead (tools/record_bench.sh).
+  bool record = true;
+};
+
+constexpr auto kRatio = bench::RowKind::kRatio;
+constexpr auto kPct = bench::RowKind::kAbsolutePct;
+constexpr double kRatioLimit = bench::kScoreboardFailRatio;
+
+/// The suite, in table order. Ratio rows gate measured/reference (the
+/// reference is written as a benchmark entry); absolute rows gate their
+/// percentage alone (the reference is a display-only context value).
+constexpr SuiteRow kSuite[] = {
+    {"solver_capped/100k", "scoreboard_solver_capped_100k_ms", kRatio,
+     kRatioLimit, timed<measure_solver_capped>},
+    {"solver_uncapped/100k", "scoreboard_solver_uncapped_100k_ms", kRatio,
+     kRatioLimit, timed<measure_solver_uncapped>},
+    {"poisson_e2e/10k", "scoreboard_poisson_e2e_10k_ms", kRatio, kRatioLimit,
+     timed<measure_poisson>},
+    {"route_churn/100k", "scoreboard_route_churn_100k_ms", kRatio,
+     kRatioLimit, timed<measure_route_churn>},
+    {"fault_storm", "scoreboard_fault_storm_ms", kRatio, kRatioLimit,
+     timed<measure_fault_storm>},
+    {"composite_stack", "scoreboard_composite_stack_ms", kRatio, kRatioLimit,
+     timed<measure_composite_stack>},
+    {"sharded_composite_smoke", "scoreboard_sharded_composite_smoke_ms",
+     kRatio, kRatioLimit, timed<measure_sharded_composite>},
+    {"sharded_1m_smoke", "scoreboard_sharded_1m_smoke_ms", kRatio,
+     kRatioLimit, timed<measure_sharded_smoke>},
+    {"serve_qps", "scoreboard_serve_qps_ms", kRatio, kRatioLimit,
+     timed<measure_serve_qps>},
+    {"telemetry_idle", "telemetry_idle_overhead_pct", kPct,
+     bench::kTelemetryIdleGatePct, timed<bench::measure_idle_overhead_pct>,
+     /*record=*/false},
+    {"sharded_overhead", "sharded_overhead_pct", kPct, 150.0,
+     sharded_overhead_pct},
+};
+
+/// One measurement of every row, in table order. Both sides of every gate
+/// ratio come from this function (in different processes of the same
+/// binary), so the statistic and the code layout match by construction.
+std::vector<bench::ScoreRow> measure_suite(int rounds) {
+  Pass pass{rounds};
+  std::vector<bench::ScoreRow> rows;
+  for (const SuiteRow& s : kSuite) {
+    rows.push_back({.name = s.name,
+                    .reference_key = s.key,
+                    .kind = s.kind,
+                    .measured = s.measure(pass),
+                    .limit = s.limit});
+  }
+  return rows;
 }
 
 constexpr const char* kBuildType =
@@ -254,41 +300,32 @@ constexpr const char* kBuildType =
 #endif
 
 /// Writes the suite as a reference JSON in the google-benchmark schema the
-/// scoreboard parser reads: scoreboard keys as benchmark entries, build
-/// type and the two absolute-gate percentages as context.
-bool write_reference(const std::string& path, const SuiteMeasurements& m) {
+/// scoreboard parser reads: ratio rows as benchmark entries, the build type
+/// and the absolute rows' percentages as context.
+bool write_reference(const std::string& path,
+                     const std::vector<bench::ScoreRow>& rows) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return false;
-  std::fprintf(out,
-               "{\n"
-               "  \"context\": {\n"
-               "    \"netpp_build_type\": \"%s\",\n"
-               "    \"telemetry_idle_overhead_pct\": %.3f,\n"
-               "    \"sharded_overhead_pct\": %.3f\n"
-               "  },\n"
-               "  \"benchmarks\": [\n",
-               kBuildType, m.telemetry_idle_pct, m.sharded_overhead_pct);
-  const struct { const char* key; double ms; } rows[] = {
-      {"scoreboard_solver_capped_100k_ms", m.solver_capped_ms},
-      {"scoreboard_solver_uncapped_100k_ms", m.solver_uncapped_ms},
-      {"scoreboard_poisson_e2e_10k_ms", m.poisson_ms},
-      {"scoreboard_route_churn_100k_ms", m.route_churn_ms},
-      {"scoreboard_fault_storm_ms", m.fault_storm_ms},
-      {"scoreboard_composite_stack_ms", m.composite_stack_ms},
-      {"scoreboard_sharded_composite_smoke_ms", m.sharded_composite_ms},
-      {"scoreboard_sharded_1m_smoke_ms", m.sharded_smoke_ms},
-      {"scoreboard_serve_qps_ms", m.serve_qps_ms},
-  };
-  const std::size_t n = sizeof rows / sizeof rows[0];
-  for (std::size_t i = 0; i < n; ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"run_type\": \"iteration\","
-                 " \"iterations\": 1, \"real_time\": %.6f,"
-                 " \"cpu_time\": %.6f, \"time_unit\": \"ms\"}%s\n",
-                 rows[i].key, rows[i].ms, rows[i].ms,
-                 i + 1 < n ? "," : "");
+  std::fprintf(out, "{\n  \"context\": {\n    \"netpp_build_type\": \"%s\"",
+               kBuildType);
+  for (const bench::ScoreRow& row : rows) {
+    if (row.kind != kPct) continue;
+    std::fprintf(out, ",\n    \"%s\": %.3f", row.reference_key.c_str(),
+                 row.measured);
   }
-  std::fprintf(out, "  ]\n}\n");
+  std::fprintf(out, "\n  },\n  \"benchmarks\": [\n");
+  const char* separator = "";
+  for (const bench::ScoreRow& row : rows) {
+    if (row.kind != kRatio) continue;
+    std::fprintf(out,
+                 "%s    {\"name\": \"%s\", \"run_type\": \"iteration\","
+                 " \"iterations\": 1, \"real_time\": %.6f,"
+                 " \"cpu_time\": %.6f, \"time_unit\": \"ms\"}",
+                 separator, row.reference_key.c_str(), row.measured,
+                 row.measured);
+    separator = ",\n";
+  }
+  std::fprintf(out, "\n  ]\n}\n");
   return std::fclose(out) == 0;
 }
 
@@ -320,9 +357,9 @@ int main(int argc, char** argv) {
   }
 
   if (record || !write_reference_path.empty()) {
-    const SuiteMeasurements m = measure_suite(rounds);
+    const std::vector<bench::ScoreRow> rows = measure_suite(rounds);
     if (!write_reference_path.empty()) {
-      if (!write_reference(write_reference_path, m)) {
+      if (!write_reference(write_reference_path, rows)) {
         std::fprintf(stderr, "cannot write reference %s\n",
                      write_reference_path.c_str());
         return 1;
@@ -333,20 +370,11 @@ int main(int argc, char** argv) {
     if (record) {
       // Machine-readable rows for record_bench.sh to inject as
       // --benchmark_context into BENCH_flowsim.json.
-      std::printf("scoreboard_solver_capped_100k_ms=%.3f\n",
-                  m.solver_capped_ms);
-      std::printf("scoreboard_solver_uncapped_100k_ms=%.3f\n",
-                  m.solver_uncapped_ms);
-      std::printf("scoreboard_poisson_e2e_10k_ms=%.3f\n", m.poisson_ms);
-      std::printf("scoreboard_route_churn_100k_ms=%.3f\n", m.route_churn_ms);
-      std::printf("scoreboard_fault_storm_ms=%.3f\n", m.fault_storm_ms);
-      std::printf("scoreboard_composite_stack_ms=%.3f\n",
-                  m.composite_stack_ms);
-      std::printf("scoreboard_sharded_composite_smoke_ms=%.3f\n",
-                  m.sharded_composite_ms);
-      std::printf("scoreboard_sharded_1m_smoke_ms=%.3f\n", m.sharded_smoke_ms);
-      std::printf("scoreboard_serve_qps_ms=%.3f\n", m.serve_qps_ms);
-      std::printf("sharded_overhead_pct=%.3f\n", m.sharded_overhead_pct);
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (!kSuite[i].record) continue;
+        std::printf("%s=%.3f\n", rows[i].reference_key.c_str(),
+                    rows[i].measured);
+      }
     }
     return 0;
   }
@@ -365,86 +393,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  const SuiteMeasurements m = measure_suite(rounds);
-  const auto ratio_row = [](const char* name, const char* key,
-                            double measured) {
-    bench::ScoreRow row;
-    row.name = name;
-    row.reference_key = key;
-    row.measured = measured;
-    return row;
-  };
-  std::vector<bench::ScoreRow> rows;
-  rows.push_back(ratio_row("solver_capped/100k",
-                           "scoreboard_solver_capped_100k_ms",
-                           m.solver_capped_ms));
-  rows.push_back(ratio_row("solver_uncapped/100k",
-                           "scoreboard_solver_uncapped_100k_ms",
-                           m.solver_uncapped_ms));
-  rows.push_back(ratio_row("poisson_e2e/10k", "scoreboard_poisson_e2e_10k_ms",
-                           m.poisson_ms));
-  rows.push_back(ratio_row("route_churn/100k",
-                           "scoreboard_route_churn_100k_ms",
-                           m.route_churn_ms));
-  rows.push_back(ratio_row("fault_storm", "scoreboard_fault_storm_ms",
-                           m.fault_storm_ms));
-  rows.push_back(ratio_row("composite_stack", "scoreboard_composite_stack_ms",
-                           m.composite_stack_ms));
-  rows.push_back(ratio_row("sharded_composite_smoke",
-                           "scoreboard_sharded_composite_smoke_ms",
-                           m.sharded_composite_ms));
-  rows.push_back(ratio_row("sharded_1m_smoke",
-                           "scoreboard_sharded_1m_smoke_ms",
-                           m.sharded_smoke_ms));
-  rows.push_back(ratio_row("serve_qps", "scoreboard_serve_qps_ms",
-                           m.serve_qps_ms));
-  {
-    bench::ScoreRow telemetry;
-    telemetry.name = "telemetry_idle";
-    telemetry.reference_key = "telemetry_idle_overhead_pct";
-    telemetry.kind = bench::RowKind::kAbsolutePct;
-    telemetry.measured = m.telemetry_idle_pct;
-    telemetry.limit = bench::kTelemetryIdleGatePct;
-    rows.push_back(std::move(telemetry));
-  }
-  {
-    bench::ScoreRow overhead;
-    overhead.name = "sharded_overhead";
-    overhead.reference_key = "sharded_overhead_pct";
-    overhead.kind = bench::RowKind::kAbsolutePct;
-    overhead.measured = m.sharded_overhead_pct;
-    overhead.limit = kShardedOverheadGatePct;
-    rows.push_back(std::move(overhead));
-  }
+  std::vector<bench::ScoreRow> rows = measure_suite(rounds);
 
   // Adaptive re-measurement: host noise on a shared runner is bursty at
   // second scale, so one burst can inflate every round of a single row.
   // Re-measuring only the failing rows and keeping the min converges each
   // suspect row to its true floor; a real regression fails every pass,
   // since its floor genuinely sits past the limit.
-  const std::function<double(int)> remeasure[] = {
-      [](int r) { return measure_solver(r, 25e9); },
-      [](int r) { return measure_solver(r, 0.0); },
-      [](int r) { return measure_poisson(r); },
-      [](int r) { return measure_route_churn(r); },
-      [](int r) { return measure_fault_storm(r); },
-      [](int r) { return measure_composite_stack(r); },
-      [](int r) { return measure_sharded_composite(r); },
-      [](int r) { return measure_sharded_smoke(r); },
-      [](int r) { return measure_serve_qps(r); },
-      [](int r) { return bench::measure_idle_overhead_pct(r); },
-      [](int r) {
-        const double single_ms = measure_composite_stack(r);
-        return sharded_overhead_pct(measure_sharded_composite(r), single_ms);
-      },
-  };
   bench::ScoreboardReport report = bench::score_rows(rows, ref);
-  for (int pass = 0; pass < 4 && report.failures > 0; ++pass) {
+  for (int attempt = 0; attempt < 4 && report.failures > 0; ++attempt) {
+    Pass pass{rounds};
     for (std::size_t i = 0; i < rows.size(); ++i) {
       if (!report.rows[i].failed()) continue;
       std::fprintf(stderr, "re-measuring %s (pass %d)...\n",
-                   rows[i].name.c_str(), pass + 1);
-      rows[i].measured = std::min(rows[i].measured, remeasure[i](rounds));
+                   rows[i].name.c_str(), attempt + 1);
+      rows[i].measured = std::min(rows[i].measured, kSuite[i].measure(pass));
     }
     report = bench::score_rows(rows, ref);
   }

@@ -1,209 +1,52 @@
-// Scoring half of the perf scoreboard (see scoreboard.h). The JSON reader
-// is a deliberately small recursive-descent scanner over the
-// google-benchmark output format: no external JSON dependency, tolerant of
-// unknown fields, keeps only per-benchmark cpu_time plus the flat context
-// entries.
+// Scoring half of the perf scoreboard (see scoreboard.h). The reference
+// file is parsed with the serve layer's strict JSON parser; a short walk
+// then keeps per-benchmark cpu_time and the flat context entries.
 #include "scoreboard.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
 #include <utility>
+
+#include "netpp/serve/json.h"
 
 namespace netpp::bench {
 namespace {
 
-class JsonScanner {
- public:
-  explicit JsonScanner(std::string_view text) : text_(text) {}
-
-  void skip_ws() {
-    while (at_ < text_.size()) {
-      const char c = text_[at_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++at_;
-    }
-  }
-
-  [[nodiscard]] char peek() {
-    skip_ws();
-    return at_ < text_.size() ? text_[at_] : '\0';
-  }
-
-  bool consume(char c) {
-    if (peek() != c) {
-      ok_ = false;
-      return false;
-    }
-    ++at_;
-    return true;
-  }
-
-  [[nodiscard]] bool ok() const { return ok_; }
-
-  /// Positioned at '"'. Returns the unescaped string (\uXXXX collapses to
-  /// '?': no key or value the scoreboard reads uses it).
-  std::string parse_string() {
-    std::string out;
-    if (!consume('"')) return out;
-    while (at_ < text_.size()) {
-      const char c = text_[at_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (at_ >= text_.size()) break;
-      const char esc = text_[at_++];
-      switch (esc) {
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u':
-          at_ = at_ + 4 <= text_.size() ? at_ + 4 : text_.size();
-          out.push_back('?');
-          break;
-        default: out.push_back(esc); break;
-      }
-    }
-    ok_ = false;
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    const char* begin = text_.data() + at_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) {
-      ok_ = false;
-      return 0.0;
-    }
-    at_ += static_cast<std::size_t>(end - begin);
-    return value;
-  }
-
-  /// Skips any JSON value; returns its scalar rendering when the value was
-  /// a string/number/bool/null ("" for containers, which are skipped whole).
-  std::string skip_value() {
-    const char c = peek();
-    if (c == '"') return parse_string();
-    if (c == '{' || c == '[') {
-      const char open = c;
-      const char close = open == '{' ? '}' : ']';
-      ++at_;
-      int depth = 1;
-      while (at_ < text_.size() && depth > 0) {
-        const char k = text_[at_];
-        if (k == '"') {
-          (void)parse_string();
-          continue;
-        }
-        if (k == open) ++depth;
-        if (k == close) --depth;
-        ++at_;
-      }
-      if (depth != 0) ok_ = false;
-      return "";
-    }
-    if (c == 't' || c == 'f' || c == 'n') {
-      std::string word;
-      while (at_ < text_.size() &&
-             ((text_[at_] >= 'a' && text_[at_] <= 'z'))) {
-        word.push_back(text_[at_++]);
-      }
-      return word;
-    }
-    std::ostringstream num;
-    num << parse_number();
-    return num.str();
-  }
-
-  /// Positioned at '{'. Calls fn(key) with the scanner positioned at the
-  /// value; fn must consume the value (parse_* or skip_value).
-  template <typename Fn>
-  void parse_object(Fn&& fn) {
-    if (!consume('{')) return;
-    if (peek() == '}') {
-      ++at_;
-      return;
-    }
-    while (ok_) {
-      const std::string key = parse_string();
-      if (!consume(':')) return;
-      fn(key);
-      const char c = peek();
-      if (c == ',') {
-        ++at_;
-        continue;
-      }
-      consume('}');
-      return;
-    }
-  }
-
-  /// Positioned at '['. Calls fn() with the scanner at each element.
-  template <typename Fn>
-  void parse_array(Fn&& fn) {
-    if (!consume('[')) return;
-    if (peek() == ']') {
-      ++at_;
-      return;
-    }
-    while (ok_) {
-      fn();
-      const char c = peek();
-      if (c == ',') {
-        ++at_;
-        continue;
-      }
-      consume(']');
-      return;
-    }
-  }
-
- private:
-  std::string_view text_;
-  std::size_t at_ = 0;
-  bool ok_ = true;
-};
+using serve::JsonKind;
+using serve::JsonValue;
 
 double unit_to_ms(const std::string& unit) {
   if (unit == "ns") return 1e-6;
   if (unit == "us") return 1e-3;
   if (unit == "s") return 1e3;
-  return 1.0;  // "ms" — the repo's benchmarks all report milliseconds
+  return 1.0;  // "ms" (or absent) — the repo's benchmarks report ms
 }
 
-void parse_benchmark_entry(JsonScanner& scan,
-                           std::map<std::string, double>& out) {
-  std::string name;
-  std::string run_type;
-  std::string unit = "ms";
-  double cpu_time = -1.0;
-  scan.parse_object([&](const std::string& key) {
-    if (key == "name") {
-      name = scan.parse_string();
-    } else if (key == "run_type") {
-      run_type = scan.parse_string();
-    } else if (key == "time_unit") {
-      unit = scan.parse_string();
-    } else if (key == "cpu_time") {
-      cpu_time = scan.parse_number();
-    } else {
-      (void)scan.skip_value();
-    }
-  });
+/// The string member `key` of `object`; "" when absent or not a string.
+std::string string_member(const JsonValue& object, std::string_view key) {
+  const JsonValue* value = object.find(key);
+  return value != nullptr && value->kind() == JsonKind::kString
+             ? value->as_string()
+             : std::string{};
+}
+
+void read_benchmark_entry(const JsonValue& entry,
+                          std::map<std::string, double>& out) {
+  const std::string name = string_member(entry, "name");
+  const JsonValue* cpu_time = entry.find("cpu_time");
+  if (name.empty() || cpu_time == nullptr ||
+      cpu_time->kind() != JsonKind::kNumber || cpu_time->as_number() < 0.0) {
+    return;
+  }
   // First iteration entry wins; aggregates (mean/median/stddev) are skipped
   // so repetition runs score the same as single runs.
-  if (!name.empty() && cpu_time >= 0.0 && run_type != "aggregate" &&
-      out.find(name) == out.end()) {
-    out.emplace(name, cpu_time * unit_to_ms(unit));
-  }
+  if (string_member(entry, "run_type") == "aggregate") return;
+  out.emplace(name, cpu_time->as_number() *
+                        unit_to_ms(string_member(entry, "time_unit")));
 }
 
 std::string fmt_ms(double ms) {
@@ -245,23 +88,31 @@ ReferenceScores load_reference_scores(const std::string& path) {
   if (!in) return ref;
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  JsonValue root;
+  try {
+    root = serve::parse_json(buffer.str());
+  } catch (const std::invalid_argument&) {
+    return ref;
+  }
 
-  JsonScanner scan{text};
-  scan.parse_object([&](const std::string& key) {
-    if (key == "context") {
-      scan.parse_object([&](const std::string& ctx_key) {
-        const std::string value = scan.skip_value();
-        if (!value.empty()) ref.context.emplace(ctx_key, value);
-      });
-    } else if (key == "benchmarks") {
-      scan.parse_array(
-          [&] { parse_benchmark_entry(scan, ref.benchmark_cpu_ms); });
-    } else {
-      (void)scan.skip_value();
+  const JsonValue* context = root.find("context");
+  if (context != nullptr && context->kind() == JsonKind::kObject) {
+    for (const auto& [key, value] : context->as_object()) {
+      if (value.kind() == JsonKind::kString) {
+        ref.context.emplace(key, value.as_string());
+      } else if (value.kind() != JsonKind::kArray &&
+                 value.kind() != JsonKind::kObject) {
+        ref.context.emplace(key, value.dump());
+      }
     }
-  });
-  ref.loaded = scan.ok() && !ref.benchmark_cpu_ms.empty();
+  }
+  const JsonValue* benchmarks = root.find("benchmarks");
+  if (benchmarks != nullptr && benchmarks->kind() == JsonKind::kArray) {
+    for (const JsonValue& entry : benchmarks->as_array()) {
+      read_benchmark_entry(entry, ref.benchmark_cpu_ms);
+    }
+  }
+  ref.loaded = !ref.benchmark_cpu_ms.empty();
   return ref;
 }
 

@@ -12,8 +12,9 @@
 // local runs on the recording machine can score against the checked-in
 // file directly.
 //
-// This header is the scoring library (JSON parsing, row arithmetic, table
-// formatting, gate policy); bench_scoreboard.cpp owns the scenario suite.
+// This header is the scoring library (reference reading, row arithmetic,
+// table formatting, gate policy); bench_scoreboard.cpp owns the scenario
+// suite.
 #pragma once
 
 #include <map>
@@ -25,11 +26,12 @@ namespace netpp::bench {
 /// Default gate: a scored ratio row fails at >10% regression.
 inline constexpr double kScoreboardFailRatio = 1.10;
 
-/// Reference scores parsed from a google-benchmark JSON file. Only the
-/// fields the scoreboard needs survive parsing: per-benchmark cpu_time
-/// (normalized to milliseconds) and the flat string/number/bool entries of
-/// the context object (netpp_build_type, telemetry_idle_overhead_pct, the
-/// scoreboard_*_ms rows record_bench.sh injects).
+/// Reference scores read from a google-benchmark JSON file. Only the
+/// fields the scoreboard needs survive: per-benchmark cpu_time (normalized
+/// to milliseconds) and the flat (non-container) entries of the context
+/// object (netpp_build_type, telemetry_idle_overhead_pct, the
+/// scoreboard_*_ms rows record_bench.sh injects); strings are kept as they
+/// are, other scalars as their JSON text.
 struct ReferenceScores {
   bool loaded = false;
   std::string path;
@@ -48,9 +50,11 @@ struct ReferenceScores {
   [[nodiscard]] bool release_reference() const;
 };
 
-/// Parses `path`. Returns loaded == false (and everything empty) when the
-/// file is missing or unreadable; tolerates any well-formed JSON and
-/// ignores what it does not recognize.
+/// Parses `path` with serve::parse_json (strict JSON). Returns loaded ==
+/// false when the file is missing, unreadable, malformed, or holds no
+/// usable benchmark entry; ignores members it does not recognize (nested
+/// context values included). The first non-aggregate entry per benchmark
+/// name wins; ns/us/ms/s times convert to ms.
 [[nodiscard]] ReferenceScores load_reference_scores(const std::string& path);
 
 /// How a row is scored.

@@ -47,8 +47,6 @@ struct DegradedModeConfig {
   double min_headroom = 0.0;
   /// Time to power a parked switch back on (OCS reconfig + switch boot).
   Seconds wake_latency{Seconds::from_milliseconds(50.0)};
-  /// Re-tailor (re-park surplus switches) after each repair.
-  bool retailor_on_recovery = true;
 };
 
 /// Owns the powered/parked bookkeeping for one simulated fabric. Attach its

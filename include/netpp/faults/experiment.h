@@ -44,9 +44,9 @@ struct FaultExperimentConfig {
   /// Which simulator runs the experiment. The default single backend is
   /// bit-identical to the pre-seam harness; the sharded backend fires the
   /// fault/wake control events at bounded-lag barriers. On the sharded
-  /// backend the per-shard simulators keep private registries (read the
-  /// backend's sim_metrics()), while faults.* metrics still land in
-  /// `telemetry` below.
+  /// backend the per-shard simulators keep private registries, so their
+  /// netsim.* metrics stay out of `telemetry` below; faults.* metrics still
+  /// land there.
   BackendConfig backend{};
   /// Optional telemetry bundle (must outlive the call). When set, the
   /// simulator/injector/controller share its registry and event log, the

@@ -31,7 +31,6 @@
 #include "netpp/netsim/flowsim.h"
 #include "netpp/netsim/sharded.h"
 #include "netpp/state/snapshot.h"
-#include "netpp/telemetry/metrics.h"
 #include "netpp/topo/graph.h"
 #include "netpp/topo/pods.h"
 
@@ -60,8 +59,8 @@ struct BackendConfig {
 class SimulatorBackend {
  public:
   using ControlFn = std::function<void()>;
-  /// Opaque control-event handle, valid until the event fires or is
-  /// cancelled (same lifetime discipline as SimEngine::EventId).
+  /// Opaque control-event handle, valid until the event fires (same
+  /// lifetime discipline as SimEngine::EventId).
   using ControlId = std::uint64_t;
   using LoadListener = std::function<void(Seconds now)>;
 
@@ -82,7 +81,6 @@ class SimulatorBackend {
 
   virtual ControlId schedule_control_at(Seconds at, ControlFn fn) = 0;
   virtual ControlId schedule_control_after(Seconds delay, ControlFn fn) = 0;
-  virtual bool cancel_control(ControlId id) = 0;
   /// (time, seq) of a pending control event, for snapshotting (named as on
   /// SimEngine, so state::pending_event serves both). Throws
   /// std::logic_error on a stale handle.
@@ -112,21 +110,13 @@ class SimulatorBackend {
 
   [[nodiscard]] virtual const std::vector<FlowRecord>& completed() const = 0;
   [[nodiscard]] virtual const SummaryStat& fct_stats() const = 0;
-  [[nodiscard]] virtual std::size_t active_flows() const = 0;
   [[nodiscard]] virtual std::size_t stranded_flows() const = 0;
-  [[nodiscard]] virtual std::size_t unroutable_flows() const = 0;
   [[nodiscard]] virtual FlowSimulator::ReallocStats realloc_stats() const = 0;
   [[nodiscard]] virtual double stranded_bit_seconds(Seconds now) const = 0;
   /// Resume durations (sharded: concatenated in shard order).
   [[nodiscard]] virtual std::vector<double> strand_durations() const = 0;
   [[nodiscard]] virtual double current_mean_utilization() const = 0;
   virtual void flush_metrics() = 0;
-  /// The fabric's own metric samples when they are not visible in the
-  /// caller's registry: empty on the single backend (whose simulator writes
-  /// straight into Config::telemetry), the merged per-shard registries on
-  /// the sharded one.
-  [[nodiscard]] virtual std::vector<telemetry::MetricSample> sim_metrics()
-      const = 0;
 
   /// Backend-level load signal: per reallocation (single) or per barrier
   /// (sharded). Use shard_sim() observers for exact per-event sampling.
@@ -167,8 +157,8 @@ class SimulatorBackend {
 
 /// Builds the configured backend over `graph` (which must outlive it).
 /// `sim_config` is the per-simulator configuration; on the sharded backend
-/// its telemetry handle must be null (each shard owns a private registry —
-/// read sim_metrics() instead). Throws std::invalid_argument on an invalid
+/// its telemetry handle must be null (each shard owns a private registry,
+/// which the seam does not expose). Throws std::invalid_argument on an invalid
 /// combination (single with num_shards != 1, unpartitionable graph, ...).
 [[nodiscard]] std::unique_ptr<SimulatorBackend> make_backend(
     const Graph& graph, const BackendConfig& config,

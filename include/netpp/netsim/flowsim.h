@@ -80,7 +80,6 @@ struct DirectedLink {
 class FlowSimulator {
  public:
   struct Config {
-    std::size_t max_ecmp_paths = 16;
     /// Per-flow rate cap; 0 disables (flows are then only link-limited).
     Gbps flow_rate_cap{0.0};
     /// Route arrivals, reroutes, and stranded-flow resumes through the

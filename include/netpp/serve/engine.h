@@ -6,9 +6,11 @@
 //
 //   * faults queries fork a warm baseline. The first query for a faults
 //     tuple constructs the experiment once (topology, workload, fault
-//     schedule, initial tailoring) and captures a state::StateImage of it;
-//     every later query forks that image through the snapshot-restoring
-//     FaultExperimentRun constructor instead of re-tailoring from scratch.
+//     schedule, initial tailoring) and captures a state::StateImage of it,
+//     keeping the scenario beside the image; every later query forks that
+//     image over the kept scenario through the snapshot-restoring
+//     FaultExperimentRun constructor instead of rebuilding the scenario
+//     and re-tailoring from scratch.
 //   * mech queries share a CompositeCache per scenario (backend, workload),
 //     so sweeping stack compositions, OCS counts, horizons, and domain
 //     budgets reuses the backend simulation runs and per-stage totals.

@@ -97,10 +97,13 @@ struct CannedMechScenario {
     QueryKind kind, const ScenarioOptions& opt);
 
 /// Restores the faults run of `s` from `snapshot`, which must hold exactly
-/// one experiment snapshot, runs it to the end and returns its result.
-/// Throws std::invalid_argument on a damaged or mismatched snapshot.
+/// one experiment snapshot, with `tel` attached in place of
+/// s.config.telemetry (it must outlive the call), runs it to the end and
+/// returns its result. `s` is only read, so concurrent resumes may share
+/// it. Throws std::invalid_argument on a damaged or mismatched snapshot.
 [[nodiscard]] FaultExperimentResult resume_fault_run(
-    const CannedFaultScenario& s, state::SnapshotReader& snapshot);
+    const CannedFaultScenario& s, telemetry::Telemetry* tel,
+    state::SnapshotReader& snapshot);
 
 /// Result tables — the exact rows the CLI prints.
 [[nodiscard]] Table cluster_summary_table(const ClusterConfig& config);

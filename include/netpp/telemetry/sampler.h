@@ -2,14 +2,10 @@
 // sim-time cadence, producing aligned (time, value...) rows for the CSV and
 // Chrome counter-track exporters.
 //
-// Two ways to drive it:
-//  - Event-driven (preferred inside experiments): call maybe_sample(now)
-//    from an existing simulation hook (e.g. FlowSimulator's load listener).
-//    A row is taken at most once per period; the simulation's event horizon
-//    is never extended, so attaching the sampler cannot change any
-//    simulated result.
-//  - Self-arming (standalone demos): arm(engine, until) schedules its own
-//    sampling events every period up to `until`.
+// It is event-driven: call maybe_sample(now) from an existing simulation
+// hook (e.g. FlowSimulator's load listener). A row is taken at most once
+// per period; the simulation's event horizon is never extended, so
+// attaching the sampler cannot change any simulated result.
 //
 // The sampler reads gauge slots owned by the MetricRegistry, which must
 // outlive it (the Telemetry bundle guarantees this).
@@ -19,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "netpp/sim/engine.h"
 #include "netpp/state/snapshot.h"
 #include "netpp/telemetry/metrics.h"
 #include "netpp/units.h"
@@ -59,11 +54,6 @@ class TimeSeriesSampler {
   /// Unconditionally takes a row at `now`.
   void sample(Seconds now);
 
-  /// Schedules self-rearming sampling events on `engine` every period until
-  /// `until` (inclusive of the start, exclusive of times past `until`).
-  /// The engine must outlive the run. Requires a positive period.
-  void arm(SimEngine& engine, Seconds until);
-
   [[nodiscard]] const std::vector<Seconds>& times() const { return times_; }
   [[nodiscard]] std::size_t num_series() const { return series_.size(); }
   [[nodiscard]] const std::string& series_name(std::size_t i) const {
@@ -74,9 +64,7 @@ class TimeSeriesSampler {
     return series_[i].values;
   }
 
-  /// Serializes period, cadence state, and every series' rows. Only the
-  /// event-driven mode round-trips; an armed sampler's self-rearming events
-  /// are not snapshotted.
+  /// Serializes period, cadence state, and every series' rows.
   void save_state(state::SnapshotWriter& w) const;
   /// Restores a save_state() image; re-tracks each series by name against
   /// this sampler's registry.

@@ -15,11 +15,10 @@
 // Fat-tree symmetry: a single-homed host's ECMP set is its uplink, the
 // (src-ToR, dst-ToR) set, and the peer's downlink — in exactly the order
 // Router enumerates (the DFS's branch decisions are identical once the
-// forced first/last hops are peeled). With `Config::symmetry` (default on)
-// the cache keys such pairs by their attachment switches, so every host
-// pair under the same ToR pair shares one entry and the resident set scales
-// with ToR pairs, not host pairs. Lookups return composed views; nothing is
-// materialized per host pair.
+// forced first/last hops are peeled). The cache keys such pairs by their
+// attachment switches, so every host pair under the same ToR pair shares
+// one entry and the resident set scales with ToR pairs, not host pairs.
+// Lookups return composed views; nothing is materialized per host pair.
 //
 // Not thread-safe: lookups mutate the pool and stats. One cache per
 // simulator/thread, like the Router it fronts.
@@ -47,15 +46,6 @@ struct RouteCacheStats {
 
 class RouteCache {
  public:
-  struct Config {
-    /// ECMP fan-out limit per (src, dst) pair; matches
-    /// Router::ecmp_paths' `max_paths`.
-    std::size_t max_paths = 16;
-    /// Key single-homed endpoints by their attachment switch (see file
-    /// comment). Purely an occupancy optimization: results are identical.
-    bool symmetry = true;
-  };
-
   /// One cached path: the shared middle span plus the caller pair's forced
   /// first/last hop (kInvalidLink when the endpoint is not canonicalized).
   /// Views stay valid until the next lookup (the pool may grow) or topology
@@ -122,10 +112,9 @@ class RouteCache {
   };
 
   /// `router` must outlive the cache.
-  RouteCache(const Router& router, Config config);
-  explicit RouteCache(const Router& router) : RouteCache(router, Config{}) {}
+  explicit RouteCache(const Router& router);
 
-  /// Cached equivalent of Router::find_paths(src, dst, config.max_paths):
+  /// Cached equivalent of Router::find_paths(src, dst, kMaxEcmpPaths):
   /// same statuses, same paths, same order.
   [[nodiscard]] PathSetView find_paths(NodeId src, NodeId dst);
 
@@ -196,7 +185,6 @@ class RouteCache {
   static void transfer(Self& self, Io& io);
 
   const Router& router_;
-  Config config_;
 
   // Single-homed endpoint info, fixed by graph structure: the attachment
   // switch and uplink of every degree-1 node (kInvalid* otherwise).

@@ -41,6 +41,10 @@ struct RouteResult {
   [[nodiscard]] bool ok() const { return status == RouteStatus::kOk; }
 };
 
+/// ECMP fan-out limit per (src, dst) pair: the default of the Router's
+/// enumerations, and the one the flow simulator and RouteCache route with.
+inline constexpr std::size_t kMaxEcmpPaths = 16;
+
 /// SplitMix-style avalanche over (src, dst, flow_id) — the standard
 /// 5-tuple-hash stand-in. Shared by `Router::ecmp_route` and
 /// `RouteCache::route` so cached and uncached selection pick the same path.
@@ -127,13 +131,13 @@ class Router {
                                                   NodeId dst) const;
 
   /// All shortest paths up to `max_paths` (ECMP set), deterministic order.
-  [[nodiscard]] std::vector<Path> ecmp_paths(NodeId src, NodeId dst,
-                                             std::size_t max_paths = 16) const;
+  [[nodiscard]] std::vector<Path> ecmp_paths(
+      NodeId src, NodeId dst, std::size_t max_paths = kMaxEcmpPaths) const;
 
   /// Non-throwing variant of `ecmp_paths`: reports invalid endpoints and
   /// disconnection as distinct statuses instead of exception vs empty vector.
-  [[nodiscard]] RouteResult find_paths(NodeId src, NodeId dst,
-                                       std::size_t max_paths = 16) const;
+  [[nodiscard]] RouteResult find_paths(
+      NodeId src, NodeId dst, std::size_t max_paths = kMaxEcmpPaths) const;
 
   /// The one ECMP enumeration behind `find_paths`, `ecmp_paths` and
   /// RouteCache's pool, writing into caller-owned buffers so a warm caller
@@ -152,7 +156,7 @@ class Router {
   /// standard 5-tuple-hash stand-in. Returns nullopt if disconnected.
   [[nodiscard]] std::optional<Path> ecmp_route(
       NodeId src, NodeId dst, std::uint64_t flow_id,
-      std::size_t max_paths = 16) const;
+      std::size_t max_paths = kMaxEcmpPaths) const;
 
   [[nodiscard]] const Graph& graph() const { return graph_; }
 

@@ -114,7 +114,7 @@ void DegradedModeController::on_event(const FaultSpec& fault, bool recovery) {
         wake_later(fault.node);
       }
     }
-    if (config_.retailor_on_recovery) retailor_and_apply();
+    retailor_and_apply();
     note_power_change();
     return;
   }

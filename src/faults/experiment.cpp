@@ -14,9 +14,9 @@ FlowSimulator::Config effective_sim_config(
     const FaultExperimentConfig& config) {
   FlowSimulator::Config sim_config = config.sim;
   sim_config.strand_unroutable = true;
-  // The sharded backend's per-shard simulators keep private registries (the
-  // backend merges them in sim_metrics()); only the single backend writes
-  // its netsim.* metrics straight into the experiment bundle.
+  // The sharded backend's per-shard simulators keep private registries,
+  // which the backend does not expose; only the single backend writes its
+  // netsim.* metrics into the experiment bundle.
   sim_config.telemetry =
       config.backend.kind == BackendKind::kSingle ? config.telemetry : nullptr;
   return sim_config;

@@ -37,7 +37,6 @@ class SingleSimBackend final : public SimulatorBackend {
   ControlId schedule_control_after(Seconds delay, ControlFn fn) override {
     return engine_.schedule_after(delay, std::move(fn));
   }
-  bool cancel_control(ControlId id) override { return engine_.cancel(id); }
   [[nodiscard]] Seconds event_time(ControlId id) const override {
     return engine_.event_time(id);
   }
@@ -79,14 +78,8 @@ class SingleSimBackend final : public SimulatorBackend {
   [[nodiscard]] const SummaryStat& fct_stats() const override {
     return sim_.fct_stats();
   }
-  [[nodiscard]] std::size_t active_flows() const override {
-    return sim_.active_flows();
-  }
   [[nodiscard]] std::size_t stranded_flows() const override {
     return sim_.stranded_flows();
-  }
-  [[nodiscard]] std::size_t unroutable_flows() const override {
-    return sim_.unroutable_flows();
   }
   [[nodiscard]] FlowSimulator::ReallocStats realloc_stats() const override {
     return sim_.realloc_stats();
@@ -101,10 +94,6 @@ class SingleSimBackend final : public SimulatorBackend {
     return sim_.current_mean_utilization();
   }
   void flush_metrics() override { sim_.flush_metrics(); }
-  [[nodiscard]] std::vector<telemetry::MetricSample> sim_metrics()
-      const override {
-    return {};  // the simulator writes straight into Config::telemetry
-  }
 
   void set_load_listener(LoadListener listener) override {
     sim_.set_load_listener(std::move(listener));
@@ -150,7 +139,7 @@ class ShardedSimBackend final : public SimulatorBackend {
       : graph_(graph) {
     validation::require(sim_config.telemetry == nullptr, kName,
                         "sharded backend requires a null telemetry handle "
-                        "(read sim_metrics() instead)");
+                        "(each shard owns a private registry)");
     ShardedFlowSimulator::Config scfg;
     scfg.num_shards = config.num_shards;
     scfg.num_threads = config.num_threads;
@@ -204,7 +193,6 @@ class ShardedSimBackend final : public SimulatorBackend {
   ControlId schedule_control_after(Seconds delay, ControlFn fn) override {
     return control_.schedule_after(delay, std::move(fn));
   }
-  bool cancel_control(ControlId id) override { return control_.cancel(id); }
   [[nodiscard]] Seconds event_time(ControlId id) const override {
     return control_.event_time(id);
   }
@@ -246,14 +234,8 @@ class ShardedSimBackend final : public SimulatorBackend {
   [[nodiscard]] const SummaryStat& fct_stats() const override {
     return sharded_->fct_stats();
   }
-  [[nodiscard]] std::size_t active_flows() const override {
-    return sharded_->active_flows();
-  }
   [[nodiscard]] std::size_t stranded_flows() const override {
     return sharded_->stranded_flows();
-  }
-  [[nodiscard]] std::size_t unroutable_flows() const override {
-    return sharded_->unroutable_flows();
   }
   [[nodiscard]] FlowSimulator::ReallocStats realloc_stats() const override {
     return sharded_->realloc_stats();
@@ -271,10 +253,6 @@ class ShardedSimBackend final : public SimulatorBackend {
     for (std::size_t s = 0; s < sharded_->num_shards(); ++s) {
       sharded_->shard_mutable(s).flush_metrics();
     }
-  }
-  [[nodiscard]] std::vector<telemetry::MetricSample> sim_metrics()
-      const override {
-    return sharded_->merged_metrics();
   }
 
   void set_load_listener(LoadListener listener) override {

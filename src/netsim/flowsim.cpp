@@ -77,7 +77,7 @@ FlowSimulator::FlowSimulator(const Graph& graph, Router& router,
       router_(router),
       engine_(engine),
       config_(config),
-      route_cache_(router, RouteCache::Config{config.max_ecmp_paths, true}) {
+      route_cache_(router) {
   validate_config();
   directed_capacity_bps_.reserve(graph.num_links() * 2);
   directed_rate_bps_.reserve(graph.num_links() * 2);
@@ -105,8 +105,6 @@ FlowSimulator::FlowSimulator(const Graph& graph, Router& router,
     : FlowSimulator(graph, router, engine, Config{}) {}
 
 void FlowSimulator::validate_config() const {
-  validation::require(config_.max_ecmp_paths >= 1, "FlowSimulator::Config",
-                      "max_ecmp_paths must be at least 1");
   const double cap = config_.flow_rate_cap.value();
   validation::require(std::isfinite(cap) && cap >= 0.0,
                       "FlowSimulator::Config",
@@ -584,7 +582,7 @@ bool FlowSimulator::route_flow(NodeId src, NodeId dst, FlowId id,
     }
     return true;
   }
-  const auto path = router_.ecmp_route(src, dst, id, config_.max_ecmp_paths);
+  const auto path = router_.ecmp_route(src, dst, id, kMaxEcmpPaths);
   if (!path) return false;
   directed_indices_of(*path, out);
   return true;

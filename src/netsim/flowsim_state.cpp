@@ -83,7 +83,7 @@ void FlowSimulator::transfer(Self& self, Io& io) {
 
   // Config + shape echo: a restore into a differently-configured simulator
   // would silently diverge, so reject it up front.
-  io.echo(config.max_ecmp_paths, kWho, kConfig);
+  io.echo(kMaxEcmpPaths, kWho, kConfig);  // fixed, but in the image format
   io.echo(config.flow_rate_cap.value(), kWho, kConfig);
   io.echo(config.use_route_cache, kWho, kConfig);
   io.echo(config.incremental_reallocation, kWho, kConfig);

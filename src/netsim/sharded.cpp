@@ -657,8 +657,7 @@ void ShardedFlowSimulator::transfer(Self& self, Io& io) {
   io.echo(config.num_shards, kName, "restored num_shards must match");
   io.echo(config.barrier_interval, kName,
           "restored barrier_interval must match");
-  io.echo(config.shard.max_ecmp_paths, kName,
-          "restored max_ecmp_paths must match");
+  io.echo(kMaxEcmpPaths, kName, "restored max_ecmp_paths must match");
   io.echo(config.shard.flow_rate_cap.value(), kName,
           "restored flow_rate_cap must match");
   io.echo(config.shard.use_route_cache, kName,

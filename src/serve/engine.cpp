@@ -66,6 +66,30 @@ JsonValue echo_id(const JsonValue& request) {
   return *id;
 }
 
+/// A warm fault baseline: the scenario its image was captured from, with
+/// the telemetry pointer cleared (each fork attaches its own bundle), and
+/// the image itself. Forks share the scenario read-only.
+struct FaultBaseline {
+  CannedFaultScenario scenario;
+  state::StateImage image;
+};
+
+/// Builds the baseline for `scenario` the way the CLI starts a one-shot
+/// run: fresh construction tailors the fabric and arms the injector; the
+/// image captures that instant (t = 0) so forks skip straight past setup.
+std::unique_ptr<const FaultBaseline> build_fault_baseline(
+    CannedFaultScenario s) {
+  state::StateImage image;
+  {
+    const FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config};
+    image = state::StateImage::capture(
+        [&](state::SnapshotWriter& w) { run.save_state(w); });
+  }
+  s.config.telemetry = nullptr;
+  return std::make_unique<const FaultBaseline>(
+      FaultBaseline{std::move(s), std::move(image)});
+}
+
 }  // namespace
 
 struct QueryEngine::Impl {
@@ -76,9 +100,9 @@ struct QueryEngine::Impl {
   /// answered without touching the simulator.
   std::map<std::string, std::string> results;
   /// Warm fault baselines keyed by fault_baseline_key. unique_ptr keeps
-  /// image addresses stable while new baselines are inserted; fork() on a
+  /// baseline addresses stable while new ones are inserted; fork() on a
   /// const image is safe concurrently.
-  std::map<std::string, std::unique_ptr<state::StateImage>> fault_baselines;
+  std::map<std::string, std::unique_ptr<const FaultBaseline>> fault_baselines;
   /// One CompositeCache per mech scenario (mech_cache_key). Each cache
   /// serializes its callers internally.
   std::map<std::string, std::unique_ptr<CompositeCache>> mech_caches;
@@ -87,29 +111,25 @@ struct QueryEngine::Impl {
   /// Looks up or builds the warm baseline for the query's faults tuple.
   /// The build runs outside `mutex`, so a cold build does not stall other
   /// queries (result-cache hits included). Threads racing on one cold key
-  /// each build; the first insert wins and the others discard their image,
-  /// which is byte-identical. `baselines_built` counts inserted images.
-  const state::StateImage& obtain_fault_baseline(const ScenarioOptions& opt,
-                                                 bool telemetered) {
+  /// each build; the first insert wins and the others discard their
+  /// baseline, whose image is byte-identical. `baselines_built` counts
+  /// inserted baselines.
+  const FaultBaseline& obtain_fault_baseline(const ScenarioOptions& opt,
+                                             bool telemetered) {
     const std::string key = fault_baseline_key(opt, telemetered);
     {
       const std::lock_guard<std::mutex> lock{mutex};
       const auto it = fault_baselines.find(key);
       if (it != fault_baselines.end()) return *it->second;
     }
-    // Build the baseline the way the CLI starts a one-shot run: fresh
-    // construction tailors the fabric and arms the injector; the image
-    // captures that instant (t = 0) so forks skip straight past setup.
     const auto tel = telemetered
                          ? make_scenario_telemetry(QueryKind::kFaults, opt)
                          : nullptr;
-    const CannedFaultScenario s = make_canned_fault_scenario(opt, tel.get());
-    const FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config};
-    auto image = std::make_unique<state::StateImage>(state::StateImage::capture(
-        [&](state::SnapshotWriter& w) { run.save_state(w); }));
+    auto baseline =
+        build_fault_baseline(make_canned_fault_scenario(opt, tel.get()));
     const std::lock_guard<std::mutex> lock{mutex};
     const auto [it, inserted] =
-        fault_baselines.try_emplace(key, std::move(image));
+        fault_baselines.try_emplace(key, std::move(baseline));
     if (inserted) ++stats.baselines_built;
     return *it->second;
   }
@@ -125,14 +145,11 @@ struct QueryEngine::Impl {
     const bool metrics = query.output == QueryOutput::kMetrics;
     const auto tel =
         metrics ? make_scenario_telemetry(query.kind, query.opt) : nullptr;
-    const state::StateImage& baseline =
-        obtain_fault_baseline(query.opt, metrics);
-    const CannedFaultScenario s =
-        make_canned_fault_scenario(query.opt, tel.get());
+    const FaultBaseline& baseline = obtain_fault_baseline(query.opt, metrics);
     FaultExperimentResult result;
     try {
-      auto reader = baseline.fork();
-      result = resume_fault_run(s, reader);
+      auto reader = baseline.image.fork();
+      result = resume_fault_run(baseline.scenario, tel.get(), reader);
     } catch (const std::invalid_argument& e) {
       // A damaged (or mismatched) baseline image fails snapshot validation
       // inside the restoring constructor; reject the query, keep serving.
@@ -266,16 +283,17 @@ void QueryEngine::save_baseline(const std::string& path) {
   const std::lock_guard<std::mutex> lock{impl_->mutex};
   impl_->fault_baselines
       .at(fault_baseline_key(ScenarioOptions{}, /*telemetered=*/false))
-      ->write_file(path);
+      ->image.write_file(path);
 }
 
 void QueryEngine::load_baseline(const std::string& path) {
-  auto image =
-      std::make_unique<state::StateImage>(state::StateImage::from_file(path));
+  auto baseline = std::make_unique<const FaultBaseline>(
+      FaultBaseline{make_canned_fault_scenario(ScenarioOptions{}, nullptr),
+                    state::StateImage::from_file(path)});
   const std::lock_guard<std::mutex> lock{impl_->mutex};
   impl_->fault_baselines.insert_or_assign(
       fault_baseline_key(ScenarioOptions{}, /*telemetered=*/false),
-      std::move(image));
+      std::move(baseline));
 }
 
 EngineStats QueryEngine::stats() const {

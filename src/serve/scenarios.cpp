@@ -96,8 +96,11 @@ std::unique_ptr<telemetry::Telemetry> make_scenario_telemetry(
 }
 
 FaultExperimentResult resume_fault_run(const CannedFaultScenario& s,
+                                       telemetry::Telemetry* tel,
                                        state::SnapshotReader& snapshot) {
-  FaultExperimentRun run{s.topo, s.workload, s.schedule, s.config, snapshot};
+  FaultExperimentConfig config = s.config;
+  config.telemetry = tel;
+  FaultExperimentRun run{s.topo, s.workload, s.schedule, config, snapshot};
   if (!snapshot.at_end()) {
     throw std::invalid_argument(
         "SnapshotReader: trailing bytes after the experiment snapshot");

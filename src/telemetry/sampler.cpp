@@ -66,24 +66,4 @@ void TimeSeriesSampler::restore_state(state::SnapshotReader& r) {
   transfer(*this, r);
 }
 
-void TimeSeriesSampler::arm(SimEngine& engine, Seconds until) {
-  validation::require(period_.value() > 0.0, "TimeSeriesSampler",
-                      "arm() needs a positive period");
-  const Seconds start = engine.now();
-  // One self-rearming closure; stops past `until`.
-  struct Rearm {
-    TimeSeriesSampler* sampler;
-    SimEngine* engine;
-    double until;
-    void operator()() const {
-      sampler->sample(engine->now());
-      const Seconds next{engine->now().value() + sampler->period_.value()};
-      if (next.value() <= until) {
-        engine->schedule_at(next, Rearm{*this});
-      }
-    }
-  };
-  engine.schedule_at(start, Rearm{this, &engine, until.value()});
-}
-
 }  // namespace netpp::telemetry

@@ -23,19 +23,15 @@ constexpr std::size_t kInitialTable = 1024;  // power of two
 
 }  // namespace
 
-RouteCache::RouteCache(const Router& router, Config config)
-    : router_(router), config_(config) {
-  assert(config_.max_paths > 0);
+RouteCache::RouteCache(const Router& router) : router_(router) {
   const Graph& graph = router.graph();
   attach_node_.assign(graph.num_nodes(), kInvalidNode);
   attach_link_.assign(graph.num_nodes(), kInvalidLink);
-  if (config_.symmetry) {
-    for (NodeId n = 0; n < graph.num_nodes(); ++n) {
-      const auto adj = graph.neighbors(n);
-      if (adj.size() == 1) {
-        attach_node_[n] = adj[0].neighbor;
-        attach_link_[n] = adj[0].link;
-      }
+  for (NodeId n = 0; n < graph.num_nodes(); ++n) {
+    const auto adj = graph.neighbors(n);
+    if (adj.size() == 1) {
+      attach_node_[n] = adj[0].neighbor;
+      attach_link_[n] = adj[0].link;
     }
   }
   keys_.assign(kInitialTable, kEmptyKey);
@@ -120,7 +116,7 @@ std::uint32_t RouteCache::lookup(NodeId a, NodeId b) {
   entry.begin = static_cast<std::uint32_t>(pool_.size());
   path_ends_.clear();
   entry.status =
-      router_.enumerate_paths(a, b, config_.max_paths, pool_, path_ends_);
+      router_.enumerate_paths(a, b, kMaxEcmpPaths, pool_, path_ends_);
   entry.num_paths = static_cast<std::uint32_t>(path_ends_.size());
   entry.hops = path_ends_.empty()
                    ? 0
@@ -196,8 +192,9 @@ void RouteCache::transfer(Self& self, Io& io) {
   constexpr std::string_view kConfig =
       "snapshot config does not match this cache's config";
   io.open_section("route_cache");
-  io.echo(self.config_.max_paths, kWho, kConfig);
-  io.echo(self.config_.symmetry, kWho, kConfig);
+  // The image format carries the fan-out limit and symmetry keying.
+  io.echo(kMaxEcmpPaths, kWho, kConfig);
+  io.echo(true, kWho, kConfig);
   io.field(self.keys_);
   io.field(self.slots_);
   io.field(self.occupied_);

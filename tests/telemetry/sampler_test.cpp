@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "netpp/sim/engine.h"
 #include "netpp/telemetry/metrics.h"
 
 namespace netpp::telemetry {
@@ -84,24 +83,6 @@ TEST(TimeSeriesSampler, ConfigurationLockedAfterFirstSample) {
   sampler.sample(Seconds{0.0});
   EXPECT_THROW(sampler.set_period(Seconds{2.0}), std::invalid_argument);
   EXPECT_THROW(sampler.track("h"), std::invalid_argument);
-}
-
-TEST(TimeSeriesSampler, ArmSchedulesSelfRearmingSamples) {
-  MetricRegistry registry;
-  Gauge g = registry.gauge("g");
-  TimeSeriesSampler sampler{registry};
-  sampler.set_period(Seconds{0.25});
-  sampler.track("g");
-
-  SimEngine engine;
-  g.set(42.0);
-  sampler.arm(engine, Seconds{1.0});
-  engine.run();
-
-  // Samples at 0, 0.25, 0.5, 0.75, 1.0 (inclusive of the end).
-  ASSERT_EQ(sampler.times().size(), 5u);
-  EXPECT_DOUBLE_EQ(sampler.times().back().value(), 1.0);
-  for (double v : sampler.series_values(0)) EXPECT_DOUBLE_EQ(v, 42.0);
 }
 
 }  // namespace

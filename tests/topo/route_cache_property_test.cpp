@@ -50,7 +50,7 @@ void toggle_sweep(const BuiltTopology& topo, std::uint64_t seed, int rounds,
                   int pairs_per_round) {
   Rng rng{seed};
   Router live{topo.graph};
-  RouteCache cache{live, RouteCache::Config{}};
+  RouteCache cache{live};
 
   std::vector<bool> node_on(topo.graph.num_nodes(), true);
   std::vector<bool> link_on(topo.graph.num_links(), true);

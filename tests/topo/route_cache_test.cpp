@@ -15,7 +15,7 @@ class RouteCacheFatTree : public ::testing::Test {
  protected:
   BuiltTopology topo_ = build_fat_tree(4, 400_Gbps);
   Router router_{topo_.graph};
-  RouteCache cache_{router_, RouteCache::Config{}};
+  RouteCache cache_{router_};
 };
 
 TEST_F(RouteCacheFatTree, FirstLookupMissesRepeatHits) {
@@ -188,7 +188,7 @@ TEST(RouteCacheLeafSpine, SwitchEndpointsBypassSymmetryKeying) {
   // key; results still match the Router.
   const auto topo = build_leaf_spine(3, 2, 2, 100_Gbps, 100_Gbps);
   Router router{topo.graph};
-  RouteCache cache{router, RouteCache::Config{}};
+  RouteCache cache{router};
   const NodeId leaf = topo.switches[0];
   const NodeId spine = topo.switches[topo.switches.size() - 1];
   const auto cached = cache.find_paths_copy(leaf, spine);

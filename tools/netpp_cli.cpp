@@ -292,7 +292,7 @@ int cmd_faults(const Options& opt) {
   FaultExperimentResult result;
   if (!opt.load_state.empty()) {
     auto r = state::StateImage::from_file(opt.load_state).fork();
-    result = serve::resume_fault_run(s, r);
+    result = serve::resume_fault_run(s, tel.get(), r);
   } else {
     result = run_fault_experiment(s.topo, s.workload, s.schedule, s.config);
   }
